@@ -107,27 +107,28 @@ def logreg_train(X, Y, l2: float = 1e-3, steps: int = 500,
     reg_mask[M, 0] = 0.0  # bias is not penalized
 
     def loss_of(Wc):
+        """(loss, unclipped probabilities) at weights Wc: one forward pass."""
         probs = expit(Xb.T @ Wc)
-        probs = np.clip(probs, 1e-15, 1.0 - 1e-15)
-        nll = -(Y * np.log(probs) + (1.0 - Y) * np.log(1.0 - probs)).sum() / n
-        return nll + 0.5 * l2 * float(np.sum((Wc * Wc) * reg_mask))
+        clipped = np.clip(probs, 1e-15, 1.0 - 1e-15)
+        nll = -(Y * np.log(clipped) + (1.0 - Y) * np.log(1.0 - clipped)).sum() / n
+        return nll + 0.5 * l2 * float(np.sum((Wc * Wc) * reg_mask)), probs
 
-    cur = loss_of(W)
+    # the accepted step's forward pass is the next gradient's
+    cur, probs = loss_of(W)
     step_size = lr
     for step in range(1, steps + 1):
-        probs = expit(Xb.T @ W)
         grad = Xb @ (probs - Y) / n + l2 * (W * reg_mask)
         accepted = False
         while step_size >= 1e-18:
             W_new = W - step_size * grad
-            new = loss_of(W_new)
+            new, new_probs = loss_of(W_new)
             if new <= cur:
                 accepted = True
                 break
             step_size *= 0.5
         if not accepted:
             break
-        W, cur = W_new, new
+        W, cur, probs = W_new, new, new_probs
         if on_step is not None:
             on_step(step, cur)
     return LogRegModel(weights=W, n_classes=c)

@@ -60,7 +60,8 @@ def _check_readable(paths) -> None:
             raise InvalidConfigError(f"cannot read input file {path}")
 
 
-def _read_labels(path: str) -> np.ndarray:
+def _read_labels(path: str, c: int | None = None) -> np.ndarray:
+    """One integer label per non-blank line; with c given, each in [1, c]."""
     labels = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -68,11 +69,16 @@ def _read_labels(path: str) -> np.ndarray:
             if not s:
                 continue
             try:
-                labels.append(int(s))
+                label = int(s)
             except ValueError:
                 raise CorpusFormatError(
                     lineno, f"malformed label {s!r}, expected an integer"
                 ) from None
+            if c is not None and not 1 <= label <= c:
+                raise CorpusFormatError(
+                    lineno, f"label {label} outside [1, {c}] in {path}"
+                )
+            labels.append(label)
     if not labels:
         raise CorpusFormatError(1, f"no labels in {path}")
     return np.asarray(labels, dtype=np.int64)
@@ -128,7 +134,7 @@ def _load_problem(args) -> tuple:
         X_t, Y_t = load_corpus(path)
         targets.append(normalize_input(X_t))
         if args.truths:
-            truth.append(_read_labels(args.truths[p]))
+            truth.append(_read_labels(args.truths[p], c=Y_s.shape[1]))
         elif Y_t is not None:
             truth.append(np.argmax(Y_t, axis=1) + 1)
         else:
@@ -148,9 +154,21 @@ def _load_problem(args) -> tuple:
     return data, truth
 
 
-def _hyperparams(args) -> Hyperparams:
+def _hyperparams(args, k1: int | None = None) -> Hyperparams:
+    """Validated settings from the run flags.
+
+    train and the lambda sweep take k1 from --k1 and need at least one
+    domain-specific cluster (k1 < k2); the k1 sweep passes the k1 of its
+    base settings, for which k1 == k2 is allowed.
+    """
+    if k1 is None:
+        if args.k1 >= args.k2:
+            raise InvalidConfigError(
+                f"k1 must be smaller than k2, got k1={args.k1}, k2={args.k2}"
+            )
+        k1 = args.k1
     hp = Hyperparams(
-        k1=args.k1,
+        k1=k1,
         k2=args.k2,
         lam=args.lam,
         maxiter=args.maxiter,
@@ -199,10 +217,6 @@ def _logreg_init(data, collect_loss=None):
 
 
 def cmd_train(args) -> int:
-    if args.k1 >= args.k2:
-        raise InvalidConfigError(
-            f"k1 must be smaller than k2, got k1={args.k1}, k2={args.k2}"
-        )
     hp = _hyperparams(args)
     data, truth = _load_problem(args)
     os.makedirs(args.out, exist_ok=True)
@@ -336,27 +350,13 @@ def cmd_sweep(args) -> int:
                 raise InvalidConfigError(
                     f"swept k1={v} must lie in [1, k2={args.k2}]"
                 )
+        base = _hyperparams(args, k1=min(args.k1, args.k2))
     else:
         axis, values = "lambda", _parse_sweep_values(args.sweep_lambda, "lambda")
         for v in values:
             if v < 0:
                 raise InvalidConfigError(f"swept lambda={v} must be nonnegative")
-        if args.k1 >= args.k2:
-            raise InvalidConfigError(
-                f"k1 must be smaller than k2, got k1={args.k1}, k2={args.k2}"
-            )
-
-    base = _hyperparams(args) if axis == "lambda" else Hyperparams(
-        k1=min(args.k1, args.k2),
-        k2=args.k2,
-        lam=args.lam,
-        maxiter=args.maxiter,
-        epsilon=args.epsilon,
-        seed=args.seed,
-        convergence_tol=args.tol,
-        verbatim_v_update=args.verbatim_v_update,
-    )
-    base.validate()
+        base = _hyperparams(args)
     data, truth = _load_problem(args)
     if truth is None:
         raise InvalidConfigError(

@@ -2,12 +2,13 @@
 
 The corpus format is a sparse text format: a header line ``M n c`` followed
 by exactly n instance records ``label idx:val idx:val ...`` with 1-based,
-strictly increasing feature indices, nonnegative values, and label 0 meaning
-unlabeled. A file is either fully labeled or fully unlabeled.
+strictly increasing feature indices, finite nonnegative values, and label 0
+meaning unlabeled. A file is either fully labeled or fully unlabeled.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,8 +32,8 @@ def parse_corpus(lines) -> tuple:
     matrix, or Y = None when the file is unlabeled (all labels 0). Raises
     CorpusFormatError naming the offending line for a malformed header, a
     feature index out of [1, M], indices not strictly increasing, a negative
-    value, a label outside [0, c], mixed labeled/unlabeled records, or a
-    record count different from the header's n.
+    or non-finite value, a label outside [0, c], mixed labeled/unlabeled
+    records, or a record count different from the header's n.
     """
     it = iter(lines)
     try:
@@ -115,9 +116,10 @@ def parse_corpus(lines) -> tuple:
                     f"feature indices must be strictly increasing, "
                     f"{idx} follows {prev_idx}",
                 )
-            if not val >= 0:
+            if not 0.0 <= val < math.inf:
+                kind = "negative" if math.isfinite(val) else "non-finite"
                 raise CorpusFormatError(
-                    lineno, f"negative value {val_s} at feature {idx}"
+                    lineno, f"{kind} value {val_s} at feature {idx}"
                 )
             X[idx - 1, count] = val
             prev_idx = idx

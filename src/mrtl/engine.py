@@ -10,12 +10,20 @@ lam, which is what couples the P targets to each other. Source labels enter
 as a fixed one-hot assignment; each target's soft assignment V is free and
 its row argmax is the predicted class.
 
-All factors are updated by alternating multiplicative rules of the form
-x <- x * sqrt(numerator / denominator), which preserve nonnegativity, followed
-by L1 normalization of the cluster matrices (columns) and assignments (rows).
-The objective is the sum over pairs of three squared reconstruction errors:
-target through pair associations, source through pair associations, and
-target through the shared associations (weighted by lam).
+The model is written down once, as the term table of _terms. Pair p adds
+three weighted terms w * ||X - U_a Theta_a W^T - U_b Theta_b W^T||^2 to the
+objective: the target through the pair associations (w = 1, X_t, W = V), the
+source through the pair associations (w = 1, X_s, W = Y_s) and the target
+through the shared associations (w = lam, X_t, W = V). reconstructions and
+objective read the table, and so does the one update kernel, _num_den. For
+any named block it sums, over the terms that hold the block, the numerator
+and denominator of the multiplicative step x <- x * sqrt(num / den), where
+num - den is minus half the gradient. The kernel works in the factored form
+of Lee & Seung (NIPS 2000) and Ding et al. (KDD 2006): besides X @ W it only
+multiplies by small Gram matrices, so no step forms an M x n matrix. The
+step preserves nonnegativity. The public update_* functions apply it block
+by block in a fixed order, each pair's steps followed by L1 normalization
+of the cluster matrices (columns) and the assignment (rows).
 """
 
 from __future__ import annotations
@@ -254,24 +262,30 @@ def init_factors(data: ProblemData, hp: Hyperparams, v_init) -> tuple:
     return factors, shared
 
 
-def _rec_target(f: TargetFactors) -> np.ndarray:
-    """Model estimate of the target matrix through the pair associations."""
-    Vt = f.V.T
-    return f.U_common @ (f.Theta_common @ Vt) + f.U_target @ (f.Theta_target @ Vt)
-
-
-def _rec_source(f: TargetFactors, Y_s: np.ndarray) -> np.ndarray:
-    """Model estimate of the source matrix through the pair associations."""
-    Yt = Y_s.T
-    return f.U_common @ (f.Theta_common @ Yt) + f.U_source @ (f.Theta_source @ Yt)
-
-
-def _rec_shared(f: TargetFactors, shared: SharedFactors) -> np.ndarray:
-    """Model estimate of the target matrix through the shared associations."""
-    Vt = f.V.T
-    return f.U_common @ (shared.Theta_common @ Vt) + f.U_target @ (
-        shared.Theta_specific @ Vt
+# Pair p's objective, once. Each row (w, X, ((U_a, Theta_a), (U_b, Theta_b)), W)
+# stands for w * ||X - U_a Theta_a W^T - U_b Theta_b W^T||^2; factor blocks
+# are named by their TargetFactors field, "shared." + their SharedFactors
+# field, or "Y_s".
+def _terms(data: ProblemData, p: int, lam: float) -> tuple:
+    X_t = data.targets[p]
+    return (
+        (1.0, X_t,
+         (("U_common", "Theta_common"), ("U_target", "Theta_target")), "V"),
+        (1.0, data.X_s,
+         (("U_common", "Theta_common"), ("U_source", "Theta_source")), "Y_s"),
+        (lam, X_t,
+         (("U_common", "shared.Theta_common"), ("U_target", "shared.Theta_specific")),
+         "V"),
     )
+
+
+def _blocks(data: ProblemData, f: TargetFactors, shared: SharedFactors) -> dict:
+    return {
+        **vars(f),
+        "Y_s": data.Y_s,
+        "shared.Theta_common": shared.Theta_common,
+        "shared.Theta_specific": shared.Theta_specific,
+    }
 
 
 def reconstructions(data: ProblemData, p: int, f: TargetFactors,
@@ -283,10 +297,10 @@ def reconstructions(data: ProblemData, p: int, f: TargetFactors,
     and the target matrix through the shared associations. The objective is
     the sum of squared errors of these against X_t^p, X_s and X_t^p.
     """
-    return (
-        _rec_target(f),
-        _rec_source(f, data.Y_s),
-        _rec_shared(f, shared),
+    b = _blocks(data, f, shared)
+    return tuple(
+        sum(b[u] @ (b[t] @ b[W].T) for u, t in pairs)
+        for _, _, pairs, W in _terms(data, p, 1.0)
     )
 
 
@@ -295,39 +309,69 @@ def objective(data: ProblemData, factors, shared: SharedFactors,
     """Joint squared reconstruction error over all pairs.
 
     Sum over p of ||X_t^p - rec_target||^2 + ||X_s - rec_source||^2
-    + lam * ||X_t^p - rec_shared||^2.
+    + lam * ||X_t^p - rec_shared||^2, taken on the residuals themselves,
+    which stay accurate near an exact fit.
     """
     total = 0.0
     for p, f in enumerate(factors):
-        rec_t, rec_s, rec_sh = reconstructions(data, p, f, shared)
-        X_t = data.targets[p]
-        total += frobenius_sq(X_t - rec_t)
-        total += frobenius_sq(data.X_s - rec_s)
-        total += hp.lam * frobenius_sq(X_t - rec_sh)
+        recs = reconstructions(data, p, f, shared)
+        for (w, X, _, _), rec in zip(_terms(data, p, hp.lam), recs):
+            total += w * frobenius_sq(X - rec)
     return total
+
+
+def _num_den(name: str, data: ProblemData, p: int, f: TargetFactors,
+             shared: SharedFactors, lam: float) -> tuple:
+    """Numerator and denominator of the multiplicative step on one block.
+
+    Sums over pair p's terms that hold the block named name, with the
+    shared term weighted by lam; num - den is minus half the gradient of
+    pair p's objective in that block. Every product is factored through
+    Gram matrices of at most k x k, so no M x n matrix is formed.
+    """
+    b = _blocks(data, f, shared)
+    num = den = 0.0
+    for w, X, pairs, W_name in _terms(data, p, lam):
+        W = b[W_name]
+        UT = [(b[u], b[t]) for u, t in pairs]
+        if name == W_name:
+            B = sum(U @ T for U, T in UT)
+            num += w * (X.T @ B)
+            den += w * (W @ (B.T @ B))
+            continue
+        WtW = W.T @ W
+        for (u, t), (U_i, T_i) in zip(pairs, UT):
+            if name == u:
+                num += w * ((X @ W) @ T_i.T)
+                den += w * sum(U @ ((T @ WtW) @ T_i.T) for U, T in UT)
+            elif name == t:
+                num += w * (U_i.T @ (X @ W))
+                den += w * sum(((U_i.T @ U) @ T) @ WtW for U, T in UT)
+    return num, den
+
+
+def _scaled(factors, field: str, num, den, epsilon: float):
+    """factors with block field multiplied by sqrt(num / den)."""
+    step = safe_ratio_sqrt(num, den, epsilon)
+    return replace(factors, **{field: getattr(factors, field) * step})
+
+
+def _pair_step(name: str, data, p: int, f: TargetFactors,
+               shared: SharedFactors, hp: Hyperparams) -> TargetFactors:
+    num, den = _num_den(name, data, p, f, shared, hp.lam)
+    return _scaled(f, name, num, den, hp.epsilon)
 
 
 def update_u_target(data, p: int, f: TargetFactors, shared: SharedFactors,
                     hp: Hyperparams) -> TargetFactors:
     """Multiplicative step on the target-specific clusters U_target."""
-    X_t = data.targets[p]
-    rec_t = _rec_target(f)
-    rec_sh = _rec_shared(f, shared)
-    A = f.V @ f.Theta_target.T
-    B = f.V @ shared.Theta_specific.T
-    num = X_t @ A + hp.lam * (X_t @ B)
-    den = rec_t @ A + hp.lam * (rec_sh @ B)
-    return replace(f, U_target=f.U_target * safe_ratio_sqrt(num, den, hp.epsilon))
+    return _pair_step("U_target", data, p, f, shared, hp)
 
 
 def update_u_source(data, p: int, f: TargetFactors, shared: SharedFactors,
                     hp: Hyperparams) -> TargetFactors:
     """Multiplicative step on the source-specific clusters U_source."""
-    rec_s = _rec_source(f, data.Y_s)
-    A = data.Y_s @ f.Theta_source.T
-    num = data.X_s @ A
-    den = rec_s @ A
-    return replace(f, U_source=f.U_source * safe_ratio_sqrt(num, den, hp.epsilon))
+    return _pair_step("U_source", data, p, f, shared, hp)
 
 
 def update_u_common(data, p: int, f: TargetFactors, shared: SharedFactors,
@@ -337,16 +381,7 @@ def update_u_common(data, p: int, f: TargetFactors, shared: SharedFactors,
     Pulls three gradients at once: the pair's target and source fits plus
     the lam-weighted shared fit of the target.
     """
-    X_t = data.targets[p]
-    rec_t = _rec_target(f)
-    rec_s = _rec_source(f, data.Y_s)
-    rec_sh = _rec_shared(f, shared)
-    A = f.V @ f.Theta_common.T
-    B = data.Y_s @ f.Theta_common.T
-    C = f.V @ shared.Theta_common.T
-    num = X_t @ A + data.X_s @ B + hp.lam * (X_t @ C)
-    den = rec_t @ A + rec_s @ B + hp.lam * (rec_sh @ C)
-    return replace(f, U_common=f.U_common * safe_ratio_sqrt(num, den, hp.epsilon))
+    return _pair_step("U_common", data, p, f, shared, hp)
 
 
 def update_v(data, p: int, f: TargetFactors, shared: SharedFactors,
@@ -358,15 +393,10 @@ def update_v(data, p: int, f: TargetFactors, shared: SharedFactors,
     term is unweighted while the denominator keeps lam; at lam = 0 the
     shared term is absent from the objective, so both variants coincide.
     """
-    X_t = data.targets[p]
-    rec_t = _rec_target(f)
-    rec_sh = _rec_shared(f, shared)
-    pair = f.U_common @ f.Theta_common + f.U_target @ f.Theta_target
-    glob = f.U_common @ shared.Theta_common + f.U_target @ shared.Theta_specific
-    shared_weight = 1.0 if (hp.verbatim_v_update and hp.lam > 0) else hp.lam
-    num = X_t.T @ pair + shared_weight * (X_t.T @ glob)
-    den = rec_t.T @ pair + hp.lam * (rec_sh.T @ glob)
-    return replace(f, V=f.V * safe_ratio_sqrt(num, den, hp.epsilon))
+    num, den = _num_den("V", data, p, f, shared, hp.lam)
+    if hp.verbatim_v_update and hp.lam > 0:
+        num, _ = _num_den("V", data, p, f, shared, 1.0)
+    return _scaled(f, "V", num, den, hp.epsilon)
 
 
 def update_pair_associations(data, p: int, f: TargetFactors,
@@ -375,34 +405,10 @@ def update_pair_associations(data, p: int, f: TargetFactors,
     """Multiplicative steps on the three pair-level association matrices.
 
     Theta_common first (it sees both corpora), then Theta_target and
-    Theta_source, each against reconstructions refreshed with the factors
-    updated so far.
+    Theta_source, each against the factors updated so far.
     """
-    X_t = data.targets[p]
-    XtV = X_t @ f.V
-    XsY = data.X_s @ data.Y_s
-
-    rec_t = _rec_target(f)
-    rec_s = _rec_source(f, data.Y_s)
-    num = f.U_common.T @ XtV + f.U_common.T @ XsY
-    den = f.U_common.T @ (rec_t @ f.V) + f.U_common.T @ (rec_s @ data.Y_s)
-    f = replace(
-        f, Theta_common=f.Theta_common * safe_ratio_sqrt(num, den, hp.epsilon)
-    )
-
-    rec_t = _rec_target(f)
-    num = f.U_target.T @ XtV
-    den = f.U_target.T @ (rec_t @ f.V)
-    f = replace(
-        f, Theta_target=f.Theta_target * safe_ratio_sqrt(num, den, hp.epsilon)
-    )
-
-    rec_s = _rec_source(f, data.Y_s)
-    num = f.U_source.T @ XsY
-    den = f.U_source.T @ (rec_s @ data.Y_s)
-    f = replace(
-        f, Theta_source=f.Theta_source * safe_ratio_sqrt(num, den, hp.epsilon)
-    )
+    for name in ("Theta_common", "Theta_target", "Theta_source"):
+        f = _pair_step(name, data, p, f, shared, hp)
     return f
 
 
@@ -412,34 +418,17 @@ def update_shared_associations(data, factors, shared: SharedFactors,
 
     Numerators and denominators are summed over every pair before the ratio
     is taken (the denominator floor applies to the summed value). The
-    specific block is updated against reconstructions that already use the
-    fresh common block.
+    specific block is updated against the fresh common block.
     """
-    k1 = shared.Theta_common.shape[0]
-    ks = shared.Theta_specific.shape[0]
-    c = shared.Theta_common.shape[1]
-
-    num = np.zeros((k1, c))
-    den = np.zeros((k1, c))
-    for p, f in enumerate(factors):
-        rec_sh = _rec_shared(f, shared)
-        num += f.U_common.T @ (data.targets[p] @ f.V)
-        den += f.U_common.T @ (rec_sh @ f.V)
-    shared = replace(
-        shared,
-        Theta_common=shared.Theta_common * safe_ratio_sqrt(num, den, hp.epsilon),
-    )
-
-    num = np.zeros((ks, c))
-    den = np.zeros((ks, c))
-    for p, f in enumerate(factors):
-        rec_sh = _rec_shared(f, shared)
-        num += f.U_target.T @ (data.targets[p] @ f.V)
-        den += f.U_target.T @ (rec_sh @ f.V)
-    return replace(
-        shared,
-        Theta_specific=shared.Theta_specific * safe_ratio_sqrt(num, den, hp.epsilon),
-    )
+    for field in ("Theta_common", "Theta_specific"):
+        num = den = 0.0
+        for p, f in enumerate(factors):
+            # lam weighs the one term that holds the block, so it cancels
+            # from the ratio; unit weight keeps the rule defined at lam = 0
+            n, d = _num_den("shared." + field, data, p, f, shared, 1.0)
+            num, den = num + n, den + d
+        shared = _scaled(shared, field, num, den, hp.epsilon)
+    return shared
 
 
 def normalize_all(f: TargetFactors) -> TargetFactors:
@@ -462,10 +451,10 @@ def run_iteration(data: ProblemData, factors, shared: SharedFactors,
     """One full sweep over all factors; the loop body of fit.
 
     Per pair: U_target, U_source, U_common, the pair associations, V, then
-    normalization. After all pairs, the shared associations. Each rule sees
-    reconstructions rebuilt from the freshest factors. Pairs never read each
-    other's factors and see the iteration-start shared snapshot, so the
-    sweep over pairs is order-independent.
+    normalization. After all pairs, the shared associations. Each step sees
+    the freshest factors. Pairs never read each other's factors and see the
+    iteration-start shared snapshot, so the sweep over pairs is
+    order-independent.
     """
     new_factors = []
     for p in range(data.P):
@@ -505,11 +494,7 @@ def fit(data: ProblemData, hp: Hyperparams, v_init, truth=None) -> tuple:
     naming the iteration if any factor entry becomes non-finite. Identical
     inputs and seed reproduce the run exactly.
     """
-    hp.validate()
-    if hp.k2 > data.M:
-        raise InvalidConfigError(
-            f"k2={hp.k2} exceeds the number of features M={data.M}"
-        )
+    factors, shared = init_factors(data, hp, v_init)
     if truth is not None:
         truth = [np.asarray(t).ravel() for t in truth]
         if len(truth) != data.P:
@@ -522,8 +507,6 @@ def fit(data: ProblemData, hp: Hyperparams, v_init, truth=None) -> tuple:
                     f"truth[{p}] has {t.shape[0]} labels for "
                     f"{data.targets[p].shape[1]} instances"
                 )
-
-    factors, shared = init_factors(data, hp, v_init)
     trace = []
     prev_obj = None
     for iteration in range(1, hp.maxiter + 1):
@@ -562,8 +545,7 @@ def objective_grad_u_target(data, p: int, f: TargetFactors,
     Used by tests to cross-check the update rules against finite differences.
     """
     X_t = data.targets[p]
-    rec_t = _rec_target(f)
-    rec_sh = _rec_shared(f, shared)
+    rec_t, _, rec_sh = reconstructions(data, p, f, shared)
     return 2.0 * ((rec_t - X_t) @ (f.V @ f.Theta_target.T)) + 2.0 * hp.lam * (
         (rec_sh - X_t) @ (f.V @ shared.Theta_specific.T)
     )

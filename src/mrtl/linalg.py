@@ -22,29 +22,6 @@ def _as_matrix(a) -> np.ndarray:
     return a
 
 
-def matmul(a, b) -> np.ndarray:
-    """Matrix product of a (r x s) and b (s x t)."""
-    a = _as_matrix(a)
-    b = _as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ShapeMismatchError(
-            f"cannot multiply {a.shape[0]}x{a.shape[1]} by {b.shape[0]}x{b.shape[1]}"
-        )
-    return a @ b
-
-
-def hadamard(a, b) -> np.ndarray:
-    """Elementwise product of two matrices of identical shape."""
-    a = _as_matrix(a)
-    b = _as_matrix(b)
-    if a.shape != b.shape:
-        raise ShapeMismatchError(
-            f"hadamard needs equal shapes, got {a.shape[0]}x{a.shape[1]} "
-            f"and {b.shape[0]}x{b.shape[1]}"
-        )
-    return a * b
-
-
 def safe_ratio_sqrt(num, den, epsilon: float) -> np.ndarray:
     """Elementwise sqrt(num / den) with the denominator floored at epsilon.
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import mrtl.baselines as baselines
 from mrtl.baselines import (
     LogRegModel,
     logreg_predict_proba,
@@ -136,3 +137,18 @@ def test_logreg_predict_rejects_wrong_features():
     model = logreg_train(X, Y, steps=10)
     with pytest.raises(InvalidConfigError):
         logreg_predict_proba(model, rng.random((4, 10)))
+
+
+def test_logreg_one_forward_pass_per_step(monkeypatch):
+    # the accepted step's forward pass is reused as the next step's, so a
+    # step that needs no step-size halving costs one expit call
+    calls = []
+    real_expit = baselines.expit
+    monkeypatch.setattr(baselines, "expit",
+                        lambda z: calls.append(1) or real_expit(z))
+    rng = np.random.default_rng(9)
+    X = rng.random((8, 30))
+    Y = one_hot(rng.integers(1, 3, size=30), 2)
+    after_step = []
+    logreg_train(X, Y, steps=50, on_step=lambda i, v: after_step.append(len(calls)))
+    assert after_step == list(range(2, 52))

@@ -194,6 +194,36 @@ def test_train_malformed_corpus_exits_3(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("value", ["inf", "nan", "-inf"])
+def test_train_non_finite_corpus_value_exits_3(tmp_path, capsys, value):
+    src = synth(tmp_path / "data")
+    bad = tmp_path / "bad.txt"
+    bad.write_text(f"3 2 2\n1 1:1.0\n2 2:{value}\n")
+    rc = cli.main([
+        "train", "--source", str(bad),
+        "--target", str(src / "target_1.txt"),
+        "--out", str(tmp_path / "run"),
+    ])
+    assert rc == 3
+    assert f"line 3: non-finite value {value} at feature 2" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("label", ["7", "0", "-1"])
+def test_train_truth_label_outside_classes_exits_3(tmp_path, capsys, label):
+    src = synth(tmp_path / "data")
+    truth = tmp_path / "truth.txt"
+    lines = read(src / "truth_1.txt").splitlines()
+    lines[4] = label
+    truth.write_text("\n".join(lines) + "\n")
+    args = train_args(src, tmp_path / "run")
+    args[args.index(str(src / "truth_1.txt"))] = str(truth)
+    rc = cli.main(args)
+    assert rc == 3
+    assert f"line 5: label {label} outside [1, 2]" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_train_numeric_failure_exits_4(tmp_path, monkeypatch, capsys):
     src = synth(tmp_path / "data")
 

@@ -8,6 +8,7 @@ from conftest import exact_problem, random_problem, random_state, tiny_hp
 
 from mrtl.engine import (
     Hyperparams,
+    _num_den,
     ProblemData,
     SharedFactors,
     TargetFactors,
@@ -454,5 +455,50 @@ def test_gradient_matches_finite_differences():
             hi = objective(data, [replace(f, U_target=up)], shared, hp)
             lo = objective(data, [replace(f, U_target=down)], shared, hp)
             fd[i, j] = (hi - lo) / (2 * h)
+    rel = np.max(np.abs(fd - analytic)) / max(np.max(np.abs(analytic)), 1e-10)
+    assert rel <= 1e-4
+
+
+@pytest.mark.parametrize("block", [
+    "U_common", "U_target", "U_source", "V",
+    "Theta_common", "Theta_target", "Theta_source",
+    "shared.Theta_common", "shared.Theta_specific",
+])
+def test_kernel_gradient_matches_finite_differences(block):
+    # the update kernel's 2 * (den - num) is the objective's gradient; a
+    # shared block's gradient sums over both pairs
+    rng = np.random.default_rng(22)
+    data, v_init = random_problem(rng, M=5, n_s=4, n_t=(3, 4), c=2)
+    hp = Hyperparams(k1=1, k2=3, lam=2.0)
+    factors, shared = random_state(rng, data, hp)
+    if block.startswith("shared."):
+        field = block.removeprefix("shared.")
+        x = getattr(shared, field)
+        analytic = sum(
+            2.0 * (den - num)
+            for num, den in (_num_den(block, data, p, f, shared, hp.lam)
+                             for p, f in enumerate(factors))
+        )
+
+        def objective_at(value):
+            return objective(data, factors, replace(shared, **{field: value}), hp)
+    else:
+        f = factors[0]
+        x = getattr(f, block)
+        num, den = _num_den(block, data, 0, f, shared, hp.lam)
+        analytic = 2.0 * (den - num)
+
+        def objective_at(value):
+            return objective(data, [replace(f, **{block: value}), *factors[1:]],
+                             shared, hp)
+
+    h = 1e-6
+    fd = np.zeros_like(x)
+    for idx in np.ndindex(x.shape):
+        up = x.copy()
+        up[idx] += h
+        down = x.copy()
+        down[idx] -= h
+        fd[idx] = (objective_at(up) - objective_at(down)) / (2 * h)
     rel = np.max(np.abs(fd - analytic)) / max(np.max(np.abs(analytic)), 1e-10)
     assert rel <= 1e-4

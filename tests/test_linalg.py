@@ -4,72 +4,11 @@ import numpy as np
 import pytest
 
 from mrtl.linalg import (
-    ShapeMismatchError,
     frobenius_sq,
-    hadamard,
-    matmul,
     normalize_columns_l1,
     normalize_rows_l1,
     safe_ratio_sqrt,
 )
-
-
-def naive_matmul(a, b):
-    out = np.zeros((a.shape[0], b.shape[1]))
-    for i in range(a.shape[0]):
-        for j in range(b.shape[1]):
-            s = 0.0
-            for k in range(a.shape[1]):
-                s += a[i, k] * b[k, j]
-            out[i, j] = s
-    return out
-
-
-def test_matmul_identity():
-    rng = np.random.default_rng(0)
-    A = rng.random((2, 5))
-    assert np.array_equal(matmul(np.eye(2), A), A)
-
-
-def test_matmul_hand():
-    got = matmul(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[1.0], [1.0]]))
-    assert np.array_equal(got, np.array([[3.0], [7.0]]))
-
-
-def test_matmul_oracle_5x4_4x3():
-    rng = np.random.default_rng(1)
-    a = rng.random((5, 4))
-    b = rng.random((4, 3))
-    assert np.max(np.abs(matmul(a, b) - naive_matmul(a, b))) <= 1e-12
-
-
-def test_matmul_oracle_random_shapes():
-    rng = np.random.default_rng(2)
-    for _ in range(25):
-        m, k, n = rng.integers(1, 21, size=3)
-        a = rng.random((m, k))
-        b = rng.random((k, n))
-        assert np.max(np.abs(matmul(a, b) - naive_matmul(a, b))) <= 1e-12
-
-
-def test_matmul_shape_error_names_both_shapes():
-    with pytest.raises(ShapeMismatchError) as err:
-        matmul(np.ones((2, 3)), np.ones((4, 5)))
-    assert "2x3" in str(err.value) and "4x5" in str(err.value)
-
-
-def test_hadamard_ones_zeros_and_hand():
-    rng = np.random.default_rng(3)
-    A = rng.random((3, 4))
-    assert np.array_equal(hadamard(A, np.ones_like(A)), A)
-    assert np.array_equal(hadamard(A, np.zeros_like(A)), np.zeros_like(A))
-    got = hadamard(np.array([[2.0, 3.0]]), np.array([[4.0, 5.0]]))
-    assert np.array_equal(got, np.array([[8.0, 15.0]]))
-
-
-def test_hadamard_shape_error():
-    with pytest.raises(ShapeMismatchError):
-        hadamard(np.ones((2, 2)), np.ones((2, 3)))
 
 
 def test_safe_ratio_sqrt_fixed_point():
