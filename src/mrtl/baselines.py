@@ -13,7 +13,7 @@ import numpy as np
 from scipy.special import expit
 
 from .engine import InvalidConfigError
-from .linalg import frobenius_sq
+from .linalg import as_corpus, frobenius_sq, residual_sq, stored_entries
 
 _EPS = 1e-12
 
@@ -21,15 +21,17 @@ _EPS = 1e-12
 def nmf_fit(X, k: int, iters: int, seed: int, on_iteration=None) -> tuple:
     """Factor X (M x n, nonnegative) as W @ H by multiplicative updates.
 
-    W is M x k and H is k x n, both initialized uniformly on (0, 1] from the
-    seed. Each iteration updates H then W with the classic Frobenius rules,
-    denominators floored at 1e-12, so ||X - WH||^2 never increases. When
-    given, on_iteration(i, err) receives the squared error after iteration i.
+    X may be dense or scipy sparse. W is M x k and H is k x n, both
+    initialized uniformly on (0, 1] from the seed. Each iteration updates H
+    then W with the classic Frobenius rules, denominators floored at 1e-12,
+    so ||X - WH||^2 never increases. When given, on_iteration(i, err)
+    receives the squared error after iteration i, taken in factored form
+    (see residual_sq).
     """
-    X = np.asarray(X, dtype=np.float64)
+    X = as_corpus(X)
     if X.ndim != 2:
         raise InvalidConfigError("X must be a 2-d matrix")
-    if not np.all(X >= 0):
+    if not np.all(stored_entries(X) >= 0):
         raise InvalidConfigError("X must be nonnegative")
     M, n = X.shape
     if not 1 <= k <= min(M, n):
@@ -42,11 +44,12 @@ def nmf_fit(X, k: int, iters: int, seed: int, on_iteration=None) -> tuple:
     rng = np.random.default_rng(seed)
     W = 1.0 - rng.random((M, k))
     H = 1.0 - rng.random((k, n))
+    xx = frobenius_sq(X)
     for i in range(1, iters + 1):
         H *= (W.T @ X) / np.maximum((W.T @ W) @ H, _EPS)
         W *= (X @ H.T) / np.maximum(W @ (H @ H.T), _EPS)
         if on_iteration is not None:
-            on_iteration(i, frobenius_sq(X - W @ H))
+            on_iteration(i, residual_sq(X, xx, W, H.T, lambda: W @ H))
     return W, H
 
 
@@ -62,6 +65,12 @@ def nmf_predict_labels(H) -> np.ndarray:
     return np.argmax(H, axis=0).astype(np.int64) + 1
 
 
+def _scores(X, W) -> np.ndarray:
+    """n x c linear scores of the columns of X under weights W, whose last
+    row is the bias."""
+    return X.T @ W[:-1] + W[-1]
+
+
 @dataclass(frozen=True)
 class LogRegModel:
     """Weights of a one-vs-rest logistic regression, bias in the last row."""
@@ -74,15 +83,15 @@ def logreg_train(X, Y, l2: float = 1e-3, steps: int = 500,
                  lr: float = 0.1, on_step=None) -> LogRegModel:
     """Fit c independent binary logistic regressions by full-batch descent.
 
-    X is M x n with instances as columns, Y the n x c one-hot label matrix.
-    Weights start at zero (deterministic). The loss is the mean per-instance
-    cross entropy summed over classes plus (l2 / 2) * ||W||^2 excluding the
-    bias row. Whenever a step would increase the loss the step size is
-    halved and the step retried, so the loss sequence never increases;
-    training stops early if the step size underflows. on_step(i, loss)
-    receives the loss after each accepted step.
+    X is M x n with instances as columns, dense or scipy sparse, and Y the
+    n x c one-hot label matrix. Weights start at zero (deterministic). The
+    loss is the mean per-instance cross entropy summed over classes plus
+    (l2 / 2) * ||W||^2 excluding the bias row. Whenever a step would
+    increase the loss the step size is halved and the step retried, so the
+    loss sequence never increases; training stops early if the step size
+    underflows. on_step(i, loss) receives the loss after each accepted step.
     """
-    X = np.asarray(X, dtype=np.float64)
+    X = as_corpus(X)
     Y = np.asarray(Y, dtype=np.float64)
     if X.ndim != 2 or Y.ndim != 2:
         raise InvalidConfigError("X and Y must be 2-d matrices")
@@ -101,23 +110,22 @@ def logreg_train(X, Y, l2: float = 1e-3, steps: int = 500,
     if not lr > 0:
         raise InvalidConfigError(f"lr must be positive, got {lr}")
 
-    Xb = np.vstack([X, np.ones((1, n))])
     W = np.zeros((M + 1, c))
-    reg_mask = np.ones((M + 1, 1))
-    reg_mask[M, 0] = 0.0  # bias is not penalized
 
     def loss_of(Wc):
         """(loss, unclipped probabilities) at weights Wc: one forward pass."""
-        probs = expit(Xb.T @ Wc)
+        probs = expit(_scores(X, Wc))
         clipped = np.clip(probs, 1e-15, 1.0 - 1e-15)
         nll = -(Y * np.log(clipped) + (1.0 - Y) * np.log(1.0 - clipped)).sum() / n
-        return nll + 0.5 * l2 * float(np.sum((Wc * Wc) * reg_mask)), probs
+        # the bias row is not penalized
+        return nll + 0.5 * l2 * float(np.sum(Wc[:M] * Wc[:M])), probs
 
     # the accepted step's forward pass is the next gradient's
     cur, probs = loss_of(W)
     step_size = lr
     for step in range(1, steps + 1):
-        grad = Xb @ (probs - Y) / n + l2 * (W * reg_mask)
+        residual = probs - Y
+        grad = np.vstack([X @ residual / n + l2 * W[:M], residual.sum(axis=0) / n])
         accepted = False
         while step_size >= 1e-18:
             W_new = W - step_size * grad
@@ -140,7 +148,7 @@ def logreg_predict_proba(model: LogRegModel, X) -> np.ndarray:
     Per-class sigmoid scores normalized across classes; every entry is
     strictly positive and each row sums to 1.
     """
-    X = np.asarray(X, dtype=np.float64)
+    X = as_corpus(X)
     if X.ndim != 2:
         raise InvalidConfigError("X must be a 2-d matrix")
     M = model.weights.shape[0] - 1
@@ -148,7 +156,6 @@ def logreg_predict_proba(model: LogRegModel, X) -> np.ndarray:
         raise InvalidConfigError(
             f"model expects {M} features, got {X.shape[0]}"
         )
-    Xb = np.vstack([X, np.ones((1, X.shape[1]))])
-    scores = expit(Xb.T @ model.weights)
+    scores = expit(_scores(X, model.weights))
     scores = np.maximum(scores, 1e-300)  # keep rows strictly positive
     return scores / scores.sum(axis=1, keepdims=True)

@@ -26,6 +26,7 @@ from .data import (
     CorpusFormatError,
     SynthSpec,
     accuracy,
+    compact_corpus,
     generate_synthetic,
     load_corpus,
     normalize_input,
@@ -112,9 +113,11 @@ def _run_manifest_pairs(args) -> dict:
 def _load_problem(args) -> tuple:
     """Read, validate and normalize all corpora; resolve truth labels.
 
-    Returns (ProblemData, truth) where truth is one label array per target
-    (from --truth files, or from labeled target corpora) or None when any
-    target lacks labels.
+    Each corpus is held as compact_corpus stores it (sparse when it is
+    mostly zeros) from right after it is parsed, so at most one dense copy
+    exists at a time. Returns (ProblemData, truth) where truth is one label
+    array per target (from --truth files, or from labeled target corpora) or
+    None when any target lacks labels.
     """
     paths = [args.source] + list(args.targets) + list(args.truths or [])
     _check_readable(paths)
@@ -128,22 +131,28 @@ def _load_problem(args) -> tuple:
         raise InvalidConfigError(
             f"source corpus {args.source} must be fully labeled"
         )
+    c = Y_s.shape[1]
+    X_s = normalize_input(compact_corpus(X_s))
     targets = []
     truth = []
     for p, path in enumerate(args.targets):
         X_t, Y_t = load_corpus(path)
-        targets.append(normalize_input(X_t))
+        if Y_t is not None and Y_t.shape[1] != c:
+            raise CorpusFormatError(
+                1, f"labeled target {path} has {Y_t.shape[1]} classes but the "
+                   f"source has {c}"
+            )
+        targets.append(normalize_input(compact_corpus(X_t)))
+        del X_t  # freed before the next file is parsed
         if args.truths:
-            truth.append(_read_labels(args.truths[p], c=Y_s.shape[1]))
+            truth.append(_read_labels(args.truths[p], c=c))
         elif Y_t is not None:
             truth.append(np.argmax(Y_t, axis=1) + 1)
         else:
             truth.append(None)
     if any(t is None for t in truth):
         truth = None
-    data = ProblemData(
-        X_s=normalize_input(X_s), Y_s=Y_s, targets=tuple(targets)
-    )
+    data = ProblemData(X_s=X_s, Y_s=Y_s, targets=tuple(targets))
     if truth is not None:
         for p, t in enumerate(truth):
             if t.shape[0] != data.targets[p].shape[1]:

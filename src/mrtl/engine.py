@@ -24,19 +24,33 @@ multiplies by small Gram matrices, so no step forms an M x n matrix. The
 step preserves nonnegativity. The public update_* functions apply it block
 by block in a fixed order, each pair's steps followed by L1 normalization
 of the cluster matrices (columns) and the assignment (rows).
+
+The objective is factored the same way. With B = U_a Theta_a + U_b Theta_b
+(M x c), a term is w * (||X||^2 - 2 <X W, B> + <B^T B, W^T W>), where
+||X||^2 is computed once per corpus by ProblemData. The sum cancels badly
+near an exact fit, so a term that comes out below CANCELLATION_GUARD (1e-4)
+of ||X||^2 + 2 |<X W, B>| + <B^T B, W^T W> is taken again from its residual
+X - reconstruction; that keeps the objective exactly 0 on an exact
+reconstruction and within the monotonicity bounds the fit is held to.
+
+Since the corpora enter only through X @ W, X.T @ B and ||X||^2, each may
+be a dense array or a scipy sparse CSC array; the code is the same.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .linalg import (
+    as_corpus,
     frobenius_sq,
     normalize_columns_l1,
     normalize_rows_l1,
+    residual_sq,
     safe_ratio_sqrt,
+    stored_entries,
 )
 
 
@@ -98,19 +112,22 @@ class ProblemData:
     """A labeled source corpus plus P unlabeled target corpora.
 
     X_s is M x n_s, Y_s is the n_s x c one-hot label matrix, and each entry
-    of targets is an M x n_p matrix over the same M features. All matrices
-    must be nonnegative. Callers normally pass column-normalized corpora
-    (each instance a distribution over features).
+    of targets is an M x n_p matrix over the same M features. A corpus may
+    be a dense array or a scipy sparse array, which is held as CSC. All
+    matrices must be nonnegative. Callers normally pass column-normalized
+    corpora (each instance a distribution over features). sq_norms holds
+    ||X_s||^2 followed by each target's squared Frobenius norm.
     """
 
     X_s: np.ndarray
     Y_s: np.ndarray
     targets: tuple
+    sq_norms: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        X_s = np.asarray(self.X_s, dtype=np.float64)
+        X_s = as_corpus(self.X_s)
         Y_s = np.asarray(self.Y_s, dtype=np.float64)
-        targets = tuple(np.asarray(t, dtype=np.float64) for t in self.targets)
+        targets = tuple(as_corpus(t) for t in self.targets)
         if X_s.ndim != 2 or Y_s.ndim != 2:
             raise InvalidConfigError("X_s and Y_s must be 2-d matrices")
         if len(targets) < 1:
@@ -131,9 +148,9 @@ class ProblemData:
                     f"target {p + 1} has {t.shape[0]} features but the source "
                     f"has {X_s.shape[0]}"
                 )
-        if not np.all(X_s >= 0):
+        if not np.all(stored_entries(X_s) >= 0):
             raise InvalidConfigError("X_s must be nonnegative")
-        if any(not np.all(t >= 0) for t in targets):
+        if any(not np.all(stored_entries(t) >= 0) for t in targets):
             raise InvalidConfigError("target matrices must be nonnegative")
         one_hot = np.all((Y_s == 0.0) | (Y_s == 1.0)) and np.all(Y_s.sum(axis=1) == 1.0)
         if not one_hot:
@@ -141,6 +158,9 @@ class ProblemData:
         object.__setattr__(self, "X_s", X_s)
         object.__setattr__(self, "Y_s", Y_s)
         object.__setattr__(self, "targets", targets)
+        object.__setattr__(
+            self, "sq_norms", tuple(frobenius_sq(X) for X in (X_s, *targets))
+        )
 
     @property
     def M(self) -> int:
@@ -262,18 +282,18 @@ def init_factors(data: ProblemData, hp: Hyperparams, v_init) -> tuple:
     return factors, shared
 
 
-# Pair p's objective, once. Each row (w, X, ((U_a, Theta_a), (U_b, Theta_b)), W)
-# stands for w * ||X - U_a Theta_a W^T - U_b Theta_b W^T||^2; factor blocks
-# are named by their TargetFactors field, "shared." + their SharedFactors
-# field, or "Y_s".
+# Pair p's objective, once. Each row
+# (w, X, ||X||^2, ((U_a, Theta_a), (U_b, Theta_b)), W) stands for
+# w * ||X - U_a Theta_a W^T - U_b Theta_b W^T||^2; factor blocks are named by
+# their TargetFactors field, "shared." + their SharedFactors field, or "Y_s".
 def _terms(data: ProblemData, p: int, lam: float) -> tuple:
-    X_t = data.targets[p]
+    X_t, xx_t = data.targets[p], data.sq_norms[p + 1]
     return (
-        (1.0, X_t,
+        (1.0, X_t, xx_t,
          (("U_common", "Theta_common"), ("U_target", "Theta_target")), "V"),
-        (1.0, data.X_s,
+        (1.0, data.X_s, data.sq_norms[0],
          (("U_common", "Theta_common"), ("U_source", "Theta_source")), "Y_s"),
-        (lam, X_t,
+        (lam, X_t, xx_t,
          (("U_common", "shared.Theta_common"), ("U_target", "shared.Theta_specific")),
          "V"),
     )
@@ -298,10 +318,12 @@ def reconstructions(data: ProblemData, p: int, f: TargetFactors,
     the sum of squared errors of these against X_t^p, X_s and X_t^p.
     """
     b = _blocks(data, f, shared)
-    return tuple(
-        sum(b[u] @ (b[t] @ b[W].T) for u, t in pairs)
-        for _, _, pairs, W in _terms(data, p, 1.0)
-    )
+    return tuple(_reconstruct(b, pairs, W)
+                 for _, _, _, pairs, W in _terms(data, p, 1.0))
+
+
+def _reconstruct(b: dict, pairs, W: str) -> np.ndarray:
+    return sum(b[u] @ (b[t] @ b[W].T) for u, t in pairs)
 
 
 def objective(data: ProblemData, factors, shared: SharedFactors,
@@ -309,14 +331,18 @@ def objective(data: ProblemData, factors, shared: SharedFactors,
     """Joint squared reconstruction error over all pairs.
 
     Sum over p of ||X_t^p - rec_target||^2 + ||X_s - rec_source||^2
-    + lam * ||X_t^p - rec_shared||^2, taken on the residuals themselves,
-    which stay accurate near an exact fit.
+    + lam * ||X_t^p - rec_shared||^2. Each term is taken in factored form,
+    without the M x n reconstruction, unless cancellation would cost it its
+    accuracy; then it is taken on the residual itself (see residual_sq).
     """
     total = 0.0
     for p, f in enumerate(factors):
-        recs = reconstructions(data, p, f, shared)
-        for (w, X, _, _), rec in zip(_terms(data, p, hp.lam), recs):
-            total += w * frobenius_sq(X - rec)
+        b = _blocks(data, f, shared)
+        for w, X, xx, pairs, W in _terms(data, p, hp.lam):
+            B = sum(b[u] @ b[t] for u, t in pairs)
+            total += w * residual_sq(
+                X, xx, B, b[W], lambda: _reconstruct(b, pairs, W)
+            )
     return total
 
 
@@ -331,7 +357,7 @@ def _num_den(name: str, data: ProblemData, p: int, f: TargetFactors,
     """
     b = _blocks(data, f, shared)
     num = den = 0.0
-    for w, X, pairs, W_name in _terms(data, p, lam):
+    for w, X, _, pairs, W_name in _terms(data, p, lam):
         W = b[W_name]
         UT = [(b[u], b[t]) for u, t in pairs]
         if name == W_name:

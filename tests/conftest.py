@@ -1,6 +1,7 @@
 """Shared builders for engine-level tests."""
 
 import numpy as np
+from hypothesis import settings
 
 from mrtl.engine import (
     Hyperparams,
@@ -105,3 +106,10 @@ def tiny_hp(**kw):
     kw.setdefault("k1", 2)
     kw.setdefault("k2", 4)
     return Hyperparams(**kw)
+
+
+# Property tests draw the same examples on every run, keep no example
+# database and are never timed out: tier-1 stays deterministic on a slow or
+# busy host.
+settings.register_profile("mrtl", derandomize=True, deadline=None, database=None)
+settings.load_profile("mrtl")

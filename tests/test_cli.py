@@ -146,6 +146,24 @@ def test_train_labeled_targets_give_accuracy(tmp_path):
     assert read(out / "trace.csv").splitlines()[0].endswith(",acc_1")
 
 
+def test_train_labeled_target_class_count_mismatch_exits_3(tmp_path, capsys):
+    # labels 1..3 cannot be scored against a 2-class source
+    src = synth(tmp_path / "data")
+    target = tmp_path / "target_c3.txt"
+    target.write_text("30 2 3\n1 1:1.0\n3 2:1.0\n")
+    rc = cli.main([
+        "train",
+        "--source", str(src / "source.txt"),
+        "--target", str(target),
+        "--k1", "2", "--k2", "4", "--maxiter", "3",
+        "--out", str(tmp_path / "run"),
+    ])
+    assert rc == 3
+    assert (f"line 1: labeled target {target} has 3 classes but the source has 2"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "run").exists()
+
+
 def test_train_without_truth_has_no_accuracy(tmp_path):
     src = synth(tmp_path / "data")
     out = tmp_path / "run"
