@@ -31,7 +31,6 @@ from .engine import (
     objective,
     predict,
 )
-from .linalg import ShapeMismatchError
 
 __version__ = "0.1.0"
 
@@ -42,7 +41,6 @@ __all__ = [
     "LogRegModel",
     "NumericalDivergenceError",
     "ProblemData",
-    "ShapeMismatchError",
     "SharedFactors",
     "SynthSpec",
     "TargetFactors",

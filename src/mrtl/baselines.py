@@ -49,7 +49,7 @@ def nmf_fit(X, k: int, iters: int, seed: int, on_iteration=None) -> tuple:
         H *= (W.T @ X) / np.maximum((W.T @ W) @ H, _EPS)
         W *= (X @ H.T) / np.maximum(W @ (H @ H.T), _EPS)
         if on_iteration is not None:
-            on_iteration(i, residual_sq(X, xx, W, H.T, lambda: W @ H))
+            on_iteration(i, residual_sq(X, xx, W, H.T))
     return W, H
 
 

@@ -62,7 +62,8 @@ def _check_readable(paths) -> None:
 
 
 def _read_labels(path: str, c: int | None = None) -> np.ndarray:
-    """One integer label per non-blank line; with c given, each in [1, c]."""
+    """One integer label per non-blank line, each at least 1 (a class) and,
+    with c given, at most c."""
     labels = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -75,9 +76,10 @@ def _read_labels(path: str, c: int | None = None) -> np.ndarray:
                 raise CorpusFormatError(
                     lineno, f"malformed label {s!r}, expected an integer"
                 ) from None
-            if c is not None and not 1 <= label <= c:
+            if label < 1 or (c is not None and label > c):
+                upper = "c" if c is None else c
                 raise CorpusFormatError(
-                    lineno, f"label {label} outside [1, {c}] in {path}"
+                    lineno, f"label {label} outside [1, {upper}] in {path}"
                 )
             labels.append(label)
     if not labels:
@@ -176,7 +178,7 @@ def _hyperparams(args, k1: int | None = None) -> Hyperparams:
                 f"k1 must be smaller than k2, got k1={args.k1}, k2={args.k2}"
             )
         k1 = args.k1
-    hp = Hyperparams(
+    return Hyperparams(
         k1=k1,
         k2=args.k2,
         lam=args.lam,
@@ -186,8 +188,6 @@ def _hyperparams(args, k1: int | None = None) -> Hyperparams:
         convergence_tol=args.tol,
         verbatim_v_update=args.verbatim_v_update,
     )
-    hp.validate()
-    return hp
 
 
 def _trace_csv(rows, acc_count: int) -> str:
@@ -354,18 +354,18 @@ def _parse_sweep_values(text: str, kind: str):
 def cmd_sweep(args) -> int:
     if args.sweep_k1 is not None:
         axis, values = "k1", _parse_sweep_values(args.sweep_k1, "k1")
-        for v in values:
-            if v < 1 or v > args.k2:
-                raise InvalidConfigError(
-                    f"swept k1={v} must lie in [1, k2={args.k2}]"
-                )
         base = _hyperparams(args, k1=min(args.k1, args.k2))
     else:
         axis, values = "lambda", _parse_sweep_values(args.sweep_lambda, "lambda")
-        for v in values:
-            if v < 0:
-                raise InvalidConfigError(f"swept lambda={v} must be nonnegative")
         base = _hyperparams(args)
+    # every swept setting is built, and so checked, before any corpus is read
+    settings = []
+    for v in values:
+        try:
+            settings.append(replace(base, lam=float(v)) if axis == "lambda"
+                            else replace(base, k1=int(v)))
+        except InvalidConfigError as exc:
+            raise InvalidConfigError(f"--sweep-{axis} value {v}: {exc}") from None
     data, truth = _load_problem(args)
     if truth is None:
         raise InvalidConfigError(
@@ -384,8 +384,7 @@ def cmd_sweep(args) -> int:
         + ",avg_acc"
     )
     lines = [header]
-    for v in values:
-        hp = replace(base, lam=float(v)) if axis == "lambda" else replace(base, k1=int(v))
+    for v, hp in zip(values, settings):
         factors, _, _ = fit(data, hp, v_init, truth=truth)
         accs = [accuracy(predict(f), t) for f, t in zip(factors, truth)]
         cells = [repr(float(v))]

@@ -150,11 +150,20 @@ def serialize_corpus(X, c: int, labels=None) -> str:
 
     labels is an iterable of 1-based integer labels, or None for an
     unlabeled file (every record gets label 0). Zero entries are omitted.
+    A negative or non-finite entry, which parse_corpus would reject, raises
+    InvalidConfigError naming its instance and feature.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise InvalidConfigError("X must be a 2-d matrix")
     M, n = X.shape
+    bad = np.argwhere(~((X >= 0.0) & (X < np.inf)).T)
+    if bad.size:
+        i, j = bad[0]
+        raise InvalidConfigError(
+            f"instance {i + 1} has value {float(X[j, i])} at feature {j + 1}; "
+            f"corpus values must be finite and nonnegative"
+        )
     if c < 1:
         raise InvalidConfigError(f"class count must be positive, got {c}")
     if labels is None:
@@ -236,7 +245,8 @@ class SynthSpec:
     whose meaning is domain-specific. domain_shift in [0, 1] sets how far
     the specific clusters' class allegiance rotates in the targets; at 0
     the targets are distributed exactly like the source. noise sets the
-    relative level of additive nonnegative noise.
+    relative level of additive nonnegative noise. The rules are checked
+    when an instance is built, dataclasses.replace included.
     """
 
     M: int
@@ -250,7 +260,7 @@ class SynthSpec:
     domain_shift: float = 0.0
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.M < 1 or self.n_s < 1 or self.n_t < 1:
             raise InvalidConfigError(
                 f"M, n_s, n_t must be positive, got {self.M}, {self.n_s}, {self.n_t}"
@@ -285,10 +295,6 @@ _COMMON_WEIGHT = 0.3
 # fraction of features active per cluster; denser clusters overlap more and
 # shrink the margins between class signatures
 _DENSITY = 0.15
-# off-block weight in the cluster-to-class association; 0 gives disjoint
-# class supports, larger values blur the classes together
-_COMMON_CROSS = 0.0
-_SPECIFIC_CROSS = 0.0
 # per-instance cluster mixing under noise > 0: each column wanders this far
 # from its class signature toward a random cluster mixture
 _MIXTURE = 0.25
@@ -304,9 +310,9 @@ def _dictionary(rng, M: int, k: int) -> np.ndarray:
     return normalize_columns_l1(D)
 
 
-def _block_association(k: int, c: int, cross: float, offset: int = 0) -> np.ndarray:
-    # cluster j mostly serves class (j + offset) mod c; columns sum to 1
-    A = np.full((k, c), cross)
+def _block_association(k: int, c: int, offset: int = 0) -> np.ndarray:
+    # cluster j serves class (j + offset) mod c only; columns sum to 1
+    A = np.zeros((k, c))
     for j in range(k):
         A[j, (j + offset) % c] = 1.0
     return normalize_columns_l1(A) if k else A
@@ -331,22 +337,21 @@ def generate_synthetic(spec: SynthSpec) -> tuple:
     target. At noise 0 every instance equals its class signature exactly,
     so a nearest-class-signature rule is exact.
     """
-    spec.validate()
     rng = np.random.default_rng(spec.seed)
     ks = spec.k2 - spec.k1
 
     common = _dictionary(rng, spec.M, spec.k1)
     source_specific = _dictionary(rng, spec.M, ks)
 
-    assoc_common = _block_association(spec.k1, spec.c, _COMMON_CROSS)
-    assoc_source = _block_association(ks, spec.c, _SPECIFIC_CROSS)
+    assoc_common = _block_association(spec.k1, spec.c)
+    assoc_source = _block_association(ks, spec.c)
     # the targets reuse the source's feature clusters, but the specific
     # clusters' class allegiance rotates with the shift while the common
     # clusters' allegiance stays put: shifted domains agree on what the
     # patterns look like and disagree on what they mean
     assoc_target = (
         (1.0 - spec.domain_shift) * assoc_source
-        + spec.domain_shift * _block_association(ks, spec.c, _SPECIFIC_CROSS, 1)
+        + spec.domain_shift * _block_association(ks, spec.c, 1)
     )
     def stack(assoc_specific):
         if not ks:

@@ -11,27 +11,35 @@ as a fixed one-hot assignment; each target's soft assignment V is free and
 its row argmax is the predicted class.
 
 The model is written down once, as the term table of _terms. Pair p adds
-three weighted terms w * ||X - U_a Theta_a W^T - U_b Theta_b W^T||^2 to the
-objective: the target through the pair associations (w = 1, X_t, W = V), the
-source through the pair associations (w = 1, X_s, W = Y_s) and the target
-through the shared associations (w = lam, X_t, W = V). reconstructions and
-objective read the table, and so does the one update kernel, _num_den. For
-any named block it sums, over the terms that hold the block, the numerator
-and denominator of the multiplicative step x <- x * sqrt(num / den), where
-num - den is minus half the gradient. The kernel works in the factored form
-of Lee & Seung (NIPS 2000) and Ding et al. (KDD 2006): besides X @ W it only
-multiplies by small Gram matrices, so no step forms an M x n matrix. The
-step preserves nonnegativity. The public update_* functions apply it block
-by block in a fixed order, each pair's steps followed by L1 normalization
-of the cluster matrices (columns) and the assignment (rows).
+three weighted terms w * ||X - B W^T||^2 to the objective, each with its
+own association product B = U_a Theta_a + U_b Theta_b (M x c, formed by
+_association): the target through the pair associations (w = 1, X_t,
+W = V), the source through the pair associations (w = 1, X_s, W = Y_s) and
+the target through the shared associations (w = lam, X_t, W = V).
+reconstructions, objective and the one update kernel, _num_den, read the
+table and are written in B alone. For any named block the kernel sums,
+over the terms that hold the block, the numerator and denominator of the
+multiplicative step x <- x * sqrt(num / den), where num - den is minus half
+the gradient:
 
-The objective is factored the same way. With B = U_a Theta_a + U_b Theta_b
-(M x c), a term is w * (||X||^2 - 2 <X W, B> + <B^T B, W^T W>), where
-||X||^2 is computed once per corpus by ProblemData. The sum cancels badly
-near an exact fit, so a term that comes out below CANCELLATION_GUARD (1e-4)
-of ||X||^2 + 2 |<X W, B>| + <B^T B, W^T W> is taken again from its residual
-X - reconstruction; that keeps the objective exactly 0 on an exact
-reconstruction and within the monotonicity bounds the fit is held to.
+    U_i:     num = w (X W) Theta_i^T    den = w B (W^T W Theta_i^T)
+    Theta_i: num = w U_i^T (X W)        den = w (U_i^T B) W^T W
+    W:       num = w X^T B              den = w W (B^T B)
+
+This is the factored form of Lee & Seung (NIPS 2000) and Ding et al. (KDD
+2006): besides X @ W it only multiplies by B and c x c Gram matrices, so no
+step forms an M x n matrix. The step preserves nonnegativity. The public
+update_* functions apply it block by block in a fixed order, each pair's
+steps followed by L1 normalization of the cluster matrices (columns) and
+the assignment (rows).
+
+The objective is factored the same way: a term is
+w * (||X||^2 - 2 <X W, B> + <B^T B, W^T W>), where ||X||^2 is computed once
+per corpus by ProblemData. The sum cancels badly near an exact fit, so a
+term that comes out below CANCELLATION_GUARD (1e-4) of
+||X||^2 + 2 |<X W, B>| + <B^T B, W^T W> is taken again from its residual
+X - B W^T; that keeps the objective exactly 0 on an exact reconstruction
+and within the monotonicity bounds the fit is held to.
 
 Since the corpora enter only through X @ W, X.T @ B and ||X||^2, each may
 be a dense array or a scipy sparse CSC array; the code is the same.
@@ -76,7 +84,9 @@ class Hyperparams:
     relative objective change when positive, and verbatim_v_update switches
     the assignment update to a variant whose numerator drops lam from the
     shared term while the denominator keeps it (kept for reproducibility;
-    the default rule is consistent with the objective's gradient).
+    the default rule is consistent with the objective's gradient). The
+    rules are checked when an instance is built, dataclasses.replace
+    included, so every Hyperparams in existence is valid.
     """
 
     k1: int = 10
@@ -88,7 +98,7 @@ class Hyperparams:
     convergence_tol: float = 0.0
     verbatim_v_update: bool = False
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.k1 < 1:
             raise InvalidConfigError(f"k1 must be a positive integer, got {self.k1}")
         if self.k2 < self.k1:
@@ -231,7 +241,6 @@ def init_factors(data: ProblemData, hp: Hyperparams, v_init) -> tuple:
     row-normalized. The draw order is fixed, so identical (data shapes,
     hp.seed, v_init) give bitwise identical factors.
     """
-    hp.validate()
     if hp.k2 > data.M:
         raise InvalidConfigError(
             f"k2={hp.k2} exceeds the number of features M={data.M}"
@@ -308,9 +317,15 @@ def _blocks(data: ProblemData, f: TargetFactors, shared: SharedFactors) -> dict:
     }
 
 
+def _association(b: dict, pairs) -> np.ndarray:
+    """B = U_a Theta_a + U_b Theta_b (M x c) of the term with these pairs."""
+    (u_a, t_a), (u_b, t_b) = pairs
+    return b[u_a] @ b[t_a] + b[u_b] @ b[t_b]
+
+
 def reconstructions(data: ProblemData, p: int, f: TargetFactors,
                     shared: SharedFactors) -> tuple:
-    """The three current model estimates for pair p.
+    """The three current model estimates B W^T for pair p.
 
     Returns (rec_target, rec_source, rec_shared): the target matrix through
     the pair associations, the source matrix through the pair associations,
@@ -318,12 +333,8 @@ def reconstructions(data: ProblemData, p: int, f: TargetFactors,
     the sum of squared errors of these against X_t^p, X_s and X_t^p.
     """
     b = _blocks(data, f, shared)
-    return tuple(_reconstruct(b, pairs, W)
+    return tuple(_association(b, pairs) @ b[W].T
                  for _, _, _, pairs, W in _terms(data, p, 1.0))
-
-
-def _reconstruct(b: dict, pairs, W: str) -> np.ndarray:
-    return sum(b[u] @ (b[t] @ b[W].T) for u, t in pairs)
 
 
 def objective(data: ProblemData, factors, shared: SharedFactors,
@@ -339,10 +350,7 @@ def objective(data: ProblemData, factors, shared: SharedFactors,
     for p, f in enumerate(factors):
         b = _blocks(data, f, shared)
         for w, X, xx, pairs, W in _terms(data, p, hp.lam):
-            B = sum(b[u] @ b[t] for u, t in pairs)
-            total += w * residual_sq(
-                X, xx, B, b[W], lambda: _reconstruct(b, pairs, W)
-            )
+            total += w * residual_sq(X, xx, _association(b, pairs), b[W])
     return total
 
 
@@ -352,27 +360,26 @@ def _num_den(name: str, data: ProblemData, p: int, f: TargetFactors,
 
     Sums over pair p's terms that hold the block named name, with the
     shared term weighted by lam; num - den is minus half the gradient of
-    pair p's objective in that block. Every product is factored through
-    Gram matrices of at most k x k, so no M x n matrix is formed.
+    pair p's objective in that block. Every product goes through the term's
+    association product B and c x c Gram matrices, so no M x n matrix is
+    formed.
     """
     b = _blocks(data, f, shared)
     num = den = 0.0
     for w, X, _, pairs, W_name in _terms(data, p, lam):
         W = b[W_name]
-        UT = [(b[u], b[t]) for u, t in pairs]
+        B = _association(b, pairs)
         if name == W_name:
-            B = sum(U @ T for U, T in UT)
             num += w * (X.T @ B)
             den += w * (W @ (B.T @ B))
             continue
-        WtW = W.T @ W
-        for (u, t), (U_i, T_i) in zip(pairs, UT):
+        for u, t in pairs:
             if name == u:
-                num += w * ((X @ W) @ T_i.T)
-                den += w * sum(U @ ((T @ WtW) @ T_i.T) for U, T in UT)
+                num += w * ((X @ W) @ b[t].T)
+                den += w * (B @ ((W.T @ W) @ b[t].T))
             elif name == t:
-                num += w * (U_i.T @ (X @ W))
-                den += w * sum(((U_i.T @ U) @ T) @ WtW for U, T in UT)
+                num += w * (b[u].T @ (X @ W))
+                den += w * ((b[u].T @ B) @ (W.T @ W))
     return num, den
 
 

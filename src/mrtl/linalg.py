@@ -20,17 +20,6 @@ import scipy.sparse as sp
 CANCELLATION_GUARD = 1e-4
 
 
-class ShapeMismatchError(ValueError):
-    """Two operands have incompatible shapes for the requested operation."""
-
-
-def _as_matrix(a) -> np.ndarray:
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2:
-        raise ShapeMismatchError(f"expected a 2-d matrix, got array of ndim {a.ndim}")
-    return a
-
-
 def as_corpus(a):
     """a as float64: a scipy sparse input becomes a CSC array, anything else
     a numpy array. Shapes are the caller's to check."""
@@ -47,44 +36,36 @@ def stored_entries(a) -> np.ndarray:
 def safe_ratio_sqrt(num, den, epsilon: float) -> np.ndarray:
     """Elementwise sqrt(num / den) with the denominator floored at epsilon.
 
-    Both operands must be nonnegative and of identical shape; the floor keeps
-    every ratio finite, so the result is always a finite nonnegative matrix.
-    This is the multiplicative step factor used by all update rules.
+    Both operands must be nonnegative arrays of identical shape and epsilon
+    positive (the engine passes its own products and a Hyperparams epsilon);
+    the floor keeps every ratio finite, so the result is always a finite
+    nonnegative matrix. This is the multiplicative step factor used by all
+    update rules.
     """
-    num = _as_matrix(num)
-    den = _as_matrix(den)
-    if num.shape != den.shape:
-        raise ShapeMismatchError(
-            f"ratio needs equal shapes, got {num.shape[0]}x{num.shape[1]} "
-            f"and {den.shape[0]}x{den.shape[1]}"
-        )
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
     return np.sqrt(num / np.maximum(den, epsilon))
 
 
 def frobenius_sq(a) -> float:
     """Sum of squared entries, i.e. the squared Frobenius norm."""
-    a = a.data if sp.issparse(a) else _as_matrix(a)
+    a = a.data if sp.issparse(a) else np.asarray(a, dtype=np.float64)
     return float(np.sum(a * a))
 
 
-def residual_sq(X, xx: float, B, W, reconstruct) -> float:
+def residual_sq(X, xx: float, B, W) -> float:
     """||X - B W^T||^2 without forming the M x n product B W^T.
 
     X is M x n (dense or sparse) with xx = ||X||^2, B is M x r and W is
     n x r. The value is xx - 2 <X W, B> + <B^T B, W^T W> (Lee & Seung, NIPS
     2000), which costs one X @ W and two r x r Gram matrices. When it falls
     below CANCELLATION_GUARD of xx + 2 |<X W, B>| + <B^T B, W^T W> it is
-    taken again directly from X - reconstruct(), reconstruct returning
-    B W^T as a dense array; near an exact fit that keeps the value accurate
-    (exactly 0 on an exact reconstruction).
+    taken again directly from the residual X - B W^T; near an exact fit that
+    keeps the value accurate (exactly 0 when X was formed as B @ W.T).
     """
     cross = float(np.sum((X @ W) * B))
     gram = float(np.sum((B.T @ B) * (W.T @ W)))
     value = xx - 2.0 * cross + gram
     if value < CANCELLATION_GUARD * (xx + 2.0 * abs(cross) + gram):
-        return frobenius_sq(X - reconstruct())
+        return frobenius_sq(X - B @ W.T)
     return value
 
 
@@ -95,7 +76,7 @@ def normalize_columns_l1(a) -> np.ndarray:
     than left at zero so downstream multiplicative updates can still move
     them. Nonnegative input is assumed.
     """
-    a = _as_matrix(a)
+    a = np.asarray(a, dtype=np.float64)
     sums = a.sum(axis=0, keepdims=True)
     positive = sums > 0.0
     return np.where(positive, a / np.where(positive, sums, 1.0), 1.0 / a.shape[0])
@@ -103,7 +84,7 @@ def normalize_columns_l1(a) -> np.ndarray:
 
 def normalize_rows_l1(a) -> np.ndarray:
     """Rescale each row to sum 1; an all-zero row becomes uniform 1/cols."""
-    a = _as_matrix(a)
+    a = np.asarray(a, dtype=np.float64)
     sums = a.sum(axis=1, keepdims=True)
     positive = sums > 0.0
     return np.where(positive, a / np.where(positive, sums, 1.0), 1.0 / a.shape[1])

@@ -293,6 +293,22 @@ def test_eval_length_mismatch_exits_3(tmp_path, capsys):
     assert rc == 3
 
 
+@pytest.mark.parametrize("pred_text, truth_text, bad, line, label", [
+    ("1\n2\n", "0\n2\n", "truth", 1, 0),
+    ("1\n-3\n", "1\n2\n", "predictions", 2, -3),
+])
+def test_eval_label_below_1_exits_3(tmp_path, capsys, pred_text, truth_text,
+                                    bad, line, label):
+    paths = {"predictions": tmp_path / "pred.txt", "truth": tmp_path / "truth.txt"}
+    paths["predictions"].write_text(pred_text)
+    paths["truth"].write_text(truth_text)
+    rc = cli.main(["eval", "--predictions", str(paths["predictions"]),
+                   "--truth", str(paths["truth"])])
+    assert rc == 3
+    assert (f"line {line}: label {label} outside [1, c] in {paths[bad]}"
+            in capsys.readouterr().err)
+
+
 def sweep_args(src, out, axis, values, extra=()):
     return [
         "sweep",
@@ -386,3 +402,23 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "100.00"
+
+
+@pytest.mark.parametrize("axis, value, flag", [
+    ("--sweep-k1", "0", "--sweep-k1 value 0"),
+    ("--sweep-k1", "5", "--sweep-k1 value 5"),  # above --k2 4
+    ("--sweep-lambda", "-1", "--sweep-lambda value -1.0"),
+])
+def test_sweep_bad_swept_value_exits_2_before_parsing(tmp_path, capsys, axis,
+                                                      value, flag):
+    for name in ("source", "target_1", "target_2", "truth_1", "truth_2"):
+        (tmp_path / f"{name}.txt").write_text("3 1 2\n1 7:1.0\n")
+    # a valid value reaches the corpus and fails on line 2 of the source
+    ok = "1" if axis == "--sweep-k1" else "1.0"
+    assert cli.main(sweep_args(tmp_path, tmp_path / "s", axis, ok)) == 3
+    capsys.readouterr()
+    rc = cli.main(sweep_args(tmp_path, tmp_path / "s", axis, f"1,{value}"))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert flag in err and "line" not in err
+    assert not (tmp_path / "s").exists()

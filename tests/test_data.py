@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from mrtl.data import (
     CorpusFormatError,
@@ -126,6 +128,44 @@ def test_round_trip_unlabeled():
     X2, Y2 = parse_text(serialize_corpus(X, 2))
     assert Y2 is None
     assert np.max(np.abs(X2 - X)) <= 1e-12
+
+
+@st.composite
+def corpora(draw):
+    """(X, c, labels): a nonnegative finite matrix with some all-zero
+    columns, and 1-based labels or None."""
+    M, n, c = draw(st.integers(1, 8)), draw(st.integers(1, 8)), draw(st.integers(1, 4))
+    values = st.one_of(st.just(0.0), st.floats(0.0, 1e12, allow_subnormal=False))
+    X = draw(arrays(np.float64, (M, n), elements=values))
+    X[:, draw(st.lists(st.integers(0, n - 1), max_size=n))] = 0.0
+    labels = draw(st.none() | st.lists(st.integers(1, c), min_size=n, max_size=n))
+    return X, c, labels
+
+
+@given(corpora())
+def test_round_trip_property(corpus):
+    X, c, labels = corpus
+    X2, Y2 = parse_text(serialize_corpus(X, c, labels=labels))
+    assert X2.shape == X.shape
+    assert np.array_equal(X2 == 0.0, X == 0.0)
+    # 12 significant digits: half a unit in the 12th digit, plus the parse's
+    # own rounding to the nearest double
+    assert np.all(np.abs(X2 - X) <= 5e-12 * X + np.spacing(X))
+    if labels is None:
+        assert Y2 is None
+    else:
+        assert np.array_equal(np.argmax(Y2, axis=1) + 1, labels)
+
+
+@pytest.mark.parametrize("value, shown", [
+    (np.inf, "inf"), (-np.inf, "-inf"), (np.nan, "nan"), (-0.5, "-0.5"),
+])
+def test_serialize_rejects_values_the_parser_rejects(value, shown):
+    X = np.ones((3, 4))
+    X[2, 1] = value
+    with pytest.raises(InvalidConfigError) as err:
+        serialize_corpus(X, 2)
+    assert f"instance 2 has value {shown} at feature 3" in str(err.value)
 
 
 def test_serialize_rejects_bad_labels():

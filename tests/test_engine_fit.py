@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from conftest import one_hot, random_problem
+from hypothesis import example, given, strategies as st
 
 from mrtl.engine import (
     Hyperparams,
@@ -12,7 +13,9 @@ from mrtl.engine import (
     TargetFactors,
     fit,
     init_factors,
+    objective,
     predict,
+    run_iteration,
 )
 from mrtl.data import SynthSpec, generate_synthetic
 from mrtl.linalg import normalize_rows_l1
@@ -216,3 +219,62 @@ def test_instance_permutation_equivariance():
     )
     factors_p, _, _ = fit(permuted, hp, [v_init[0][perm]], )
     assert np.array_equal(predict(factors_p[0]), base[perm])
+
+
+@st.composite
+def small_problems(draw):
+    """(data, v_init, hp): M 4-11, c 2-3, P 1-3, 1 <= k1 <= k2 <= M."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    M, c, P = draw(st.integers(4, 11)), draw(st.integers(2, 3)), draw(st.integers(1, 3))
+    n_t = tuple(draw(st.integers(2, 8)) for _ in range(P))
+    data, v_init = random_problem(rng, M=M, n_s=draw(st.integers(c, 8)), n_t=n_t, c=c)
+    k2 = draw(st.integers(1, M))
+    hp = Hyperparams(k1=draw(st.integers(1, k2)), k2=k2,
+                     lam=draw(st.sampled_from([0.0, 0.5, 1.0, 10.0])),
+                     seed=draw(st.integers(0, 2**16)))
+    return data, v_init, hp
+
+
+def iterate(problem, steps=30):
+    """The objective at the start and after each of steps iterations, with
+    the factors after each."""
+    data, v_init, hp = problem
+    factors, shared = init_factors(data, hp, v_init)
+    yield objective(data, factors, shared, hp), factors, shared
+    for _ in range(steps):
+        factors, shared = run_iteration(data, factors, shared, hp)
+        yield objective(data, factors, shared, hp), factors, shared
+
+
+@given(small_problems())
+def test_update_invariants_property(problem):
+    for _, factors, shared in iterate(problem):
+        for a in (*(a for f in factors for a in vars(f).values()),
+                  *vars(shared).values()):
+            assert np.all(np.isfinite(a)) and np.all(a >= 0)
+        for f in factors:
+            for U in (f.U_common, f.U_target, f.U_source):
+                assert np.max(np.abs(U.sum(axis=0) - 1.0), initial=0.0) <= 1e-12
+            assert np.max(np.abs(f.V.sum(axis=1) - 1.0)) <= 1e-12
+
+
+def single_cluster_problem():
+    """A problem whose objective rises by 1e-4 relative within 30 iterations."""
+    data, v_init = random_problem(np.random.default_rng(14), M=4, n_s=5,
+                                  n_t=(4,), c=3)
+    return data, v_init, Hyperparams(k1=1, k2=1, lam=1.0)
+
+
+# Known defect: the row L1 normalization that follows the V step can raise
+# the objective by more than the step lowered it. 300 uniform draws from this
+# range show no rise, but 4 of 200 draws at k1 = k2 = 1 rise by up to 1.4%
+# relative, and a search restricted to k2 >= 2 finds a rise of 6e-4 at
+# k1 = 1, k2 = 2, lam = 0 with a source whose instances share one class.
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="V row normalization is not a descent step")
+@given(small_problems())
+@example(single_cluster_problem())
+def test_objective_never_rises_property(problem):
+    objectives = [obj for obj, _, _ in iterate(problem)]
+    for prev, obj in zip(objectives, objectives[1:]):
+        assert obj - prev <= 1e-9 * prev
