@@ -9,6 +9,7 @@ meaning unlabeled. A file is either fully labeled or fully unlabeled.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,11 +38,17 @@ def parse_corpus(lines) -> tuple:
     """Parse the sparse corpus format from an iterable of lines.
 
     Returns (X, Y): the dense M x n float matrix and the n x c one-hot label
-    matrix, or Y = None when the file is unlabeled (all labels 0). Raises
-    CorpusFormatError naming the offending line for a malformed header, a
-    feature index out of [1, M], indices not strictly increasing, a negative
-    or non-finite value, a label outside [0, c], mixed labeled/unlabeled
-    records, or a record count different from the header's n.
+    matrix, or Y = None when the file is unlabeled (all labels 0). Tokens are
+    separated by whitespace as str.split() finds it; the header and the
+    labels are Python int literals, and each entry is ``idx:val`` with idx a
+    Python int literal and val a Python float literal, exactly what int()
+    and float() accept. Lines are read one at a time; their entries are
+    converted in blocks of about BLOCK_BYTES, so the text held at once is
+    one block, not the file. Raises CorpusFormatError naming the first
+    offending line for a malformed header, a feature index out of [1, M],
+    indices not strictly increasing, a negative or non-finite value, a label
+    outside [0, c], mixed labeled/unlabeled records, or a record count
+    different from the header's n.
     """
     it = iter(lines)
     try:
@@ -66,83 +73,267 @@ def parse_corpus(lines) -> tuple:
 
     X = np.zeros((M, n))
     labels = np.zeros(n, dtype=np.int64)
+    entries = _Block(X)
     saw_labeled = False
     saw_unlabeled = False
     count = 0
     lineno = 1
-    for raw in it:
-        lineno += 1
-        if raw.strip() == "" :
-            # tolerate trailing blank lines, reject blanks between records
-            for extra in it:
-                if extra.strip() != "":
-                    raise CorpusFormatError(
-                        lineno, "blank line between records"
-                    )
-                lineno += 1
-            break
-        if count >= n:
-            raise CorpusFormatError(
-                lineno, f"more than the {n} records announced in the header"
-            )
-        tokens = raw.split()
-        try:
-            label = int(tokens[0])
-        except ValueError:
-            raise CorpusFormatError(
-                lineno, f"malformed label {tokens[0]!r}"
-            ) from None
-        if label < 0 or label > c:
-            raise CorpusFormatError(
-                lineno, f"label {label} outside [0, {c}]"
-            )
-        if label == 0:
-            saw_unlabeled = True
-        else:
-            saw_labeled = True
-        if saw_labeled and saw_unlabeled:
-            raise CorpusFormatError(
-                lineno, "mixed labeled and unlabeled records in one file"
-            )
-        prev_idx = 0
-        for tok in tokens[1:]:
-            idx_s, _, val_s = tok.partition(":")
+    try:
+        for raw in it:
+            lineno += 1
+            parts = raw.split(None, 1)
+            if not parts:
+                # tolerate trailing blank lines, reject blanks between records
+                for extra in it:
+                    if extra.strip() != "":
+                        raise CorpusFormatError(
+                            lineno, "blank line between records"
+                        )
+                    lineno += 1
+                break
+            if count >= n:
+                raise CorpusFormatError(
+                    lineno, f"more than the {n} records announced in the header"
+                )
             try:
-                idx = int(idx_s)
-                val = float(val_s)
+                label = int(parts[0])
             except ValueError:
                 raise CorpusFormatError(
-                    lineno, f"malformed entry {tok!r}, expected idx:val"
+                    lineno, f"malformed label {parts[0]!r}"
                 ) from None
-            if idx < 1 or idx > M:
+            if label < 0 or label > c:
                 raise CorpusFormatError(
-                    lineno, f"feature index {idx} outside [1, {M}]"
+                    lineno, f"label {label} outside [0, {c}]"
                 )
-            if idx <= prev_idx:
+            if label == 0:
+                saw_unlabeled = True
+            else:
+                saw_labeled = True
+            if saw_labeled and saw_unlabeled:
                 raise CorpusFormatError(
-                    lineno,
-                    f"feature indices must be strictly increasing, "
-                    f"{idx} follows {prev_idx}",
+                    lineno, "mixed labeled and unlabeled records in one file"
                 )
-            if not 0.0 <= val < math.inf:
-                kind = "negative" if math.isfinite(val) else "non-finite"
-                raise CorpusFormatError(
-                    lineno, f"{kind} value {val_s} at feature {idx}"
-                )
-            X[idx - 1, count] = val
-            prev_idx = idx
-        labels[count] = label
-        count += 1
-    if count != n:
-        raise CorpusFormatError(
-            lineno, f"header announced {n} records but the file has {count}"
-        )
+            if len(parts) == 2:
+                entries.add(parts[1], lineno, count)
+            labels[count] = label
+            count += 1
+        entries.flush()
+        if count != n:
+            raise CorpusFormatError(
+                lineno, f"header announced {n} records but the file has {count}"
+            )
+    except CorpusFormatError:
+        # the entries still waiting in the block come from earlier lines, so
+        # a fault among them is the first in the file
+        entries.flush()
+        raise
 
     if saw_labeled:
         Y = np.zeros((n, c))
         Y[np.arange(n), labels - 1] = 1.0
         return X, Y
     return X, None
+
+
+def _entry(tok: str, M: int, prev: int, lineno: int) -> tuple:
+    """The per-entry rule: (idx, val) of one ``idx:val`` token, or the
+    CorpusFormatError it earns. prev is the index of the record's previous
+    entry, 0 for its first."""
+    idx_s, _, val_s = tok.partition(":")
+    try:
+        idx = int(idx_s)
+        val = float(val_s)
+    except ValueError:
+        raise CorpusFormatError(
+            lineno, f"malformed entry {tok!r}, expected idx:val"
+        ) from None
+    if idx < 1 or idx > M:
+        raise CorpusFormatError(
+            lineno, f"feature index {idx} outside [1, {M}]"
+        )
+    if idx <= prev:
+        raise CorpusFormatError(
+            lineno,
+            f"feature indices must be strictly increasing, "
+            f"{idx} follows {prev}",
+        )
+    if not 0.0 <= val < math.inf:
+        kind = "negative" if math.isfinite(val) else "non-finite"
+        raise CorpusFormatError(
+            lineno, f"{kind} value {val_s} at feature {idx}"
+        )
+    return idx, val
+
+
+# Record entries are converted into X in blocks of at least this many bytes
+# (a block ends with the record that reaches it). At 256 KiB the numpy passes
+# over a block cost far more than setting them up, and the text and the
+# per-byte arrays of one block stay small beside a dense corpus.
+BLOCK_BYTES = 256 * 1024
+
+# the ASCII characters str.split() splits on; every one becomes a space, a
+# separator fromstring knows, and every byte that no plain token holds
+# becomes an "x"
+_WHITESPACE = b" \t\n\v\f\r\x1c\x1d\x1e\x1f"
+_BLANKS = bytes(
+    32 if b in _WHITESPACE else b if b in b"0123456789:.eE+-" else ord("x")
+    for b in range(256)
+)
+# an index of up to 18 digits fits int64; a longer one goes to _entry
+_MAX_INDEX_DIGITS = 18
+
+
+class _Block:
+    """Record entries waiting to be converted into X in one block pass."""
+
+    def __init__(self, X):
+        self.X = X
+        self._clear()
+
+    def _clear(self):
+        self.texts, self.starts, self.linenos, self.cols = [], [], [], []
+        self.size = 0
+
+    def add(self, text: str, lineno: int, col: int) -> None:
+        """Queue the entries text of the record on line lineno, column col;
+        convert the block once it holds BLOCK_BYTES."""
+        if text.isascii():
+            nbytes = len(text)
+        else:
+            # rejoined on single spaces, so that the block pass only has to
+            # know ASCII whitespace
+            text = " ".join(text.split())
+            nbytes = len(text.encode("utf-8", "surrogatepass"))
+        self.texts.append(text)
+        self.starts.append(self.size)
+        self.linenos.append(lineno)
+        self.cols.append(col)
+        self.size += nbytes + 1
+        if self.size >= BLOCK_BYTES:
+            self.flush()
+
+    def flush(self) -> None:
+        """Convert the queued entries into X, or raise the CorpusFormatError
+        of the first faulty one; the block is empty afterwards either way."""
+        if not self.texts:
+            return
+        self.texts.append("")  # every record, the last too, ends in "\n"
+        data = "\n".join(self.texts).encode("utf-8", "surrogatepass")
+        starts, linenos, cols = self.starts, self.linenos, self.cols
+        self._clear()
+        _convert_block(self.X, data, np.array(starts), linenos, np.array(cols))
+
+
+def _convert_block(X, data: bytes, starts, linenos, cols) -> None:
+    """Write the entries of a block into X in numpy passes over its bytes.
+
+    data holds the records' entries, each record ending in "\n"; record r
+    starts at byte starts[r] and comes from line linenos[r], column cols[r].
+    A plain token, up to 18 ASCII digits, a colon and a value of
+    ``0-9 . e E + -``, is converted in bulk, its value by one fromstring
+    over the block. Every other token goes through _entry, and so does the
+    whole block when a value is not one float() accepts. _entry names the
+    first entry, in file order, that fails a check.
+    """
+    M = X.shape[0]
+    text = np.frombuffer(bytearray(data.translate(_BLANKS)), dtype=np.uint8)
+    word = text != ord(" ")
+    # token t is text[begin[t]:end[t]]; text[end[t]] is a space
+    edges = np.flatnonzero(np.diff(word, prepend=False, append=False))
+    begin, end = edges[0::2], edges[1::2]
+    rec = np.searchsorted(starts, begin, side="right") - 1
+    plain, colon = _plain_tokens(text, begin, end)
+
+    idx = np.zeros(rec.size, dtype=np.int64)
+    idx[plain], digits = _read_indices(text, begin[plain], colon)
+    plain = plain[digits]
+    rare = np.ones(rec.size, dtype=bool)
+    rare[plain] = False
+    # what is left of text once the indices, colons and rare tokens are
+    # blanked out with NULs is the plain values between whitespace
+    for t in np.flatnonzero(rare).tolist():
+        text[begin[t]:end[t]] = 0
+    val = np.zeros(rec.size)
+    values = _read_values(text[text != 0].tobytes(), plain.size)
+    if values is None:
+        rare[:] = True
+    else:
+        val[plain] = values
+
+    def token(t):
+        return data[begin[t]:end[t]].decode("utf-8", "surrogatepass")
+
+    def prev(t):
+        return int(idx[t - 1]) if t and rec[t - 1] == rec[t] else 0
+
+    bad = np.zeros(rec.size, dtype=bool)
+    for t in np.flatnonzero(rare).tolist():
+        try:
+            idx[t], val[t] = _entry(token(t), M, prev(t), linenos[rec[t]])
+        except CorpusFormatError:
+            bad[t:] = True
+            break
+    after = np.concatenate(([0], np.where(rec[1:] == rec[:-1], idx[:-1], 0)))
+    bad |= (idx <= after) | (idx > M) | ~((val >= 0.0) & (val < np.inf))
+    if bad.any():
+        t = int(np.argmax(bad))
+        _entry(token(t), M, prev(t), linenos[rec[t]])  # raises
+    X[idx - 1, cols[rec]] = val
+
+
+def _plain_tokens(text, begin, end) -> tuple:
+    """(tokens, colons): the tokens made of ``0-9 : . e E + -`` alone whose
+    first colon has at most 18 bytes before it, and where that colon is."""
+    colons = np.flatnonzero(text == ord(":"))
+    colon = np.append(colons, text.size)[np.searchsorted(colons, begin)]
+    plain = (colon - begin <= _MAX_INDEX_DIGITS) & (colon < end)
+    others = np.flatnonzero(text == ord("x"))
+    if others.size:
+        plain[np.searchsorted(begin, others, side="right") - 1] = False
+    tokens = np.flatnonzero(plain)
+    return tokens, colon[tokens]
+
+
+def _read_indices(text, begin, colon) -> tuple:
+    """(indices, digits): text[begin:colon] as int64, read byte by byte from
+    the colon back, each times its power of ten, and whether every one of
+    those bytes is an ASCII digit. Blanks each index and its colon with
+    NULs."""
+    idx = np.zeros(begin.size, dtype=np.int64)
+    digits = np.ones(begin.size, dtype=bool)
+    text[colon] = 0
+    at, power = colon - 1, np.int64(1)
+    for _ in range(int((colon - begin).max(initial=0))):
+        inside = at >= begin
+        digit = text[at] - ord("0")
+        digits &= ~inside | (digit <= 9)
+        idx += np.where(inside, digit, 0) * power
+        # a shorter index blanks its first byte again, which it has read
+        text[np.maximum(at, begin)] = 0
+        at, power = at - 1, power * 10
+    return idx, digits
+
+
+def _read_values(text: bytes, count: int):
+    """The count values in text, between whitespace, as float64, or None
+    unless fromstring reads exactly count numbers.
+
+    fromstring reads a number with the correctly rounded conversion float()
+    uses, and needs whitespace after it. So a value of ``0-9 . e E + -``
+    that float() accepts reads as itself, and any other stops fromstring
+    short of the whitespace (unmatched data) or, if empty, leaves the count
+    short.
+    """
+    if not count:
+        return np.zeros(0)  # fromstring reads whitespace alone as [-1.0]
+    with warnings.catch_warnings():
+        # numpy before 2.3 warns on unmatched data where later ones raise
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            values = np.fromstring(text, sep=" ")
+        except (DeprecationWarning, ValueError):
+            return None
+    return values if values.size == count else None
 
 
 def serialize_corpus(X, c: int, labels=None) -> str:
@@ -177,11 +368,11 @@ def serialize_corpus(X, c: int, labels=None) -> str:
         if labels.min() < 1 or labels.max() > c:
             raise InvalidConfigError(f"labels must lie in [1, {c}]")
     out = [f"{M} {n} {c}"]
-    for i in range(n):
-        parts = [str(int(labels[i]))]
-        for j in np.nonzero(X[:, i])[0]:
-            parts.append(f"{j + 1}:{X[j, i]:.12g}")
-        out.append(" ".join(parts))
+    for label, col in zip(labels.tolist(), X.T):
+        nz = np.flatnonzero(col)
+        out.append(" ".join([str(label)] + [
+            f"{j + 1}:{v:.12g}" for j, v in zip(nz.tolist(), col[nz].tolist())
+        ]))
     return "\n".join(out) + "\n"
 
 
