@@ -122,9 +122,10 @@ def parse_corpus(lines) -> tuple:
             raise CorpusFormatError(
                 lineno, f"header announced {n} records but the file has {count}"
             )
-    except CorpusFormatError:
+    except Exception:
         # the entries still waiting in the block come from earlier lines, so
-        # a fault among them is the first in the file
+        # a fault among them comes first in the file, before a line fault or
+        # a read error (UnicodeDecodeError) of a later line
         entries.flush()
         raise
 
@@ -232,8 +233,8 @@ def _convert_block(X, data: bytes, starts, linenos, cols) -> None:
     A plain token, up to 18 ASCII digits, a colon and a value of
     ``0-9 . e E + -``, is converted in bulk, its value by one fromstring
     over the block. Every other token goes through _entry, and so does the
-    whole block when a value is not one float() accepts. _entry names the
-    first entry, in file order, that fails a check.
+    whole block when fromstring cannot vouch for every value or any entry
+    fails a check; _entry then names the first faulty entry in file order.
     """
     M = X.shape[0]
     text = np.frombuffer(bytearray(data.translate(_BLANKS)), dtype=np.uint8)
@@ -255,29 +256,32 @@ def _convert_block(X, data: bytes, starts, linenos, cols) -> None:
         text[begin[t]:end[t]] = 0
     val = np.zeros(rec.size)
     values = _read_values(text[text != 0].tobytes(), plain.size)
-    if values is None:
-        rare[:] = True
-    else:
+
+    def convert(tokens):
+        # _entry in file order: prev(t) reads the index just converted
+        for t in tokens:
+            line = linenos[rec[t]]
+            prev = int(idx[t - 1]) if t and rec[t - 1] == rec[t] else 0
+            token = data[begin[t]:end[t]].decode("utf-8", "surrogatepass")
+            idx[t], val[t] = _entry(token, M, prev, line)
+
+    proven = values is not None
+    if proven:
         val[plain] = values
-
-    def token(t):
-        return data[begin[t]:end[t]].decode("utf-8", "surrogatepass")
-
-    def prev(t):
-        return int(idx[t - 1]) if t and rec[t - 1] == rec[t] else 0
-
-    bad = np.zeros(rec.size, dtype=bool)
-    for t in np.flatnonzero(rare).tolist():
         try:
-            idx[t], val[t] = _entry(token(t), M, prev(t), linenos[rec[t]])
+            convert(np.flatnonzero(rare).tolist())
         except CorpusFormatError:
-            bad[t:] = True
-            break
-    after = np.concatenate(([0], np.where(rec[1:] == rec[:-1], idx[:-1], 0)))
-    bad |= (idx <= after) | (idx > M) | ~((val >= 0.0) & (val < np.inf))
-    if bad.any():
-        t = int(np.argmax(bad))
-        _entry(token(t), M, prev(t), linenos[rec[t]])  # raises
+            proven = False
+    if proven:
+        after = np.concatenate(
+            ([0], np.where(rec[1:] == rec[:-1], idx[:-1], 0)))
+        proven = not np.any(
+            (idx <= after) | (idx > M) | ~((val >= 0.0) & (val < np.inf)))
+    if not proven:
+        # some entry fails a check, or fromstring could not vouch for every
+        # value: the whole block goes through _entry, which raises at the
+        # first faulty entry in file order, or else converts every token
+        convert(range(rec.size))
     X[idx - 1, cols[rec]] = val
 
 
@@ -305,8 +309,10 @@ def _read_indices(text, begin, colon) -> tuple:
     at, power = colon - 1, np.int64(1)
     for _ in range(int((colon - begin).max(initial=0))):
         inside = at >= begin
-        digit = text[at] - ord("0")
-        digits &= ~inside | (digit <= 9)
+        # widened before the arithmetic: numpy 1.x keeps uint8 * int64
+        # scalar in uint8, where 3 * 100 wraps to 44
+        digit = text[at].astype(np.int64) - ord("0")
+        digits &= ~inside | ((digit >= 0) & (digit <= 9))
         idx += np.where(inside, digit, 0) * power
         # a shorter index blanks its first byte again, which it has read
         text[np.maximum(at, begin)] = 0

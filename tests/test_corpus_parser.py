@@ -341,13 +341,66 @@ def test_load_corpus_memory_stays_near_the_dense_matrix(tmp_path):
     assert peak < 8 * M * n + 4 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
-def test_block_read_by_scalar_rule_where_numpy_reads_values_otherwise(monkeypatch):
-    # should numpy ever read the plain values differently, the block goes
-    # through the scalar rule instead: same X, same first error
+READ_VALUES = mrtl.data._read_values
+
+
+def negated_values(text, count):
+    values = READ_VALUES(text, count)
+    return None if values is None else -values
+
+
+@pytest.mark.parametrize("read", [lambda text, count: None, negated_values])
+def test_block_read_by_scalar_rule_where_numpy_reads_values_otherwise(read, monkeypatch):
+    # should numpy ever read the plain values differently, whether it reads
+    # none or ones a bulk check flags though _entry finds them valid, the
+    # block goes through the scalar rule instead: same X, same first error
     header, records, _ = multi_block_corpus()
     good = "\n".join([header] + records) + "\n"
     bad = faulted(header, records, [(3, "negative"), (5, "label")])
     expected = [outcome(parse_corpus, t.splitlines()) for t in (good, bad)]
-    monkeypatch.setattr(mrtl.data, "_read_values", lambda text, count: None)
+    monkeypatch.setattr(mrtl.data, "_read_values", read)
     assert [outcome(parse_corpus, t.splitlines()) for t in (good, bad)] == expected
     assert expected[1][0] == 5
+
+
+@pytest.mark.parametrize("index", [
+    "7", "10", "99", "300", "999", "1000", "10000", "90000", "4294967296",
+    "123456789012345678", "999999999999999999", "000000000000000300",
+])
+def test_indices_of_many_digits_are_read_in_bulk(index):
+    # every digit times its power of ten in int64, whatever the dtype rules
+    # of the numpy release: 3 * 100 must not wrap in the text's uint8
+    text = np.frombuffer(bytearray(f" 5:1 {index}:2 ".encode()), dtype=np.uint8)
+    begin, colon = np.array([1, 5]), np.array([2, 5 + len(index)])
+    idx, digits = mrtl.data._read_indices(text, begin, colon)
+    assert idx.tolist() == [5, int(index)] and digits.all()
+
+
+def test_three_digit_indices_parse_as_written(monkeypatch):
+    M = 1000
+    rng = np.random.default_rng(2)
+    records = []
+    for i in range(4):
+        rows = np.sort(rng.choice(np.arange(100, M + 1), size=200, replace=False))
+        records.append(" ".join(["0"] + [f"{j}:{j / 7:.12g}" for j in rows.tolist()]))
+    text = "\n".join([f"{M} 4 2"] + records) + "\n"
+    monkeypatch.setattr(mrtl.data, "_entry", None)  # all of it in bulk
+    X, Y = parse_corpus(text.splitlines())
+    assert Y is None and X.tobytes() == scalar_parse(text.splitlines())[0].tobytes()
+
+
+def test_entry_fault_comes_before_a_later_read_error(tmp_path):
+    # the file is decoded ahead of the parse; an invalid UTF-8 byte read
+    # while a faulty entry of an earlier line is still queued loses to it
+    good = "1 " + " ".join(f"{j}:0.5" for j in range(1, 61))
+    lines = ["60 2000 2", "1 3:1 2:1"] + [good] * 300
+    raw = ("\n".join(lines) + "\n").encode() + b"1 1:\xff\n"
+    assert len(raw) > 100_000 and len(raw) < BLOCK_BYTES
+    path = tmp_path / "corpus.txt"
+    path.write_bytes(raw)
+    with pytest.raises(UnicodeDecodeError):
+        path.read_text(encoding="utf-8")
+    with open(path, encoding="utf-8") as fh:
+        expected = outcome(scalar_parse, fh)
+    assert expected == (2, "line 2: feature indices must be strictly increasing, 2 follows 3")
+    assert outcome(lambda _: load_corpus(path), None) == expected
