@@ -13,9 +13,7 @@ import numpy as np
 from scipy.special import expit
 
 from .engine import InvalidConfigError
-from .linalg import as_corpus, frobenius_sq, residual_sq, stored_entries
-
-_EPS = 1e-12
+from .linalg import EPSILON, as_corpus, frobenius_sq, residual_sq, stored_entries
 
 
 def nmf_fit(X, k: int, iters: int, seed: int, on_iteration=None) -> tuple:
@@ -23,7 +21,7 @@ def nmf_fit(X, k: int, iters: int, seed: int, on_iteration=None) -> tuple:
 
     X may be dense or scipy sparse. W is M x k and H is k x n, both
     initialized uniformly on (0, 1] from the seed. Each iteration updates H
-    then W with the classic Frobenius rules, denominators floored at 1e-12,
+    then W with the classic Frobenius rules, denominators floored at EPSILON,
     so ||X - WH||^2 never increases. When given, on_iteration(i, err)
     receives the squared error after iteration i, taken in factored form
     (see residual_sq).
@@ -46,8 +44,8 @@ def nmf_fit(X, k: int, iters: int, seed: int, on_iteration=None) -> tuple:
     H = 1.0 - rng.random((k, n))
     xx = frobenius_sq(X)
     for i in range(1, iters + 1):
-        H *= (W.T @ X) / np.maximum((W.T @ W) @ H, _EPS)
-        W *= (X @ H.T) / np.maximum(W @ (H @ H.T), _EPS)
+        H *= (W.T @ X) / np.maximum((W.T @ W) @ H, EPSILON)
+        W *= (X @ H.T) / np.maximum(W @ (H @ H.T), EPSILON)
         if on_iteration is not None:
             on_iteration(i, residual_sq(X, xx, W, H.T))
     return W, H

@@ -95,7 +95,7 @@ def _manifest(command: str, pairs: dict) -> str:
 
 
 def _run_manifest_pairs(args) -> dict:
-    pairs = {
+    return {
         "source": args.source,
         "targets": ",".join(args.targets),
         "truth": ",".join(args.truths) if args.truths else "",
@@ -103,13 +103,10 @@ def _run_manifest_pairs(args) -> dict:
         "k1": args.k1,
         "k2": args.k2,
         "maxiter": args.maxiter,
-        "epsilon": repr(float(args.epsilon)),
         "seed": args.seed,
         "tol": repr(float(args.tol)),
-        "verbatim_v_update": args.verbatim_v_update,
         "out": args.out,
     }
-    return pairs
 
 
 def _load_problem(args) -> tuple:
@@ -183,10 +180,8 @@ def _hyperparams(args, k1: int | None = None) -> Hyperparams:
         k2=args.k2,
         lam=args.lam,
         maxiter=args.maxiter,
-        epsilon=args.epsilon,
         seed=args.seed,
         convergence_tol=args.tol,
-        verbatim_v_update=args.verbatim_v_update,
     )
 
 
@@ -411,15 +406,10 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
                    help="total feature clusters per pair (default 50)")
     p.add_argument("--maxiter", type=int, default=100,
                    help="fitting iterations (default 100)")
-    p.add_argument("--epsilon", type=float, default=1e-12,
-                   help="denominator floor in the updates (default 1e-12)")
     p.add_argument("--seed", type=int, default=0,
                    help="random seed (default 0)")
     p.add_argument("--tol", type=float, default=0.0,
                    help="early stop on relative objective change (0 disables)")
-    p.add_argument("--verbatim-v-update", action="store_true",
-                   help="assignment update variant with an unweighted shared "
-                        "numerator term")
     p.add_argument("--out", required=True, metavar="DIR",
                    help="output directory")
 

@@ -34,6 +34,17 @@ class CorpusFormatError(ValueError):
         self.line = line
 
 
+def _header_zeros(shape, what: str) -> np.ndarray:
+    """np.zeros(shape) for an array whose size the header sets; one that
+    cannot be allocated is a fault of line 1."""
+    try:
+        return np.zeros(shape)
+    except (ValueError, MemoryError):  # numpy: too big, or no memory for it
+        raise CorpusFormatError(
+            1, f"cannot allocate the {what} the header announces"
+        ) from None
+
+
 def parse_corpus(lines) -> tuple:
     """Parse the sparse corpus format from an iterable of lines.
 
@@ -45,10 +56,11 @@ def parse_corpus(lines) -> tuple:
     and float() accept. Lines are read one at a time; their entries are
     converted in blocks of about BLOCK_BYTES, so the text held at once is
     one block, not the file. Raises CorpusFormatError naming the first
-    offending line for a malformed header, a feature index out of [1, M],
-    indices not strictly increasing, a negative or non-finite value, a label
-    outside [0, c], mixed labeled/unlabeled records, or a record count
-    different from the header's n.
+    offending line for a malformed header or one announcing matrices too
+    large to allocate, a feature index out of [1, M], indices not strictly
+    increasing, a negative or non-finite value, a label outside [0, c],
+    mixed labeled/unlabeled records, or a record count different from the
+    header's n.
     """
     it = iter(lines)
     try:
@@ -71,7 +83,7 @@ def parse_corpus(lines) -> tuple:
             1, f"header values must be positive, got M={M} n={n} c={c}"
         )
 
-    X = np.zeros((M, n))
+    X = _header_zeros((M, n), f"M={M} x n={n} matrix")
     labels = np.zeros(n, dtype=np.int64)
     entries = _Block(X)
     saw_labeled = False
@@ -130,7 +142,7 @@ def parse_corpus(lines) -> tuple:
         raise
 
     if saw_labeled:
-        Y = np.zeros((n, c))
+        Y = _header_zeros((n, c), f"n={n} x c={c} label matrix")
         Y[np.arange(n), labels - 1] = 1.0
         return X, Y
     return X, None
@@ -476,8 +488,12 @@ class SynthSpec:
             raise InvalidConfigError(
                 f"k2={self.k2} exceeds the number of features M={self.M}"
             )
-        if self.noise < 0:
-            raise InvalidConfigError(f"noise must be nonnegative, got {self.noise}")
+        if not 0 <= self.noise < np.inf:
+            raise InvalidConfigError(
+                f"noise must be finite and nonnegative, got {self.noise}"
+            )
+        if self.seed < 0:
+            raise InvalidConfigError(f"seed must be nonnegative, got {self.seed}")
         if not 0.0 <= self.domain_shift <= 1.0:
             raise InvalidConfigError(
                 f"domain_shift must lie in [0, 1], got {self.domain_shift}"

@@ -16,11 +16,10 @@ own association product B = U_a Theta_a + U_b Theta_b (M x c, formed by
 _association): the target through the pair associations (w = 1, X_t,
 W = V), the source through the pair associations (w = 1, X_s, W = Y_s) and
 the target through the shared associations (w = lam, X_t, W = V).
-reconstructions, objective and the one update kernel, _num_den, read the
-table and are written in B alone. For any named block the kernel sums,
-over the terms that hold the block, the numerator and denominator of the
-multiplicative step x <- x * sqrt(num / den), where num - den is minus half
-the gradient:
+objective and the one update kernel, _num_den, read the table and are
+written in B alone. For any named block the kernel sums, over the terms
+that hold the block, the numerator and denominator of the multiplicative
+step x <- x * sqrt(num / den), where num - den is minus half the gradient:
 
     U_i:     num = w (X W) Theta_i^T    den = w B (W^T W Theta_i^T)
     Theta_i: num = w U_i^T (X W)        den = w (U_i^T B) W^T W
@@ -28,10 +27,11 @@ the gradient:
 
 This is the factored form of Lee & Seung (NIPS 2000) and Ding et al. (KDD
 2006): besides X @ W it only multiplies by B and c x c Gram matrices, so no
-step forms an M x n matrix. The step preserves nonnegativity. The public
-update_* functions apply it block by block in a fixed order, each pair's
-steps followed by L1 normalization of the cluster matrices (columns) and
-the assignment (rows).
+step forms an M x n matrix. The step preserves nonnegativity, and every
+denominator is floored at linalg.EPSILON (1e-12). The public update_*
+functions apply it block by block in a fixed order, each pair's steps
+followed by L1 normalization of the cluster matrices (columns) and the
+assignment (rows).
 
 The objective is factored the same way: a term is
 w * (||X||^2 - 2 <X W, B> + <B^T B, W^T W>), where ||X||^2 is computed once
@@ -80,23 +80,18 @@ class Hyperparams:
 
     k1 common and k2 total feature clusters per pair (k1 == k2 is allowed and
     leaves no domain-specific clusters), lam weights the shared-association
-    term, epsilon floors update denominators, convergence_tol stops early on
-    relative objective change when positive, and verbatim_v_update switches
-    the assignment update to a variant whose numerator drops lam from the
-    shared term while the denominator keeps it (kept for reproducibility;
-    the default rule is consistent with the objective's gradient). The
-    rules are checked when an instance is built, dataclasses.replace
-    included, so every Hyperparams in existence is valid.
+    term, and convergence_tol stops early on relative objective change when
+    positive; lam and convergence_tol must be finite. The rules are checked
+    when an instance is built, dataclasses.replace included, so every
+    Hyperparams in existence is valid.
     """
 
     k1: int = 10
     k2: int = 50
     lam: float = 10.0
     maxiter: int = 100
-    epsilon: float = 1e-12
     seed: int = 0
     convergence_tol: float = 0.0
-    verbatim_v_update: bool = False
 
     def __post_init__(self):
         if self.k1 < 1:
@@ -105,15 +100,18 @@ class Hyperparams:
             raise InvalidConfigError(
                 f"k1 must not exceed k2, got k1={self.k1}, k2={self.k2}"
             )
-        if self.lam < 0:
-            raise InvalidConfigError(f"lambda must be nonnegative, got {self.lam}")
+        if not 0 <= self.lam < np.inf:
+            raise InvalidConfigError(
+                f"lambda must be finite and nonnegative, got {self.lam}"
+            )
         if self.maxiter < 1:
             raise InvalidConfigError(f"maxiter must be at least 1, got {self.maxiter}")
-        if not self.epsilon > 0:
-            raise InvalidConfigError(f"epsilon must be positive, got {self.epsilon}")
-        if self.convergence_tol < 0:
+        if self.seed < 0:
+            raise InvalidConfigError(f"seed must be nonnegative, got {self.seed}")
+        if not 0 <= self.convergence_tol < np.inf:
             raise InvalidConfigError(
-                f"convergence_tol must be nonnegative, got {self.convergence_tol}"
+                "convergence_tol must be finite and nonnegative, got "
+                f"{self.convergence_tol}"
             )
 
 
@@ -323,20 +321,6 @@ def _association(b: dict, pairs) -> np.ndarray:
     return b[u_a] @ b[t_a] + b[u_b] @ b[t_b]
 
 
-def reconstructions(data: ProblemData, p: int, f: TargetFactors,
-                    shared: SharedFactors) -> tuple:
-    """The three current model estimates B W^T for pair p.
-
-    Returns (rec_target, rec_source, rec_shared): the target matrix through
-    the pair associations, the source matrix through the pair associations,
-    and the target matrix through the shared associations. The objective is
-    the sum of squared errors of these against X_t^p, X_s and X_t^p.
-    """
-    b = _blocks(data, f, shared)
-    return tuple(_association(b, pairs) @ b[W].T
-                 for _, _, _, pairs, W in _terms(data, p, 1.0))
-
-
 def objective(data: ProblemData, factors, shared: SharedFactors,
               hp: Hyperparams) -> float:
     """Joint squared reconstruction error over all pairs.
@@ -383,16 +367,16 @@ def _num_den(name: str, data: ProblemData, p: int, f: TargetFactors,
     return num, den
 
 
-def _scaled(factors, field: str, num, den, epsilon: float):
+def _scaled(factors, field: str, num, den):
     """factors with block field multiplied by sqrt(num / den)."""
-    step = safe_ratio_sqrt(num, den, epsilon)
+    step = safe_ratio_sqrt(num, den)
     return replace(factors, **{field: getattr(factors, field) * step})
 
 
 def _pair_step(name: str, data, p: int, f: TargetFactors,
                shared: SharedFactors, hp: Hyperparams) -> TargetFactors:
     num, den = _num_den(name, data, p, f, shared, hp.lam)
-    return _scaled(f, name, num, den, hp.epsilon)
+    return _scaled(f, name, num, den)
 
 
 def update_u_target(data, p: int, f: TargetFactors, shared: SharedFactors,
@@ -419,17 +403,8 @@ def update_u_common(data, p: int, f: TargetFactors, shared: SharedFactors,
 
 def update_v(data, p: int, f: TargetFactors, shared: SharedFactors,
              hp: Hyperparams) -> TargetFactors:
-    """Multiplicative step on the target's soft class assignment V.
-
-    The default numerator carries lam on the shared term, matching the
-    objective's gradient. With hp.verbatim_v_update the numerator's shared
-    term is unweighted while the denominator keeps lam; at lam = 0 the
-    shared term is absent from the objective, so both variants coincide.
-    """
-    num, den = _num_den("V", data, p, f, shared, hp.lam)
-    if hp.verbatim_v_update and hp.lam > 0:
-        num, _ = _num_den("V", data, p, f, shared, 1.0)
-    return _scaled(f, "V", num, den, hp.epsilon)
+    """Multiplicative step on the target's soft class assignment V."""
+    return _pair_step("V", data, p, f, shared, hp)
 
 
 def update_pair_associations(data, p: int, f: TargetFactors,
@@ -460,7 +435,7 @@ def update_shared_associations(data, factors, shared: SharedFactors,
             # from the ratio; unit weight keeps the rule defined at lam = 0
             n, d = _num_den("shared." + field, data, p, f, shared, 1.0)
             num, den = num + n, den + d
-        shared = _scaled(shared, field, num, den, hp.epsilon)
+        shared = _scaled(shared, field, num, den)
     return shared
 
 
@@ -568,17 +543,3 @@ def predict(f: TargetFactors) -> np.ndarray:
     """1-based class labels: per-row argmax of V, lowest index wins ties."""
     return np.argmax(f.V, axis=1).astype(np.int64) + 1
 
-
-def objective_grad_u_target(data, p: int, f: TargetFactors,
-                            shared: SharedFactors, hp: Hyperparams) -> np.ndarray:
-    """Analytic gradient of the objective with respect to U_target.
-
-    2 * (rec_target - X_t) @ V @ Theta_target.T
-    + 2 * lam * (rec_shared - X_t) @ V @ Theta_specific.T.
-    Used by tests to cross-check the update rules against finite differences.
-    """
-    X_t = data.targets[p]
-    rec_t, _, rec_sh = reconstructions(data, p, f, shared)
-    return 2.0 * ((rec_t - X_t) @ (f.V @ f.Theta_target.T)) + 2.0 * hp.lam * (
-        (rec_sh - X_t) @ (f.V @ shared.Theta_specific.T)
-    )

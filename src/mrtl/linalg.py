@@ -2,9 +2,9 @@
 
 Factors are 2-d float64 numpy arrays; a corpus may also be a scipy sparse
 CSC array, which as_corpus, stored_entries, frobenius_sq and residual_sq
-accept. The multiplicative update rules only ever divide by epsilon-floored
-denominators, so the helpers here are written to preserve nonnegativity and
-never emit NaN/Inf on nonnegative input.
+accept. The multiplicative update rules only ever divide by denominators
+floored at EPSILON, so the helpers here are written to preserve
+nonnegativity and never emit NaN/Inf on nonnegative input.
 """
 
 from __future__ import annotations
@@ -18,6 +18,9 @@ import scipy.sparse as sp
 # KKT acceptance check stay at or above 5.7e-3; an exact reconstruction
 # measures about 3e-17 and a noise-free fit falls to 1e-5.
 CANCELLATION_GUARD = 1e-4
+
+# The floor of every denominator in a multiplicative update, MRTL's and NMF's.
+EPSILON = 1e-12
 
 
 def as_corpus(a):
@@ -33,16 +36,15 @@ def stored_entries(a) -> np.ndarray:
     return a.data if sp.issparse(a) else a
 
 
-def safe_ratio_sqrt(num, den, epsilon: float) -> np.ndarray:
-    """Elementwise sqrt(num / den) with the denominator floored at epsilon.
+def safe_ratio_sqrt(num, den) -> np.ndarray:
+    """Elementwise sqrt(num / den) with the denominator floored at EPSILON.
 
-    Both operands must be nonnegative arrays of identical shape and epsilon
-    positive (the engine passes its own products and a Hyperparams epsilon);
-    the floor keeps every ratio finite, so the result is always a finite
-    nonnegative matrix. This is the multiplicative step factor used by all
-    update rules.
+    Both operands must be nonnegative arrays of identical shape (the engine
+    passes its own products); the floor keeps every ratio finite, so the
+    result is always a finite nonnegative matrix. This is the multiplicative
+    step factor used by all update rules.
     """
-    return np.sqrt(num / np.maximum(den, epsilon))
+    return np.sqrt(num / np.maximum(den, EPSILON))
 
 
 def frobenius_sq(a) -> float:

@@ -8,9 +8,40 @@ from mrtl.engine import (
     ProblemData,
     SharedFactors,
     TargetFactors,
-    reconstructions,
+    _association,
+    _blocks,
+    _terms,
 )
 from mrtl.linalg import normalize_columns_l1, normalize_rows_l1
+
+
+def reconstructions(data: ProblemData, p: int, f: TargetFactors,
+                    shared: SharedFactors) -> tuple:
+    """The three current model estimates B W^T for pair p.
+
+    Returns (rec_target, rec_source, rec_shared): the target matrix through
+    the pair associations, the source matrix through the pair associations,
+    and the target matrix through the shared associations. The objective is
+    the sum of squared errors of these against X_t^p, X_s and X_t^p.
+    """
+    b = _blocks(data, f, shared)
+    return tuple(_association(b, pairs) @ b[W].T
+                 for _, _, _, pairs, W in _terms(data, p, 1.0))
+
+
+def objective_grad_u_target(data, p: int, f: TargetFactors,
+                            shared: SharedFactors, hp: Hyperparams) -> np.ndarray:
+    """Analytic gradient of the objective with respect to U_target.
+
+    2 * (rec_target - X_t) @ V @ Theta_target.T
+    + 2 * lam * (rec_shared - X_t) @ V @ Theta_specific.T.
+    Used by tests to cross-check the update rules against finite differences.
+    """
+    X_t = data.targets[p]
+    rec_t, _, rec_sh = reconstructions(data, p, f, shared)
+    return 2.0 * ((rec_t - X_t) @ (f.V @ f.Theta_target.T)) + 2.0 * hp.lam * (
+        (rec_sh - X_t) @ (f.V @ shared.Theta_specific.T)
+    )
 
 
 def one_hot(labels, c):
@@ -58,8 +89,8 @@ def exact_problem(rng, M=7, n_s=5, n_t=(4, 6), c=2, k1=2, ks=2):
 
     Every pair carries the same factor blocks and the shared associations
     equal the pair ones, so all three residual terms are zero bitwise. The
-    corpora are taken from the engine's own reconstruction products to avoid
-    last-ulp grouping differences.
+    corpora are built from the engine's own association products
+    (reconstructions above) to avoid last-ulp grouping differences.
     """
     U_common = normalize_columns_l1(rng.random((M, k1)) + 0.1)
     U_target = normalize_columns_l1(rng.random((M, ks)) + 0.1)

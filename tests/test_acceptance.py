@@ -8,7 +8,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import exact_problem, random_problem, random_state
+from conftest import (
+    exact_problem,
+    objective_grad_u_target,
+    random_problem,
+    random_state,
+)
 
 import mrtl.cli as cli
 from mrtl.baselines import logreg_predict_proba, logreg_train, nmf_fit
@@ -19,7 +24,6 @@ from mrtl.engine import (
     fit,
     init_factors,
     objective,
-    objective_grad_u_target,
     predict,
     run_iteration,
 )

@@ -227,6 +227,23 @@ def test_train_non_finite_corpus_value_exits_3(tmp_path, capsys, value):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("header", ["1000000000000 1000000000000 2",
+                                    "33554432 4194304 2"])
+def test_train_header_too_large_to_allocate_exits_3(tmp_path, capsys, header):
+    src = synth(tmp_path / "data")
+    bad = tmp_path / "bad.txt"
+    bad.write_text(f"{header}\n1 1:1\n")
+    rc = cli.main([
+        "train", "--source", str(bad),
+        "--target", str(src / "target_1.txt"),
+        "--out", str(tmp_path / "run"),
+    ])
+    assert rc == 3
+    M, n, _ = header.split()
+    assert f"line 1: cannot allocate the M={M} x n={n}" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("label", ["7", "0", "-1"])
 def test_train_truth_label_outside_classes_exits_3(tmp_path, capsys, label):
     src = synth(tmp_path / "data")
@@ -392,13 +409,50 @@ def test_sweep_out_of_range_k1_exits_2(tmp_path):
     assert rc == 2
 
 
+BAD_SETTINGS = [
+    ("train", ["--lambda", "nan"], "lambda must be finite and nonnegative, got nan"),
+    ("train", ["--lambda", "inf"], "lambda must be finite and nonnegative, got inf"),
+    ("train", ["--tol", "nan"],
+     "convergence_tol must be finite and nonnegative, got nan"),
+    ("train", ["--seed", "-1"], "seed must be nonnegative, got -1"),
+    ("train", ["--baseline", "nmf", "--seed", "-1"],
+     "seed must be nonnegative, got -1"),
+    ("sweep", ["--sweep-lambda", "1,nan"],
+     "--sweep-lambda value nan: lambda must be finite and nonnegative"),
+    ("synth", ["--noise", "nan"], "noise must be finite and nonnegative, got nan"),
+    ("synth", ["--noise", "inf"], "noise must be finite and nonnegative, got inf"),
+    ("synth", ["--seed", "-1"], "seed must be nonnegative, got -1"),
+]
+
+
+@pytest.mark.parametrize("command, flags, shown", BAD_SETTINGS,
+                         ids=[" ".join([c, *f]) for c, f, _ in BAD_SETTINGS])
+def test_non_finite_or_negative_setting_exits_2(tmp_path, capsys, command,
+                                                flags, shown):
+    out = tmp_path / "out"
+    if command == "synth":
+        argv = ["synth", *SMALL, *flags, "--out", str(out)]
+    else:
+        src = synth(tmp_path / "data")
+        capsys.readouterr()
+        argv = (train_args(src, out, flags) if command == "train"
+                else sweep_args(src, out, *flags))
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert shown in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_module_entry_point(tmp_path):
     pred = tmp_path / "p.txt"
     pred.write_text("1\n2\n")
+    # run from the directory holding the mrtl this suite imports, which -m
+    # then finds whether or not the package is installed
     proc = subprocess.run(
         [sys.executable, "-m", "mrtl", "eval",
          "--predictions", str(pred), "--truth", str(pred)],
         capture_output=True, text=True,
+        cwd=os.path.dirname(os.path.dirname(cli.__file__)),
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "100.00"

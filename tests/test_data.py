@@ -56,6 +56,20 @@ def test_parse_malformed_header():
         assert err.value.line == 1
 
 
+# matrices numpy refuses at once: too big for its index type, or a PiB and
+# more, past the address space, so no kernel grants them lazily
+@pytest.mark.parametrize("text, shown", [
+    ("1000000000000 1000000000000 2\n1 1:1\n", "M=1000000000000 x n=1000000000000"),
+    ("33554432 4194304 2\n1 1:1\n", "M=33554432 x n=4194304"),
+    ("1 1 1000000000000000\n1 1:1\n", "n=1 x c=1000000000000000"),
+], ids=["size-overflow", "PiB-matrix", "PiB-label-matrix"])
+def test_parse_header_too_large_to_allocate(text, shown):
+    with pytest.raises(CorpusFormatError) as err:
+        parse_text(text)
+    assert err.value.line == 1
+    assert f"cannot allocate the {shown}" in str(err.value)
+
+
 def test_parse_index_zero():
     with pytest.raises(CorpusFormatError) as err:
         parse_text("3 1 2\n1 0:1.0\n")

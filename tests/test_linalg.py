@@ -14,16 +14,16 @@ from mrtl.linalg import (
 def test_safe_ratio_sqrt_fixed_point():
     rng = np.random.default_rng(4)
     A = rng.random((4, 3)) + 0.5
-    assert np.array_equal(safe_ratio_sqrt(A, A, 1e-12), np.ones_like(A))
+    assert np.array_equal(safe_ratio_sqrt(A, A), np.ones_like(A))
 
 
 def test_safe_ratio_sqrt_hand():
-    got = safe_ratio_sqrt(np.array([[4.0]]), np.array([[1.0]]), 1e-12)
+    got = safe_ratio_sqrt(np.array([[4.0]]), np.array([[1.0]]))
     assert np.array_equal(got, np.array([[2.0]]))
 
 
 def test_safe_ratio_sqrt_zero_denominator():
-    got = safe_ratio_sqrt(np.array([[1.0]]), np.array([[0.0]]), 1e-12)
+    got = safe_ratio_sqrt(np.array([[1.0]]), np.array([[0.0]]))
     assert got[0, 0] == pytest.approx(1e6, rel=1e-12)
 
 
@@ -33,7 +33,7 @@ def test_safe_ratio_sqrt_closure():
         shape = tuple(rng.integers(1, 8, size=2))
         num = rng.random(shape) * rng.choice([0.0, 1.0, 1e6], size=shape)
         den = rng.random(shape) * rng.choice([0.0, 1.0, 1e-14], size=shape)
-        out = safe_ratio_sqrt(num, den, 1e-12)
+        out = safe_ratio_sqrt(num, den)
         assert np.all(out >= 0) and np.all(np.isfinite(out))
 
 

@@ -9,7 +9,7 @@ numbers from both, and the factored objective must equal the residual form.
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from conftest import one_hot, random_state, tiny_hp
+from conftest import one_hot, random_state, reconstructions, tiny_hp
 from hypothesis import given, settings, strategies as st
 
 import mrtl.cli as cli
@@ -33,7 +33,6 @@ from mrtl.engine import (
     fit,
     objective,
     predict,
-    reconstructions,
     run_iteration,
 )
 from mrtl.linalg import frobenius_sq, normalize_rows_l1
