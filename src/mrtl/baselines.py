@@ -10,10 +10,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .engine import InvalidConfigError
 from .linalg import EPSILON, as_corpus, frobenius_sq, residual_sq, stored_entries
+
+
+def expit(x) -> np.ndarray:
+    """The logistic sigmoid 1 / (1 + exp(-x)), elementwise.
+
+    The formula of scipy.special.expit, without the start-up cost of
+    importing scipy.special. Below x = -709, exp(-x) overflows to inf and
+    the result is exactly 0, the right limit, so the overflow is not
+    reported.
+    """
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
 
 
 def nmf_fit(X, k: int, iters: int, seed: int, on_iteration=None) -> tuple:
@@ -38,6 +49,8 @@ def nmf_fit(X, k: int, iters: int, seed: int, on_iteration=None) -> tuple:
         )
     if iters < 1:
         raise InvalidConfigError(f"iters must be at least 1, got {iters}")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise InvalidConfigError(f"seed must be a nonnegative integer, got {seed!r}")
 
     rng = np.random.default_rng(seed)
     W = 1.0 - rng.random((M, k))
@@ -101,12 +114,12 @@ def logreg_train(X, Y, l2: float = 1e-3, steps: int = 500,
             f"Y has {Y.shape[0]} rows but X has {n} instances"
         )
     c = Y.shape[1]
-    if l2 < 0:
-        raise InvalidConfigError(f"l2 must be nonnegative, got {l2}")
+    if not 0 <= l2 < np.inf:
+        raise InvalidConfigError(f"l2 must be finite and nonnegative, got {l2}")
     if steps < 1:
         raise InvalidConfigError(f"steps must be at least 1, got {steps}")
-    if not lr > 0:
-        raise InvalidConfigError(f"lr must be positive, got {lr}")
+    if not 0 < lr < np.inf:
+        raise InvalidConfigError(f"lr must be finite and positive, got {lr}")
 
     W = np.zeros((M + 1, c))
 

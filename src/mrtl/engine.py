@@ -19,7 +19,9 @@ the target through the shared associations (w = lam, X_t, W = V).
 objective and the one update kernel, _num_den, read the table and are
 written in B alone. For any named block the kernel sums, over the terms
 that hold the block, the numerator and denominator of the multiplicative
-step x <- x * sqrt(num / den), where num - den is minus half the gradient:
+step x <- x * sqrt(num / den), where num - den is minus half the gradient;
+it builds B and X @ W only for those terms, and reads the fixed source
+product X_s @ Y_s from ProblemData:
 
     U_i:     num = w (X W) Theta_i^T    den = w B (W^T W Theta_i^T)
     Theta_i: num = w U_i^T (X W)        den = w (U_i^T B) W^T W
@@ -31,7 +33,8 @@ step forms an M x n matrix. The step preserves nonnegativity, and every
 denominator is floored at linalg.EPSILON (1e-12). The public update_*
 functions apply it block by block in a fixed order, each pair's steps
 followed by L1 normalization of the cluster matrices (columns) and the
-assignment (rows).
+assignment (rows). fit frees each pair's old factors as soon as the sweep
+has taken them, so one copy of every pair is live besides the one in work.
 
 The objective is factored the same way: a term is
 w * (||X||^2 - 2 <X W, B> + <B^T B, W^T W>), where ||X||^2 is computed once
@@ -124,13 +127,15 @@ class ProblemData:
     be a dense array or a scipy sparse array, which is held as CSC. All
     matrices must be nonnegative. Callers normally pass column-normalized
     corpora (each instance a distribution over features). sq_norms holds
-    ||X_s||^2 followed by each target's squared Frobenius norm.
+    ||X_s||^2 followed by each target's squared Frobenius norm, and XY_s
+    the fixed M x c product X_s @ Y_s.
     """
 
     X_s: np.ndarray
     Y_s: np.ndarray
     targets: tuple
     sq_norms: tuple = field(init=False, repr=False, compare=False)
+    XY_s: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         X_s = as_corpus(self.X_s)
@@ -169,6 +174,7 @@ class ProblemData:
         object.__setattr__(
             self, "sq_norms", tuple(frobenius_sq(X) for X in (X_s, *targets))
         )
+        object.__setattr__(self, "XY_s", X_s @ Y_s)
 
     @property
     def M(self) -> int:
@@ -346,24 +352,33 @@ def _num_den(name: str, data: ProblemData, p: int, f: TargetFactors,
     shared term weighted by lam; num - den is minus half the gradient of
     pair p's objective in that block. Every product goes through the term's
     association product B and c x c Gram matrices, so no M x n matrix is
-    formed.
+    formed, and a term that does not hold the block builds nothing.
     """
     b = _blocks(data, f, shared)
-    num = den = 0.0
+    num = den = None
     for w, X, _, pairs, W_name in _terms(data, p, lam):
+        held = [(u, t) for u, t in pairs if name in (u, t)]
+        if name != W_name and not held:
+            continue
         W = b[W_name]
         B = _association(b, pairs)
         if name == W_name:
-            num += w * (X.T @ B)
-            den += w * (W @ (B.T @ B))
-            continue
-        for u, t in pairs:
+            n, d = X.T @ B, W @ (B.T @ B)
+        else:
+            (u, t), = held
+            XW = data.XY_s if W_name == "Y_s" else X @ W
             if name == u:
-                num += w * ((X @ W) @ b[t].T)
-                den += w * (B @ ((W.T @ W) @ b[t].T))
-            elif name == t:
-                num += w * (b[u].T @ (X @ W))
-                den += w * ((b[u].T @ B) @ (W.T @ W))
+                n, d = XW @ b[t].T, B @ ((W.T @ W) @ b[t].T)
+            else:
+                n, d = b[u].T @ XW, (b[u].T @ B) @ (W.T @ W)
+        # exact shortcuts: 1 * x == x, and the first term needs no 0 + x
+        if w != 1.0:
+            n, d = w * n, w * d
+        if num is None:
+            num, den = n, d
+        else:
+            num += n
+            den += d
     return num, den
 
 
@@ -458,6 +473,8 @@ def run_iteration(data: ProblemData, factors, shared: SharedFactors,
                   hp: Hyperparams) -> tuple:
     """One full sweep over all factors; the loop body of fit.
 
+    factors is any iterable of the P pairs' TargetFactors, taken once in
+    pair order and never modified; the new factors come back as a list.
     Per pair: U_target, U_source, U_common, the pair associations, V, then
     normalization. After all pairs, the shared associations. Each step sees
     the freshest factors. Pairs never read each other's factors and see the
@@ -465,8 +482,7 @@ def run_iteration(data: ProblemData, factors, shared: SharedFactors,
     order-independent.
     """
     new_factors = []
-    for p in range(data.P):
-        f = factors[p]
+    for p, f in zip(range(data.P), factors, strict=True):
         f = update_u_target(data, p, f, shared, hp)
         f = update_u_source(data, p, f, shared, hp)
         f = update_u_common(data, p, f, shared, hp)
@@ -476,6 +492,14 @@ def run_iteration(data: ProblemData, factors, shared: SharedFactors,
         new_factors.append(f)
     shared = update_shared_associations(data, new_factors, shared, hp)
     return new_factors, shared
+
+
+def _handed_over(factors: list):
+    """Yield the entries of factors in order, taking each out of the list as
+    it is handed over, so the consumer holds the only reference to it."""
+    factors.reverse()
+    while factors:
+        yield factors.pop()
 
 
 def _all_finite(factors, shared: SharedFactors) -> bool:
@@ -518,7 +542,7 @@ def fit(data: ProblemData, hp: Hyperparams, v_init, truth=None) -> tuple:
     trace = []
     prev_obj = None
     for iteration in range(1, hp.maxiter + 1):
-        factors, shared = run_iteration(data, factors, shared, hp)
+        factors, shared = run_iteration(data, _handed_over(factors), shared, hp)
         obj = objective(data, factors, shared, hp)
         if not _all_finite(factors, shared) or not np.isfinite(obj):
             raise NumericalDivergenceError(iteration)

@@ -44,7 +44,9 @@ def safe_ratio_sqrt(num, den) -> np.ndarray:
     result is always a finite nonnegative matrix. This is the multiplicative
     step factor used by all update rules.
     """
-    return np.sqrt(num / np.maximum(den, EPSILON))
+    step = np.maximum(den, EPSILON)
+    np.divide(num, step, out=step)
+    return np.sqrt(step, out=step)
 
 
 def frobenius_sq(a) -> float:
@@ -81,6 +83,8 @@ def normalize_columns_l1(a) -> np.ndarray:
     a = np.asarray(a, dtype=np.float64)
     sums = a.sum(axis=0, keepdims=True)
     positive = sums > 0.0
+    if positive.all():
+        return a / sums
     return np.where(positive, a / np.where(positive, sums, 1.0), 1.0 / a.shape[0])
 
 
@@ -89,4 +93,6 @@ def normalize_rows_l1(a) -> np.ndarray:
     a = np.asarray(a, dtype=np.float64)
     sums = a.sum(axis=1, keepdims=True)
     positive = sums > 0.0
+    if positive.all():
+        return a / sums
     return np.where(positive, a / np.where(positive, sums, 1.0), 1.0 / a.shape[1])

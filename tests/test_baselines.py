@@ -57,6 +57,13 @@ def test_nmf_rejects_invalid_k():
         nmf_fit(X, k=5, iters=5, seed=0)
 
 
+@pytest.mark.parametrize("seed", [-1, 0.5])
+def test_nmf_rejects_bad_seed(seed):
+    with pytest.raises(InvalidConfigError,
+                       match=f"seed must be a nonnegative integer, got {seed}"):
+        nmf_fit(np.ones((5, 6)), k=2, iters=5, seed=seed)
+
+
 def test_nmf_predict_labels_rules():
     assert np.array_equal(nmf_predict_labels(np.array([[0.9], [0.1]])), [1])
     assert np.array_equal(nmf_predict_labels(np.array([[0.5], [0.5]])), [1])
@@ -128,6 +135,29 @@ def test_logreg_deterministic():
 def test_logreg_rejects_degenerate_input():
     with pytest.raises(InvalidConfigError):
         logreg_train(np.ones((3, 0)), np.ones((0, 2)))
+
+
+@pytest.mark.parametrize("name, value", [
+    ("l2", np.nan), ("l2", np.inf), ("l2", -1.0),
+    ("lr", np.nan), ("lr", np.inf), ("lr", 0.0),
+])
+def test_logreg_rejects_non_finite_or_out_of_range_settings(name, value):
+    # l2 = nan used to return all-zero weights, l2 or lr = inf a numpy warning
+    rng = np.random.default_rng(10)
+    X = rng.random((5, 6))
+    Y = one_hot(rng.integers(1, 3, size=6), 2)
+    with pytest.raises(InvalidConfigError, match=f"{name} must be finite"):
+        logreg_train(X, Y, **{name: value})
+
+
+def test_expit_matches_scipy_without_warnings():
+    from scipy.special import expit as scipy_expit
+
+    # -800 overflows exp(-x); the result must still be 0 with no warning
+    x = np.linspace(-800.0, 800.0, 16001)
+    got = baselines.expit(x)
+    assert np.max(np.abs(got - scipy_expit(x))) <= 2.3e-16
+    assert got[0] == 0.0 and got[-1] == 1.0
 
 
 def test_logreg_predict_rejects_wrong_features():

@@ -458,6 +458,18 @@ def test_module_entry_point(tmp_path):
     assert proc.stdout.strip() == "100.00"
 
 
+def test_import_leaves_scipy_special_unloaded():
+    # scipy.special costs about 0.1 s of start-up and only expit was used
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, mrtl.cli; print('scipy.special' in sys.modules)"],
+        capture_output=True, text=True,
+        cwd=os.path.dirname(os.path.dirname(cli.__file__)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 @pytest.mark.parametrize("axis, value, flag", [
     ("--sweep-k1", "0", "--sweep-k1 value 0"),
     ("--sweep-k1", "5", "--sweep-k1 value 5"),  # above --k2 4

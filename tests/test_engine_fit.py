@@ -1,5 +1,7 @@
 """Full fitting loop: monotonicity, determinism, stopping, prediction."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import one_hot, random_problem
@@ -173,6 +175,46 @@ def test_fit_raises_on_divergence_with_iteration():
         fit(data, Hyperparams(k1=1, k2=2, maxiter=5), v_init)
     assert err.value.iteration == 1
     assert "iteration 1" in str(err.value)
+
+
+def test_fit_holds_one_copy_of_each_pair():
+    # one pair-factor set is the U blocks of one pair; the sweep frees each
+    # pair's old factors as it takes them, where it used to hold both the
+    # old and the new list (2P + 1.5 sets at this size)
+    P, M, k1, k2 = 4, 2000, 10, 50
+    data, v_init = random_problem(np.random.default_rng(13), M=M, n_s=40,
+                                  n_t=(30,) * P)
+    unit = M * (k1 + 2 * (k2 - k1)) * 8
+    tracemalloc.start()
+    try:
+        fit(data, Hyperparams(k1=k1, k2=k2, maxiter=2), v_init)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (P + 3) * unit, f"peak {peak / unit:.2f} pair-factor sets"
+
+
+def test_run_iteration_takes_any_iterable_and_leaves_it_unchanged():
+    rng = np.random.default_rng(14)
+    data, v_init = random_problem(rng, M=12, n_t=(5, 4, 6))
+    hp = Hyperparams(k1=2, k2=5, lam=1.0)
+    factors, shared = init_factors(data, hp, v_init)
+    factors, shared = run_iteration(data, factors, shared, hp)
+    given = list(factors)
+    copies = [[a.copy() for a in vars(f).values()] for f in factors]
+
+    from_list = run_iteration(data, factors, shared, hp)
+    from_generator = run_iteration(data, (f for f in factors), shared, hp)
+
+    assert len(factors) == len(given) and all(a is b for a, b in zip(factors, given))
+    for f, arrays in zip(factors, copies):
+        assert all(np.array_equal(a, b) for a, b in zip(vars(f).values(), arrays))
+    for f1, f2 in zip(from_list[0], from_generator[0]):
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(vars(f1).values(), vars(f2).values()))
+    assert np.array_equal(from_list[1].Theta_common, from_generator[1].Theta_common)
+    assert np.array_equal(from_list[1].Theta_specific,
+                          from_generator[1].Theta_specific)
 
 
 def test_lambda_zero_decouples_pairs():
