@@ -27,6 +27,11 @@ def expit(x) -> np.ndarray:
         return 1.0 / (1.0 + np.exp(-x))
 
 
+def _is_int(x) -> bool:
+    """x is a Python or numpy integer, so it can count steps or columns."""
+    return isinstance(x, (int, np.integer))
+
+
 def nmf_fit(X, k: int, iters: int, seed: int, on_iteration=None) -> tuple:
     """Factor X (M x n, nonnegative) as W @ H by multiplicative updates.
 
@@ -43,13 +48,15 @@ def nmf_fit(X, k: int, iters: int, seed: int, on_iteration=None) -> tuple:
     if not np.all(stored_entries(X) >= 0):
         raise InvalidConfigError("X must be nonnegative")
     M, n = X.shape
-    if not 1 <= k <= min(M, n):
+    if not _is_int(k) or not 1 <= k <= min(M, n):
         raise InvalidConfigError(
-            f"k must lie in [1, min(M, n)] = [1, {min(M, n)}], got {k}"
+            f"k must be an integer in [1, min(M, n)] = [1, {min(M, n)}], got {k!r}"
         )
-    if iters < 1:
-        raise InvalidConfigError(f"iters must be at least 1, got {iters}")
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
+    if not _is_int(iters) or iters < 1:
+        raise InvalidConfigError(
+            f"iters must be an integer of at least 1, got {iters!r}"
+        )
+    if not _is_int(seed) or seed < 0:
         raise InvalidConfigError(f"seed must be a nonnegative integer, got {seed!r}")
 
     rng = np.random.default_rng(seed)
@@ -58,9 +65,10 @@ def nmf_fit(X, k: int, iters: int, seed: int, on_iteration=None) -> tuple:
     xx = frobenius_sq(X)
     for i in range(1, iters + 1):
         H *= (W.T @ X) / np.maximum((W.T @ W) @ H, EPSILON)
-        W *= (X @ H.T) / np.maximum(W @ (H @ H.T), EPSILON)
+        XH, HH = X @ H.T, H @ H.T
+        W *= XH / np.maximum(W @ HH, EPSILON)
         if on_iteration is not None:
-            on_iteration(i, residual_sq(X, xx, W, H.T))
+            on_iteration(i, residual_sq(X, xx, W, H.T, XH, HH))
     return W, H
 
 
@@ -76,10 +84,10 @@ def nmf_predict_labels(H) -> np.ndarray:
     return np.argmax(H, axis=0).astype(np.int64) + 1
 
 
-def _scores(X, W) -> np.ndarray:
-    """n x c linear scores of the columns of X under weights W, whose last
-    row is the bias."""
-    return X.T @ W[:-1] + W[-1]
+def _scores(XT, W) -> np.ndarray:
+    """n x c linear scores of the rows of XT (the instances) under weights
+    W, whose last row is the bias."""
+    return XT @ W[:-1] + W[-1]
 
 
 @dataclass(frozen=True)
@@ -116,16 +124,21 @@ def logreg_train(X, Y, l2: float = 1e-3, steps: int = 500,
     c = Y.shape[1]
     if not 0 <= l2 < np.inf:
         raise InvalidConfigError(f"l2 must be finite and nonnegative, got {l2}")
-    if steps < 1:
-        raise InvalidConfigError(f"steps must be at least 1, got {steps}")
+    if not _is_int(steps) or steps < 1:
+        raise InvalidConfigError(
+            f"steps must be an integer of at least 1, got {steps!r}"
+        )
     if not 0 < lr < np.inf:
         raise InvalidConfigError(f"lr must be finite and positive, got {lr}")
 
     W = np.zeros((M + 1, c))
+    grad = np.empty((M + 1, c))
+    # a CSC corpus transposes to a CSR array over the same arrays, no copy
+    XT = X.T
 
     def loss_of(Wc):
         """(loss, unclipped probabilities) at weights Wc: one forward pass."""
-        probs = expit(_scores(X, Wc))
+        probs = expit(_scores(XT, Wc))
         clipped = np.clip(probs, 1e-15, 1.0 - 1e-15)
         nll = -(Y * np.log(clipped) + (1.0 - Y) * np.log(1.0 - clipped)).sum() / n
         # the bias row is not penalized
@@ -136,7 +149,9 @@ def logreg_train(X, Y, l2: float = 1e-3, steps: int = 500,
     step_size = lr
     for step in range(1, steps + 1):
         residual = probs - Y
-        grad = np.vstack([X @ residual / n + l2 * W[:M], residual.sum(axis=0) / n])
+        np.divide(X @ residual, n, out=grad[:M])
+        grad[:M] += l2 * W[:M]
+        np.divide(residual.sum(axis=0), n, out=grad[M])
         accepted = False
         while step_size >= 1e-18:
             W_new = W - step_size * grad
@@ -167,6 +182,6 @@ def logreg_predict_proba(model: LogRegModel, X) -> np.ndarray:
         raise InvalidConfigError(
             f"model expects {M} features, got {X.shape[0]}"
         )
-    scores = expit(_scores(X, model.weights))
+    scores = expit(_scores(X.T, model.weights))
     scores = np.maximum(scores, 1e-300)  # keep rows strictly positive
     return scores / scores.sum(axis=1, keepdims=True)

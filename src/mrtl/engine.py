@@ -19,30 +19,50 @@ the target through the shared associations (w = lam, X_t, W = V).
 objective and the one update kernel, _num_den, read the table and are
 written in B alone. For any named block the kernel sums, over the terms
 that hold the block, the numerator and denominator of the multiplicative
-step x <- x * sqrt(num / den), where num - den is minus half the gradient;
-it builds B and X @ W only for those terms, and reads the fixed source
-product X_s @ Y_s from ProblemData:
+step x <- x * sqrt(num / den), where num - den is minus half the gradient.
+Term by term they are
 
     U_i:     num = w (X W) Theta_i^T    den = w B (W^T W Theta_i^T)
     Theta_i: num = w U_i^T (X W)        den = w (U_i^T B) W^T W
     W:       num = w X^T B              den = w W (B^T B)
 
+but the kernel folds each weight into a small factor and builds each X W
+once per step. With t ranging over the terms that hold the block,
+G_t = W_t^T W_t, and the U numerator summed over the groups of terms that
+share X and W:
+
+    U_i:     num = sum over groups of (X W) (sum_t w_t Theta_t,i)^T
+             den = sum_t B_t (w_t G_t Theta_t,i^T)
+    Theta_i: num = U_i^T (sum_t w_t X W_t)
+             den = U_i^T (sum_t B_t (w_t G_t))
+    W:       num = X^T (sum_t w_t B_t)
+             den = W (sum_t w_t B_t^T B_t)
+
+No weight scales an M x k array, only c x k, c x c and M x c ones, and the
+target and shared terms, which share X_t and V, share one X_t V. The
+source's fixed X_s Y_s and Y_s^T Y_s are read from ProblemData, and B and
+X W are built only for the terms that hold the block.
+
 This is the factored form of Lee & Seung (NIPS 2000) and Ding et al. (KDD
 2006): besides X @ W it only multiplies by B and c x c Gram matrices, so no
 step forms an M x n matrix. The step preserves nonnegativity, and every
-denominator is floored at linalg.EPSILON (1e-12). The public update_*
-functions apply it block by block in a fixed order, each pair's steps
-followed by L1 normalization of the cluster matrices (columns) and the
-assignment (rows). fit frees each pair's old factors as soon as the sweep
-has taken them, so one copy of every pair is live besides the one in work.
+denominator is floored at linalg.EPSILON (1e-12); the new block is written
+into the step factor's own buffer. The public update_* functions apply it
+block by block in a fixed order, each pair's steps followed by L1
+normalization of the cluster matrices (columns) and the assignment (rows).
+fit frees each pair's old factors as soon as the sweep has taken them, and
+the sweep holds the pair in work once, so beyond the P live pairs a step
+adds at most three arrays of its block's size (numerator, denominator and
+step factor, or a term's product while the denominator is summed).
 
 The objective is factored the same way: a term is
 w * (||X||^2 - 2 <X W, B> + <B^T B, W^T W>), where ||X||^2 is computed once
-per corpus by ProblemData. The sum cancels badly near an exact fit, so a
-term that comes out below CANCELLATION_GUARD (1e-4) of
-||X||^2 + 2 |<X W, B>| + <B^T B, W^T W> is taken again from its residual
-X - B W^T; that keeps the objective exactly 0 on an exact reconstruction
-and within the monotonicity bounds the fit is held to.
+per corpus by ProblemData, and X W and W^T W once per pair and assignment.
+The sum cancels badly near an exact fit, so a term that comes out below
+CANCELLATION_GUARD (1e-4) of ||X||^2 + 2 |<X W, B>| + <B^T B, W^T W> is
+taken again from its residual X - B W^T; that keeps the objective exactly 0
+on an exact reconstruction and within the monotonicity bounds the fit is
+held to.
 
 Since the corpora enter only through X @ W, X.T @ B and ||X||^2, each may
 be a dense array or a scipy sparse CSC array; the code is the same.
@@ -127,8 +147,9 @@ class ProblemData:
     be a dense array or a scipy sparse array, which is held as CSC. All
     matrices must be nonnegative. Callers normally pass column-normalized
     corpora (each instance a distribution over features). sq_norms holds
-    ||X_s||^2 followed by each target's squared Frobenius norm, and XY_s
-    the fixed M x c product X_s @ Y_s.
+    ||X_s||^2 followed by each target's squared Frobenius norm, XY_s the
+    fixed M x c product X_s @ Y_s and YY_s the fixed c x c Gram matrix
+    Y_s^T Y_s.
     """
 
     X_s: np.ndarray
@@ -136,6 +157,7 @@ class ProblemData:
     targets: tuple
     sq_norms: tuple = field(init=False, repr=False, compare=False)
     XY_s: np.ndarray = field(init=False, repr=False, compare=False)
+    YY_s: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         X_s = as_corpus(self.X_s)
@@ -175,6 +197,7 @@ class ProblemData:
             self, "sq_norms", tuple(frobenius_sq(X) for X in (X_s, *targets))
         )
         object.__setattr__(self, "XY_s", X_s @ Y_s)
+        object.__setattr__(self, "YY_s", Y_s.T @ Y_s)
 
     @property
     def M(self) -> int:
@@ -327,6 +350,36 @@ def _association(b: dict, pairs) -> np.ndarray:
     return b[u_a] @ b[t_a] + b[u_b] @ b[t_b]
 
 
+def _corpus_products(data: ProblemData, X, b: dict, W_name: str) -> tuple:
+    """(X @ W, W^T W) for a term's corpus X and assignment W; the source's
+    fixed pair is read from ProblemData."""
+    if W_name == "Y_s":
+        return data.XY_s, data.YY_s
+    W = b[W_name]
+    return X @ W, W.T @ W
+
+
+def _scale(w: float, a) -> np.ndarray:
+    """w * a; a weight of 1 multiplies nothing (1 * x == x exactly)."""
+    return a if w == 1.0 else w * a
+
+
+def _weighted_sum(terms) -> np.ndarray:
+    """Sum of w * a over the (w, a) in terms, never written into an a."""
+    arrays = [_scale(w, a) for w, a in terms]
+    return sum(arrays[1:], arrays[0])
+
+
+def _sum(products) -> np.ndarray:
+    """Sum of freshly built arrays, accumulated in place into the first;
+    from a generator, only the running sum and one more array are alive."""
+    products = iter(products)
+    total = next(products)
+    for a in products:
+        total += a
+    return total
+
+
 def objective(data: ProblemData, factors, shared: SharedFactors,
               hp: Hyperparams) -> float:
     """Joint squared reconstruction error over all pairs.
@@ -335,12 +388,17 @@ def objective(data: ProblemData, factors, shared: SharedFactors,
     + lam * ||X_t^p - rec_shared||^2. Each term is taken in factored form,
     without the M x n reconstruction, unless cancellation would cost it its
     accuracy; then it is taken on the residual itself (see residual_sq).
+    X @ W and W^T W are built once per pair and assignment.
     """
     total = 0.0
     for p, f in enumerate(factors):
         b = _blocks(data, f, shared)
+        products = {}
         for w, X, xx, pairs, W in _terms(data, p, hp.lam):
-            total += w * residual_sq(X, xx, _association(b, pairs), b[W])
+            if W not in products:
+                products[W] = _corpus_products(data, X, b, W)
+            total += w * residual_sq(X, xx, _association(b, pairs), b[W],
+                                     *products[W])
     return total
 
 
@@ -350,42 +408,47 @@ def _num_den(name: str, data: ProblemData, p: int, f: TargetFactors,
 
     Sums over pair p's terms that hold the block named name, with the
     shared term weighted by lam; num - den is minus half the gradient of
-    pair p's objective in that block. Every product goes through the term's
-    association product B and c x c Gram matrices, so no M x n matrix is
-    formed, and a term that does not hold the block builds nothing.
+    pair p's objective in that block. It follows the folded table of the
+    module docstring: each X @ W is built once, and no weight scales an
+    M x k array.
     """
     b = _blocks(data, f, shared)
-    num = den = None
-    for w, X, _, pairs, W_name in _terms(data, p, lam):
-        held = [(u, t) for u, t in pairs if name in (u, t)]
-        if name != W_name and not held:
-            continue
-        W = b[W_name]
-        B = _association(b, pairs)
-        if name == W_name:
-            n, d = X.T @ B, W @ (B.T @ B)
-        else:
-            (u, t), = held
-            XW = data.XY_s if W_name == "Y_s" else X @ W
-            if name == u:
-                n, d = XW @ b[t].T, B @ ((W.T @ W) @ b[t].T)
-            else:
-                n, d = b[u].T @ XW, (b[u].T @ B) @ (W.T @ W)
-        # exact shortcuts: 1 * x == x, and the first term needs no 0 + x
-        if w != 1.0:
-            n, d = w * n, w * d
-        if num is None:
-            num, den = n, d
-        else:
-            num += n
-            den += d
-    return num, den
+    # assignment name -> (X, [(w, B, the block paired with name)]): the terms
+    # that hold name, grouped by the X @ W they share
+    groups = {}
+    for w, X, _, pairs, W in _terms(data, p, lam):
+        held = [t if u == name else u for u, t in pairs if name in (u, t)]
+        if held or name == W:
+            groups.setdefault(W, (X, []))[1].append(
+                (w, _association(b, pairs), held[0] if held else None))
+    if name in groups:
+        X, terms = groups[name]
+        return (X.T @ _weighted_sum((w, B) for w, B, _ in terms),
+                b[name] @ _weighted_sum((w, B.T @ B) for w, B, _ in terms))
+    groups = [(*_corpus_products(data, X, b, W), terms)
+              for W, (X, terms) in groups.items()]
+    if name.startswith("U_"):
+        num = _sum(XW @ _weighted_sum((w, b[t]) for w, _, t in terms).T
+                   for XW, _, terms in groups)
+        den = _sum(B @ _scale(w, G @ b[t].T)
+                   for _, G, terms in groups for w, B, t in terms)
+        return num, den
+    # a Theta block: every term that holds it pairs it with the same U
+    (u,) = {u for _, _, terms in groups for _, _, u in terms}
+    U = b[u]
+    return (U.T @ _weighted_sum((w, XW) for XW, _, terms in groups
+                                for w, _, _ in terms),
+            U.T @ _sum(B @ _scale(w, G) for _, G, terms in groups
+                       for w, B, _ in terms))
 
 
 def _scaled(factors, field: str, num, den):
-    """factors with block field multiplied by sqrt(num / den)."""
+    """factors with block field multiplied by sqrt(num / den), written into
+    the step's own buffer."""
     step = safe_ratio_sqrt(num, den)
-    return replace(factors, **{field: getattr(factors, field) * step})
+    return replace(
+        factors, **{field: np.multiply(getattr(factors, field), step, out=step)}
+    )
 
 
 def _pair_step(name: str, data, p: int, f: TargetFactors,
@@ -473,16 +536,23 @@ def run_iteration(data: ProblemData, factors, shared: SharedFactors,
                   hp: Hyperparams) -> tuple:
     """One full sweep over all factors; the loop body of fit.
 
-    factors is any iterable of the P pairs' TargetFactors, taken once in
-    pair order and never modified; the new factors come back as a list.
-    Per pair: U_target, U_source, U_common, the pair associations, V, then
-    normalization. After all pairs, the shared associations. Each step sees
-    the freshest factors. Pairs never read each other's factors and see the
-    iteration-start shared snapshot, so the sweep over pairs is
+    factors is any iterable of exactly the P pairs' TargetFactors, taken
+    once in pair order and never modified; the new factors come back as a
+    list. Per pair: U_target, U_source, U_common, the pair associations, V,
+    then normalization. After all pairs, the shared associations. Each step
+    sees the freshest factors. Pairs never read each other's factors and see
+    the iteration-start shared snapshot, so the sweep over pairs is
     order-independent.
     """
+    # next() rather than zip: zip keeps its last result tuple for reuse, and
+    # that tuple would hold the handed-over pair through the whole of its
+    # sweep, a second copy of the pair in work
+    given = iter(factors)
     new_factors = []
-    for p, f in zip(range(data.P), factors, strict=True):
+    for p in range(data.P):
+        f = next(given, None)
+        if f is None:
+            raise InvalidConfigError(f"factors holds {p} pairs for {data.P} targets")
         f = update_u_target(data, p, f, shared, hp)
         f = update_u_source(data, p, f, shared, hp)
         f = update_u_common(data, p, f, shared, hp)
@@ -490,6 +560,8 @@ def run_iteration(data: ProblemData, factors, shared: SharedFactors,
         f = update_v(data, p, f, shared, hp)
         f = normalize_all(f)
         new_factors.append(f)
+    if next(given, None) is not None:
+        raise InvalidConfigError(f"factors holds more than {data.P} pairs")
     shared = update_shared_associations(data, new_factors, shared, hp)
     return new_factors, shared
 

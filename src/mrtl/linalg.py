@@ -55,18 +55,19 @@ def frobenius_sq(a) -> float:
     return float(np.sum(a * a))
 
 
-def residual_sq(X, xx: float, B, W) -> float:
+def residual_sq(X, xx: float, B, W, XW, G) -> float:
     """||X - B W^T||^2 without forming the M x n product B W^T.
 
-    X is M x n (dense or sparse) with xx = ||X||^2, B is M x r and W is
-    n x r. The value is xx - 2 <X W, B> + <B^T B, W^T W> (Lee & Seung, NIPS
-    2000), which costs one X @ W and two r x r Gram matrices. When it falls
-    below CANCELLATION_GUARD of xx + 2 |<X W, B>| + <B^T B, W^T W> it is
-    taken again directly from the residual X - B W^T; near an exact fit that
-    keeps the value accurate (exactly 0 when X was formed as B @ W.T).
+    X is M x n (dense or sparse) with xx = ||X||^2, B is M x r, W is n x r,
+    and the caller passes XW = X @ W and G = W^T W, which it may share
+    between terms. The value is xx - 2 <X W, B> + <B^T B, W^T W> (Lee &
+    Seung, NIPS 2000), which adds only the r x r Gram matrix of B. When it
+    falls below CANCELLATION_GUARD of xx + 2 |<X W, B>| + <B^T B, W^T W> it
+    is taken again directly from the residual X - B W^T; near an exact fit
+    that keeps the value accurate (exactly 0 when X was formed as B @ W.T).
     """
-    cross = float(np.sum((X @ W) * B))
-    gram = float(np.sum((B.T @ B) * (W.T @ W)))
+    cross = float(np.sum(XW * B))
+    gram = float(np.sum((B.T @ B) * G))
     value = xx - 2.0 * cross + gram
     if value < CANCELLATION_GUARD * (xx + 2.0 * abs(cross) + gram):
         return frobenius_sq(X - B @ W.T)

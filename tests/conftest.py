@@ -44,6 +44,38 @@ def objective_grad_u_target(data, p: int, f: TargetFactors,
     )
 
 
+def num_den_per_term(name: str, data: ProblemData, p: int, f: TargetFactors,
+                     shared: SharedFactors, lam: float) -> tuple:
+    """The kernel's numerator and denominator for one block, summed term by
+    term as in the per-term table of the engine docstring:
+
+        U_i:     num = w (X W) Theta_i^T    den = w B (W^T W Theta_i^T)
+        Theta_i: num = w U_i^T (X W)        den = w (U_i^T B) W^T W
+        W:       num = w X^T B              den = w W (B^T B)
+
+    Every term builds its own B and X @ W; the reference for the folded
+    engine._num_den.
+    """
+    b = _blocks(data, f, shared)
+    num = den = 0.0
+    for w, X, _, pairs, W_name in _terms(data, p, lam):
+        W = b[W_name]
+        B = _association(b, pairs)
+        held = [(u, t) for u, t in pairs if name in (u, t)]
+        if name == W_name:
+            n, d = X.T @ B, W @ (B.T @ B)
+        elif not held:
+            continue
+        elif name == held[0][0]:
+            t = b[held[0][1]]
+            n, d = (X @ W) @ t.T, B @ ((W.T @ W) @ t.T)
+        else:
+            U = b[held[0][0]]
+            n, d = U.T @ (X @ W), (U.T @ B) @ (W.T @ W)
+        num, den = num + w * n, den + w * d
+    return num, den
+
+
 def one_hot(labels, c):
     labels = np.asarray(labels, dtype=np.int64)
     Y = np.zeros((labels.shape[0], c))

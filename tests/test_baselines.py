@@ -150,6 +150,20 @@ def test_logreg_rejects_non_finite_or_out_of_range_settings(name, value):
         logreg_train(X, Y, **{name: value})
 
 
+@pytest.mark.parametrize("train, name", [
+    (lambda X, Y: nmf_fit(X, k=2.5, iters=5, seed=0), "k"),
+    (lambda X, Y: nmf_fit(X, k=2, iters=2.5, seed=0), "iters"),
+    (lambda X, Y: logreg_train(X, Y, steps=2.5), "steps"),
+], ids=["nmf-k", "nmf-iters", "logreg-steps"])
+def test_non_integer_counts_are_rejected(train, name):
+    # these used to end in TypeError from numpy or range
+    rng = np.random.default_rng(10)
+    X = rng.random((5, 6))
+    Y = one_hot(rng.integers(1, 3, size=6), 2)
+    with pytest.raises(InvalidConfigError, match=f"{name} must be an integer.*2.5"):
+        train(X, Y)
+
+
 def test_expit_matches_scipy_without_warnings():
     from scipy.special import expit as scipy_expit
 

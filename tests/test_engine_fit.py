@@ -217,6 +217,36 @@ def test_run_iteration_takes_any_iterable_and_leaves_it_unchanged():
                           from_generator[1].Theta_specific)
 
 
+@pytest.mark.parametrize("P, M", [(4, 2000), (3, 4000)])
+def test_fit_peak_is_the_pairs_and_one_step(P, M):
+    # one pair-factor set is the U blocks of one pair; beyond the P live
+    # pairs a step holds its numerator, denominator and step factor (1.33
+    # sets for U_target here); a second copy of the pair in work, or a new
+    # block built beside the step, reads P + 2.7
+    k1, k2 = 10, 50
+    data, v_init = random_problem(np.random.default_rng(13), M=M, n_s=40,
+                                  n_t=(30,) * P)
+    unit = M * (k1 + 2 * (k2 - k1)) * 8
+    tracemalloc.start()
+    try:
+        fit(data, Hyperparams(k1=k1, k2=k2, maxiter=2), v_init)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (P + 1.5) * unit, f"peak {peak / unit:.2f} pair-factor sets"
+
+
+@pytest.mark.parametrize("given", [2, 4], ids=["P-1", "P+1"])
+def test_run_iteration_needs_exactly_p_pairs(given):
+    rng = np.random.default_rng(15)
+    data, v_init = random_problem(rng, M=10, n_t=(5, 4, 6))
+    hp = Hyperparams(k1=2, k2=4)
+    factors, shared = init_factors(data, hp, v_init)
+    factors = (factors * 2)[:given]
+    with pytest.raises(InvalidConfigError, match="factors holds"):
+        run_iteration(data, iter(factors), shared, hp)
+
+
 def test_lambda_zero_decouples_pairs():
     # with no shared pull, each pair evolves as if fitted alone
     rng = np.random.default_rng(11)

@@ -9,7 +9,13 @@ numbers from both, and the factored objective must equal the residual form.
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from conftest import one_hot, random_state, reconstructions, tiny_hp
+from conftest import (
+    num_den_per_term,
+    one_hot,
+    random_state,
+    reconstructions,
+    tiny_hp,
+)
 from hypothesis import given, settings, strategies as st
 
 import mrtl.cli as cli
@@ -118,6 +124,22 @@ def test_objective_and_kernel_equal_on_dense_and_csc(problem):
             assert rel(getattr(got, name), getattr(want, name)) <= RTOL, name
     for name in vars(want_shared):
         assert rel(getattr(got_shared, name), getattr(want_shared, name)) <= RTOL
+
+
+@given(problems())
+def test_folded_kernel_matches_per_term_formulas(problem):
+    # the kernel folds each weight into a small factor and shares X @ W
+    # between terms; only rounding may separate it from the term-by-term sum
+    dense, csc, _, hp, rng = problem
+    factors, shared = random_state(rng, dense, hp)
+    for data in (dense, csc):
+        for p, f in enumerate(factors):
+            for block in BLOCKS:
+                got = _num_den(block, data, p, f, shared, hp.lam)
+                want = num_den_per_term(block, data, p, f, shared, hp.lam)
+                for g, w in zip(got, want):
+                    assert g.shape == w.shape, block
+                    assert rel(g, w) <= RTOL, block
 
 
 @given(problems())
