@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import InvalidConfigError
+from .engine import InvalidConfigError, _is_int
 from .linalg import EPSILON, as_corpus, frobenius_sq, residual_sq, stored_entries
 
 
@@ -25,11 +25,6 @@ def expit(x) -> np.ndarray:
     """
     with np.errstate(over="ignore"):
         return 1.0 / (1.0 + np.exp(-x))
-
-
-def _is_int(x) -> bool:
-    """x is a Python or numpy integer, so it can count steps or columns."""
-    return isinstance(x, (int, np.integer))
 
 
 def nmf_fit(X, k: int, iters: int, seed: int, on_iteration=None) -> tuple:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .engine import InvalidConfigError, ProblemData
+from .engine import InvalidConfigError, ProblemData, _is_int
 from .linalg import as_corpus, normalize_columns_l1
 
 # A loaded corpus with at most this share of nonzero entries is held as a
@@ -454,8 +454,9 @@ class SynthSpec:
     whose meaning is domain-specific. domain_shift in [0, 1] sets how far
     the specific clusters' class allegiance rotates in the targets; at 0
     the targets are distributed exactly like the source. noise sets the
-    relative level of additive nonnegative noise. The rules are checked
-    when an instance is built, dataclasses.replace included.
+    relative level of additive nonnegative noise. The counts must be
+    integers. The rules are checked when an instance is built,
+    dataclasses.replace included.
     """
 
     M: int
@@ -470,6 +471,10 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("M", "c", "P", "n_s", "n_t", "k1", "k2", "seed"):
+            if not _is_int(getattr(self, name)):
+                raise InvalidConfigError(
+                    f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.M < 1 or self.n_s < 1 or self.n_t < 1:
             raise InvalidConfigError(
                 f"M, n_s, n_t must be positive, got {self.M}, {self.n_s}, {self.n_t}"

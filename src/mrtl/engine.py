@@ -10,59 +10,54 @@ lam, which is what couples the P targets to each other. Source labels enter
 as a fixed one-hot assignment; each target's soft assignment V is free and
 its row argmax is the predicted class.
 
-The model is written down once, as the term table of _terms. Pair p adds
-three weighted terms w * ||X - B W^T||^2 to the objective, each with its
-own association product B = U_a Theta_a + U_b Theta_b (M x c, formed by
-_association): the target through the pair associations (w = 1, X_t,
-W = V), the source through the pair associations (w = 1, X_s, W = Y_s) and
-the target through the shared associations (w = lam, X_t, W = V).
-objective and the one update kernel, _num_den, read the table and are
-written in B alone. For any named block the kernel sums, over the terms
-that hold the block, the numerator and denominator of the multiplicative
-step x <- x * sqrt(num / den), where num - den is minus half the gradient.
-Term by term they are
+Pair p adds three weighted terms w * ||X - B W^T||^2 to the objective, each
+with its own association product B (M x c):
 
-    U_i:     num = w (X W) Theta_i^T    den = w B (W^T W Theta_i^T)
-    Theta_i: num = w U_i^T (X W)        den = w (U_i^T B) W^T W
-    W:       num = w X^T B              den = w W (B^T B)
+    target:  w = 1,   X = X_t, W = V,   B_t = U_c Theta_c + U_t Theta_t
+    source:  w = 1,   X = X_s, W = Y_s, B_s = U_c Theta_c + U_s Theta_s
+    shared:  w = lam, X = X_t, W = V,   B_g = U_c Theta^g_c + U_t Theta^g_s
 
-but the kernel folds each weight into a small factor and builds each X W
-once per step. With t ranging over the terms that hold the block,
-G_t = W_t^T W_t, and the U numerator summed over the groups of terms that
-share X and W:
+where U_c, U_t, U_s are U_common, U_target, U_source, Theta_c, Theta_t,
+Theta_s the pair associations, and Theta^g_c, Theta^g_s the shared ones.
+The multiplicative step on a block x is x <- x * sqrt(num / den), where
+num - den is minus half the gradient. tests/conftest.py sums num and den
+term by term as the reference; _num_den writes out the folded sums below,
+in which a weight scales only a c x k, c x c or M x c factor and the target
+and shared terms share one X_t V. With G = V^T V, XV = X_t V and the fixed
+XY = X_s Y_s and YY = Y_s^T Y_s that ProblemData holds:
 
-    U_i:     num = sum over groups of (X W) (sum_t w_t Theta_t,i)^T
-             den = sum_t B_t (w_t G_t Theta_t,i^T)
-    Theta_i: num = U_i^T (sum_t w_t X W_t)
-             den = U_i^T (sum_t B_t (w_t G_t))
-    W:       num = X^T (sum_t w_t B_t)
-             den = W (sum_t w_t B_t^T B_t)
-
-No weight scales an M x k array, only c x k, c x c and M x c ones, and the
-target and shared terms, which share X_t and V, share one X_t V. The
-source's fixed X_s Y_s and Y_s^T Y_s are read from ProblemData, and B and
-X W are built only for the terms that hold the block.
+    U_t:        num = XV (Theta_t + lam Theta^g_s)^T
+                den = B_t (G Theta_t^T) + B_g (lam G Theta^g_s^T)
+    U_s:        num = XY Theta_s^T
+                den = B_s (YY Theta_s^T)
+    U_c:        num = XV (Theta_c + lam Theta^g_c)^T + XY Theta_c^T
+                den = B_t (G Theta_c^T) + B_g (lam G Theta^g_c^T)
+                      + B_s (YY Theta_c^T)
+    Theta_t:    num = U_t^T XV              den = U_t^T (B_t G)
+    Theta_s:    num = U_s^T XY              den = U_s^T (B_s YY)
+    Theta_c:    num = U_c^T (XV + XY)       den = U_c^T (B_t G + B_s YY)
+    Theta^g_c:  num = U_c^T (lam XV)        den = U_c^T (B_g (lam G))
+    Theta^g_s:  num = U_t^T (lam XV)        den = U_t^T (B_g (lam G))
+    V:          num = X_t^T (B_t + lam B_g)
+                den = V (B_t^T B_t + lam B_g^T B_g)
 
 This is the factored form of Lee & Seung (NIPS 2000) and Ding et al. (KDD
-2006): besides X @ W it only multiplies by B and c x c Gram matrices, so no
-step forms an M x n matrix. The step preserves nonnegativity, and every
-denominator is floored at linalg.EPSILON (1e-12); the new block is written
-into the step factor's own buffer. The public update_* functions apply it
-block by block in a fixed order, each pair's steps followed by L1
+2006): no step forms an M x n matrix. The step preserves nonnegativity, and
+every denominator is floored at linalg.EPSILON (1e-12); the new block is
+written into the step factor's own buffer. The public update_* functions
+apply it block by block in a fixed order, each pair's steps followed by L1
 normalization of the cluster matrices (columns) and the assignment (rows).
 fit frees each pair's old factors as soon as the sweep has taken them, and
 the sweep holds the pair in work once, so beyond the P live pairs a step
-adds at most three arrays of its block's size (numerator, denominator and
-step factor, or a term's product while the denominator is summed).
+adds at most three arrays of its block's size.
 
 The objective is factored the same way: a term is
 w * (||X||^2 - 2 <X W, B> + <B^T B, W^T W>), where ||X||^2 is computed once
-per corpus by ProblemData, and X W and W^T W once per pair and assignment.
-The sum cancels badly near an exact fit, so a term that comes out below
-CANCELLATION_GUARD (1e-4) of ||X||^2 + 2 |<X W, B>| + <B^T B, W^T W> is
-taken again from its residual X - B W^T; that keeps the objective exactly 0
-on an exact reconstruction and within the monotonicity bounds the fit is
-held to.
+per corpus by ProblemData. The sum cancels badly near an exact fit, so a
+term that comes out below CANCELLATION_GUARD (1e-4) of
+||X||^2 + 2 |<X W, B>| + <B^T B, W^T W> is taken again from its residual
+X - B W^T; that keeps the objective exactly 0 on an exact reconstruction
+and within the monotonicity bounds the fit is held to.
 
 Since the corpora enter only through X @ W, X.T @ B and ||X||^2, each may
 be a dense array or a scipy sparse CSC array; the code is the same.
@@ -89,6 +84,11 @@ class InvalidConfigError(ValueError):
     """Hyperparameters or problem shapes that cannot be run."""
 
 
+def _is_int(x) -> bool:
+    """x is a Python or numpy integer, so it can count steps or columns."""
+    return isinstance(x, (int, np.integer))
+
+
 class NumericalDivergenceError(RuntimeError):
     """A factor matrix picked up a non-finite entry while fitting."""
 
@@ -104,9 +104,10 @@ class Hyperparams:
     k1 common and k2 total feature clusters per pair (k1 == k2 is allowed and
     leaves no domain-specific clusters), lam weights the shared-association
     term, and convergence_tol stops early on relative objective change when
-    positive; lam and convergence_tol must be finite. The rules are checked
-    when an instance is built, dataclasses.replace included, so every
-    Hyperparams in existence is valid.
+    positive; lam and convergence_tol must be finite, and the counts k1, k2,
+    maxiter and seed integers. The rules are checked when an instance is
+    built, dataclasses.replace included, so every Hyperparams in existence
+    is valid.
     """
 
     k1: int = 10
@@ -117,6 +118,10 @@ class Hyperparams:
     convergence_tol: float = 0.0
 
     def __post_init__(self):
+        for name in ("k1", "k2", "maxiter", "seed"):
+            if not _is_int(getattr(self, name)):
+                raise InvalidConfigError(
+                    f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.k1 < 1:
             raise InvalidConfigError(f"k1 must be a positive integer, got {self.k1}")
         if self.k2 < self.k1:
@@ -318,87 +323,24 @@ def init_factors(data: ProblemData, hp: Hyperparams, v_init) -> tuple:
     return factors, shared
 
 
-# Pair p's objective, once. Each row
-# (w, X, ||X||^2, ((U_a, Theta_a), (U_b, Theta_b)), W) stands for
-# w * ||X - U_a Theta_a W^T - U_b Theta_b W^T||^2; factor blocks are named by
-# their TargetFactors field, "shared." + their SharedFactors field, or "Y_s".
-def _terms(data: ProblemData, p: int, lam: float) -> tuple:
-    X_t, xx_t = data.targets[p], data.sq_norms[p + 1]
-    return (
-        (1.0, X_t, xx_t,
-         (("U_common", "Theta_common"), ("U_target", "Theta_target")), "V"),
-        (1.0, data.X_s, data.sq_norms[0],
-         (("U_common", "Theta_common"), ("U_source", "Theta_source")), "Y_s"),
-        (lam, X_t, xx_t,
-         (("U_common", "shared.Theta_common"), ("U_target", "shared.Theta_specific")),
-         "V"),
-    )
-
-
-def _blocks(data: ProblemData, f: TargetFactors, shared: SharedFactors) -> dict:
-    return {
-        **vars(f),
-        "Y_s": data.Y_s,
-        "shared.Theta_common": shared.Theta_common,
-        "shared.Theta_specific": shared.Theta_specific,
-    }
-
-
-def _association(b: dict, pairs) -> np.ndarray:
-    """B = U_a Theta_a + U_b Theta_b (M x c) of the term with these pairs."""
-    (u_a, t_a), (u_b, t_b) = pairs
-    return b[u_a] @ b[t_a] + b[u_b] @ b[t_b]
-
-
-def _corpus_products(data: ProblemData, X, b: dict, W_name: str) -> tuple:
-    """(X @ W, W^T W) for a term's corpus X and assignment W; the source's
-    fixed pair is read from ProblemData."""
-    if W_name == "Y_s":
-        return data.XY_s, data.YY_s
-    W = b[W_name]
-    return X @ W, W.T @ W
-
-
-def _scale(w: float, a) -> np.ndarray:
-    """w * a; a weight of 1 multiplies nothing (1 * x == x exactly)."""
-    return a if w == 1.0 else w * a
-
-
-def _weighted_sum(terms) -> np.ndarray:
-    """Sum of w * a over the (w, a) in terms, never written into an a."""
-    arrays = [_scale(w, a) for w, a in terms]
-    return sum(arrays[1:], arrays[0])
-
-
-def _sum(products) -> np.ndarray:
-    """Sum of freshly built arrays, accumulated in place into the first;
-    from a generator, only the running sum and one more array are alive."""
-    products = iter(products)
-    total = next(products)
-    for a in products:
-        total += a
-    return total
-
-
 def objective(data: ProblemData, factors, shared: SharedFactors,
               hp: Hyperparams) -> float:
-    """Joint squared reconstruction error over all pairs.
-
-    Sum over p of ||X_t^p - rec_target||^2 + ||X_s - rec_source||^2
-    + lam * ||X_t^p - rec_shared||^2. Each term is taken in factored form,
-    without the M x n reconstruction, unless cancellation would cost it its
-    accuracy; then it is taken on the residual itself (see residual_sq).
-    X @ W and W^T W are built once per pair and assignment.
+    """Joint squared reconstruction error over all pairs: the sum over p of
+    the target, source and lam-weighted shared terms. Each is taken in
+    factored form unless cancellation would cost it its accuracy (see
+    residual_sq). X_t V, V^T V and U_c Theta_c are built once per pair.
     """
+    X_s, xx_s = data.X_s, data.sq_norms[0]
     total = 0.0
     for p, f in enumerate(factors):
-        b = _blocks(data, f, shared)
-        products = {}
-        for w, X, xx, pairs, W in _terms(data, p, hp.lam):
-            if W not in products:
-                products[W] = _corpus_products(data, X, b, W)
-            total += w * residual_sq(X, xx, _association(b, pairs), b[W],
-                                     *products[W])
+        X_t, xx_t, V = data.targets[p], data.sq_norms[p + 1], f.V
+        XV, G = X_t @ V, V.T @ V
+        UcTc = f.U_common @ f.Theta_common
+        B_g = f.U_common @ shared.Theta_common + f.U_target @ shared.Theta_specific
+        total += residual_sq(X_t, xx_t, UcTc + f.U_target @ f.Theta_target, V, XV, G)
+        total += residual_sq(X_s, xx_s, UcTc + f.U_source @ f.Theta_source,
+                             data.Y_s, data.XY_s, data.YY_s)
+        total += hp.lam * residual_sq(X_t, xx_t, B_g, V, XV, G)
     return total
 
 
@@ -406,40 +348,48 @@ def _num_den(name: str, data: ProblemData, p: int, f: TargetFactors,
              shared: SharedFactors, lam: float) -> tuple:
     """Numerator and denominator of the multiplicative step on one block.
 
-    Sums over pair p's terms that hold the block named name, with the
-    shared term weighted by lam; num - den is minus half the gradient of
-    pair p's objective in that block. It follows the folded table of the
-    module docstring: each X @ W is built once, and no weight scales an
-    M x k array.
+    name is a TargetFactors field or "shared." + a SharedFactors field. Each
+    branch is the block's row of the module docstring's folded table: it sums
+    pair p's terms that hold the block, the shared one weighted by lam, and
+    builds only what it reads. num - den is minus half the gradient.
     """
-    b = _blocks(data, f, shared)
-    # assignment name -> (X, [(w, B, the block paired with name)]): the terms
-    # that hold name, grouped by the X @ W they share
-    groups = {}
-    for w, X, _, pairs, W in _terms(data, p, lam):
-        held = [t if u == name else u for u, t in pairs if name in (u, t)]
-        if held or name == W:
-            groups.setdefault(W, (X, []))[1].append(
-                (w, _association(b, pairs), held[0] if held else None))
-    if name in groups:
-        X, terms = groups[name]
-        return (X.T @ _weighted_sum((w, B) for w, B, _ in terms),
-                b[name] @ _weighted_sum((w, B.T @ B) for w, B, _ in terms))
-    groups = [(*_corpus_products(data, X, b, W), terms)
-              for W, (X, terms) in groups.items()]
-    if name.startswith("U_"):
-        num = _sum(XW @ _weighted_sum((w, b[t]) for w, _, t in terms).T
-                   for XW, _, terms in groups)
-        den = _sum(B @ _scale(w, G @ b[t].T)
-                   for _, G, terms in groups for w, B, t in terms)
+    X_t, V, XY, YY = data.targets[p], f.V, data.XY_s, data.YY_s
+    Uc, Ut, Us = f.U_common, f.U_target, f.U_source
+    Tc, Tt, Ts = f.Theta_common, f.Theta_target, f.Theta_source
+    Sc, Ss = shared.Theta_common, shared.Theta_specific
+    if name == "V":
+        B_t, B_g = Uc @ Tc + Ut @ Tt, Uc @ Sc + Ut @ Ss
+        return X_t.T @ (B_t + lam * B_g), V @ (B_t.T @ B_t + lam * (B_g.T @ B_g))
+    if name == "U_source":
+        return XY @ Ts.T, (Uc @ Tc + Us @ Ts) @ (YY @ Ts.T)
+    if name == "Theta_source":
+        return Us.T @ XY, Us.T @ ((Uc @ Tc + Us @ Ts) @ YY)
+    XV, G = X_t @ V, V.T @ V
+    if name == "Theta_target":
+        return Ut.T @ XV, Ut.T @ ((Uc @ Tc + Ut @ Tt) @ G)
+    if name == "Theta_common":
+        UcTc = Uc @ Tc
+        den = (UcTc + Ut @ Tt) @ G
+        den += (UcTc + Us @ Ts) @ YY
+        return Uc.T @ (XV + XY), Uc.T @ den
+    B_g = Uc @ Sc + Ut @ Ss
+    if name == "shared.Theta_common":
+        return Uc.T @ (lam * XV), Uc.T @ (B_g @ (lam * G))
+    if name == "shared.Theta_specific":
+        return Ut.T @ (lam * XV), Ut.T @ (B_g @ (lam * G))
+    if name == "U_target":
+        den = (Uc @ Tc + Ut @ Tt) @ (G @ Tt.T)
+        den += B_g @ (lam * (G @ Ss.T))
+        return XV @ (Tt + lam * Ss).T, den
+    if name == "U_common":
+        UcTc = Uc @ Tc
+        num = XV @ (Tc + lam * Sc).T
+        num += XY @ Tc.T
+        den = (UcTc + Ut @ Tt) @ (G @ Tc.T)
+        den += B_g @ (lam * (G @ Sc.T))
+        den += (UcTc + Us @ Ts) @ (YY @ Tc.T)
         return num, den
-    # a Theta block: every term that holds it pairs it with the same U
-    (u,) = {u for _, _, terms in groups for _, _, u in terms}
-    U = b[u]
-    return (U.T @ _weighted_sum((w, XW) for XW, _, terms in groups
-                                for w, _, _ in terms),
-            U.T @ _sum(B @ _scale(w, G) for _, G, terms in groups
-                       for w, B, _ in terms))
+    raise ValueError(f"no factor block named {name!r}")
 
 
 def _scaled(factors, field: str, num, den):

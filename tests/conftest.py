@@ -3,16 +3,40 @@
 import numpy as np
 from hypothesis import settings
 
-from mrtl.engine import (
-    Hyperparams,
-    ProblemData,
-    SharedFactors,
-    TargetFactors,
-    _association,
-    _blocks,
-    _terms,
-)
+from mrtl.engine import Hyperparams, ProblemData, SharedFactors, TargetFactors
 from mrtl.linalg import normalize_columns_l1, normalize_rows_l1
+
+
+# Pair p's objective, once. Each row
+# (w, X, ||X||^2, ((U_a, Theta_a), (U_b, Theta_b)), W) stands for
+# w * ||X - U_a Theta_a W^T - U_b Theta_b W^T||^2; factor blocks are named by
+# their TargetFactors field, "shared." + their SharedFactors field, or "Y_s".
+def _terms(data: ProblemData, p: int, lam: float) -> tuple:
+    X_t, xx_t = data.targets[p], data.sq_norms[p + 1]
+    return (
+        (1.0, X_t, xx_t,
+         (("U_common", "Theta_common"), ("U_target", "Theta_target")), "V"),
+        (1.0, data.X_s, data.sq_norms[0],
+         (("U_common", "Theta_common"), ("U_source", "Theta_source")), "Y_s"),
+        (lam, X_t, xx_t,
+         (("U_common", "shared.Theta_common"), ("U_target", "shared.Theta_specific")),
+         "V"),
+    )
+
+
+def _blocks(data: ProblemData, f: TargetFactors, shared: SharedFactors) -> dict:
+    return {
+        **vars(f),
+        "Y_s": data.Y_s,
+        "shared.Theta_common": shared.Theta_common,
+        "shared.Theta_specific": shared.Theta_specific,
+    }
+
+
+def _association(b: dict, pairs) -> np.ndarray:
+    """B = U_a Theta_a + U_b Theta_b (M x c) of the term with these pairs."""
+    (u_a, t_a), (u_b, t_b) = pairs
+    return b[u_a] @ b[t_a] + b[u_b] @ b[t_b]
 
 
 def reconstructions(data: ProblemData, p: int, f: TargetFactors,
@@ -47,7 +71,7 @@ def objective_grad_u_target(data, p: int, f: TargetFactors,
 def num_den_per_term(name: str, data: ProblemData, p: int, f: TargetFactors,
                      shared: SharedFactors, lam: float) -> tuple:
     """The kernel's numerator and denominator for one block, summed term by
-    term as in the per-term table of the engine docstring:
+    term over the table of _terms:
 
         U_i:     num = w (X W) Theta_i^T    den = w B (W^T W Theta_i^T)
         Theta_i: num = w U_i^T (X W)        den = w (U_i^T B) W^T W
@@ -121,7 +145,7 @@ def exact_problem(rng, M=7, n_s=5, n_t=(4, 6), c=2, k1=2, ks=2):
 
     Every pair carries the same factor blocks and the shared associations
     equal the pair ones, so all three residual terms are zero bitwise. The
-    corpora are built from the engine's own association products
+    corpora are built from the association products the engine forms
     (reconstructions above) to avoid last-ulp grouping differences.
     """
     U_common = normalize_columns_l1(rng.random((M, k1)) + 0.1)

@@ -291,3 +291,16 @@ def test_synthetic_rejects_invalid_spec():
         generate_synthetic(small_spec(c=1))
     with pytest.raises(InvalidConfigError):
         generate_synthetic(small_spec(k2=41))
+
+
+@pytest.mark.parametrize("name, value", [
+    ("M", 40.5), ("c", 2.5), ("P", 1.5), ("n_s", 6.5), ("n_t", 18.5),
+    ("k1", 2.5), ("k2", 8.5), ("seed", 1.5),
+])
+def test_synth_spec_rejects_non_integer_counts(name, value):
+    # unchecked, a float count reaches numpy or range and ends in a
+    # TypeError or IndexError inside generate_synthetic
+    with pytest.raises(InvalidConfigError,
+                       match=f"{name} must be an integer, got {value}"):
+        small_spec(**{name: value})
+    assert small_spec(**{name: np.int64(round(value))})

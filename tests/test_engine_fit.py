@@ -1,10 +1,11 @@
 """Full fitting loop: monotonicity, determinism, stopping, prediction."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import one_hot, random_problem
+from conftest import one_hot, random_problem, random_state
 from hypothesis import example, given, strategies as st
 
 from mrtl.engine import (
@@ -82,6 +83,20 @@ def test_fit_rejects_bad_hyperparams():
         fit(data, Hyperparams(k1=2, k2=4, lam=-1.0), v_init)
     with pytest.raises(InvalidConfigError):
         fit(data, Hyperparams(k1=2, k2=999), v_init)  # k2 > M
+
+
+@pytest.mark.parametrize("name, value", [
+    ("k1", 2.5), ("k2", 4.5), ("maxiter", 2.5), ("seed", 1.5),
+])
+def test_hyperparams_reject_non_integer_counts(name, value):
+    # unchecked, a float count reaches range or default_rng and ends in a
+    # TypeError inside fit
+    with pytest.raises(InvalidConfigError,
+                       match=f"{name} must be an integer, got {value}"):
+        Hyperparams(**{"k1": 2, "k2": 5, name: value})
+    with pytest.raises(InvalidConfigError, match=f"{name} must be an integer"):
+        replace(Hyperparams(k1=2, k2=5), **{name: value})
+    assert Hyperparams(**{"k1": 2, "k2": 5, name: np.int64(round(value))})
 
 
 def test_fit_allows_k1_equal_k2():
@@ -245,6 +260,33 @@ def test_run_iteration_needs_exactly_p_pairs(given):
     factors = (factors * 2)[:given]
     with pytest.raises(InvalidConfigError, match="factors holds"):
         run_iteration(data, iter(factors), shared, hp)
+
+
+def test_pair_sweep_does_not_depend_on_pair_order():
+    # pairs read only their own target and factors and the shared snapshot,
+    # so permuting the targets permutes the new pair factors bitwise; the
+    # shared step sums over pairs, so its rounding may follow the order
+    rng = np.random.default_rng(16)
+    for _ in range(30):
+        P = int(rng.integers(2, 5))
+        data, _ = random_problem(rng, M=int(rng.integers(5, 10)),
+                                 n_t=tuple(int(n) for n in rng.integers(2, 7, P)),
+                                 c=int(rng.integers(2, 4)))
+        hp = Hyperparams(k1=int(rng.integers(1, 3)), k2=4,
+                         lam=float(rng.choice([0.5, 1.0, 10.0])))
+        factors, shared = random_state(rng, data, hp)
+        order = rng.permutation(P)
+        permuted = ProblemData(X_s=data.X_s, Y_s=data.Y_s,
+                               targets=tuple(data.targets[q] for q in order))
+        want, want_shared = run_iteration(data, factors, shared, hp)
+        got, got_shared = run_iteration(permuted, [factors[q] for q in order],
+                                        shared, hp)
+        for f, q in zip(got, order):
+            for name, a in vars(f).items():
+                assert np.array_equal(a, getattr(want[q], name)), name
+        for name, a in vars(got_shared).items():
+            b = getattr(want_shared, name)
+            assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), name
 
 
 def test_lambda_zero_decouples_pairs():
