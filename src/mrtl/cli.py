@@ -380,7 +380,7 @@ def cmd_sweep(args) -> int:
     )
     lines = [header]
     for v, hp in zip(values, settings):
-        factors, _, _ = fit(data, hp, v_init, truth=truth)
+        factors, _, _ = fit(data, hp, v_init)
         accs = [accuracy(predict(f), t) for f, t in zip(factors, truth)]
         cells = [repr(float(v))]
         cells.extend(repr(float(a)) for a in accs)

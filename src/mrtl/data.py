@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .engine import InvalidConfigError, ProblemData, _is_int
+from .engine import Hyperparams, InvalidConfigError, ProblemData, _is_int
 from .linalg import as_corpus, normalize_columns_l1
 
 # A loaded corpus with at most this share of nonzero entries is held as a
@@ -178,10 +178,11 @@ def _entry(tok: str, M: int, prev: int, lineno: int) -> tuple:
     return idx, val
 
 
-# Record entries are converted into X in blocks of at least this many bytes
-# (a block ends with the record that reaches it). At 256 KiB the numpy passes
-# over a block cost far more than setting them up, and the text and the
-# per-byte arrays of one block stay small beside a dense corpus.
+# Record entries are converted into X in blocks of at least this many
+# characters (a block ends with the record that reaches it), which are bytes
+# in every block the numpy passes read. At 256 KiB those passes cost far more
+# than setting them up, and the text and the per-byte arrays of one block
+# stay small beside a dense corpus.
 BLOCK_BYTES = 256 * 1024
 
 # the ASCII characters str.split() splits on; every one becomes a space, a
@@ -192,7 +193,8 @@ _BLANKS = bytes(
     32 if b in _WHITESPACE else b if b in b"0123456789:.eE+-" else ord("x")
     for b in range(256)
 )
-# an index of up to 18 digits fits int64; a longer one goes to _entry
+# an index of up to 18 digits fits int64; a block with a longer one goes to
+# _entry
 _MAX_INDEX_DIGITS = 18
 
 
@@ -210,18 +212,11 @@ class _Block:
     def add(self, text: str, lineno: int, col: int) -> None:
         """Queue the entries text of the record on line lineno, column col;
         convert the block once it holds BLOCK_BYTES."""
-        if text.isascii():
-            nbytes = len(text)
-        else:
-            # rejoined on single spaces, so that the block pass only has to
-            # know ASCII whitespace
-            text = " ".join(text.split())
-            nbytes = len(text.encode("utf-8", "surrogatepass"))
         self.texts.append(text)
         self.starts.append(self.size)
         self.linenos.append(lineno)
         self.cols.append(col)
-        self.size += nbytes + 1
+        self.size += len(text) + 1
         if self.size >= BLOCK_BYTES:
             self.flush()
 
@@ -230,84 +225,58 @@ class _Block:
         of the first faulty one; the block is empty afterwards either way."""
         if not self.texts:
             return
-        self.texts.append("")  # every record, the last too, ends in "\n"
-        data = "\n".join(self.texts).encode("utf-8", "surrogatepass")
-        starts, linenos, cols = self.starts, self.linenos, self.cols
+        texts, starts, linenos, cols = self.texts, self.starts, self.linenos, self.cols
         self._clear()
-        _convert_block(self.X, data, np.array(starts), linenos, np.array(cols))
+        # every record, the last too, ends in "\n"
+        data = "\n".join([*texts, ""]).encode("utf-8", "surrogatepass")
+        if _convert_block(self.X, data, np.array(starts), np.array(cols)):
+            return
+        # the scalar rule in file order raises at the first faulty entry, or
+        # else converts every one
+        M = self.X.shape[0]
+        for text, lineno, col in zip(texts, linenos, cols):
+            prev = 0
+            for tok in text.split():
+                idx, val = _entry(tok, M, prev, lineno)
+                self.X[idx - 1, col] = val
+                prev = idx
 
 
-def _convert_block(X, data: bytes, starts, linenos, cols) -> None:
-    """Write the entries of a block into X in numpy passes over its bytes.
+def _convert_block(X, data: bytes, starts, cols) -> bool:
+    """Write the entries of a block into X in numpy passes over its bytes
+    and return True, or write nothing and return False.
 
     data holds the records' entries, each record ending in "\n"; record r
-    starts at byte starts[r] and comes from line linenos[r], column cols[r].
-    A plain token, up to 18 ASCII digits, a colon and a value of
-    ``0-9 . e E + -``, is converted in bulk, its value by one fromstring
-    over the block. Every other token goes through _entry, and so does the
-    whole block when fromstring cannot vouch for every value or any entry
-    fails a check; _entry then names the first faulty entry in file order.
+    starts at byte starts[r] and goes to column cols[r]. The passes read a
+    block only when every token is plain, up to 18 ASCII digits, a colon and
+    a value of ``0-9 . e E + -``, fromstring vouches for every value, and
+    every entry passes the checks; any other block is left to _entry.
     """
     M = X.shape[0]
-    text = np.frombuffer(bytearray(data.translate(_BLANKS)), dtype=np.uint8)
+    blanked = data.translate(_BLANKS)
+    if b"x" in blanked:
+        return False
+    text = np.frombuffer(bytearray(blanked), dtype=np.uint8)
     word = text != ord(" ")
     # token t is text[begin[t]:end[t]]; text[end[t]] is a space
     edges = np.flatnonzero(np.diff(word, prepend=False, append=False))
     begin, end = edges[0::2], edges[1::2]
-    rec = np.searchsorted(starts, begin, side="right") - 1
-    plain, colon = _plain_tokens(text, begin, end)
-
-    idx = np.zeros(rec.size, dtype=np.int64)
-    idx[plain], digits = _read_indices(text, begin[plain], colon)
-    plain = plain[digits]
-    rare = np.ones(rec.size, dtype=bool)
-    rare[plain] = False
-    # what is left of text once the indices, colons and rare tokens are
-    # blanked out with NULs is the plain values between whitespace
-    for t in np.flatnonzero(rare).tolist():
-        text[begin[t]:end[t]] = 0
-    val = np.zeros(rec.size)
-    values = _read_values(text[text != 0].tobytes(), plain.size)
-
-    def convert(tokens):
-        # _entry in file order: prev(t) reads the index just converted
-        for t in tokens:
-            line = linenos[rec[t]]
-            prev = int(idx[t - 1]) if t and rec[t - 1] == rec[t] else 0
-            token = data[begin[t]:end[t]].decode("utf-8", "surrogatepass")
-            idx[t], val[t] = _entry(token, M, prev, line)
-
-    proven = values is not None
-    if proven:
-        val[plain] = values
-        try:
-            convert(np.flatnonzero(rare).tolist())
-        except CorpusFormatError:
-            proven = False
-    if proven:
-        after = np.concatenate(
-            ([0], np.where(rec[1:] == rec[:-1], idx[:-1], 0)))
-        proven = not np.any(
-            (idx <= after) | (idx > M) | ~((val >= 0.0) & (val < np.inf)))
-    if not proven:
-        # some entry fails a check, or fromstring could not vouch for every
-        # value: the whole block goes through _entry, which raises at the
-        # first faulty entry in file order, or else converts every token
-        convert(range(rec.size))
-    X[idx - 1, cols[rec]] = val
-
-
-def _plain_tokens(text, begin, end) -> tuple:
-    """(tokens, colons): the tokens made of ``0-9 : . e E + -`` alone whose
-    first colon has at most 18 bytes before it, and where that colon is."""
     colons = np.flatnonzero(text == ord(":"))
     colon = np.append(colons, text.size)[np.searchsorted(colons, begin)]
-    plain = (colon - begin <= _MAX_INDEX_DIGITS) & (colon < end)
-    others = np.flatnonzero(text == ord("x"))
-    if others.size:
-        plain[np.searchsorted(begin, others, side="right") - 1] = False
-    tokens = np.flatnonzero(plain)
-    return tokens, colon[tokens]
+    if np.any((colon - begin > _MAX_INDEX_DIGITS) | (colon >= end)):
+        return False
+    idx, digits = _read_indices(text, begin, colon)
+    # what is left of text once the indices and colons are blanked out with
+    # NULs is the values between whitespace
+    val = _read_values(text[text != 0].tobytes(), begin.size)
+    if val is None or not digits.all():
+        return False
+    rec = np.searchsorted(starts, begin, side="right") - 1
+    prev = np.concatenate(([0], np.where(rec[1:] == rec[:-1], idx[:-1], 0)))
+    if np.any((idx <= prev) | (idx > M) | ~((val >= 0.0) & (val < np.inf))):
+        return False
+    X[idx - 1, cols[rec]] = val
+    return True
 
 
 def _read_indices(text, begin, colon) -> tuple:
@@ -471,10 +440,12 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("M", "c", "P", "n_s", "n_t", "k1", "k2", "seed"):
+        for name in ("M", "c", "P", "n_s", "n_t"):
             if not _is_int(getattr(self, name)):
                 raise InvalidConfigError(
                     f"{name} must be an integer, got {getattr(self, name)!r}")
+        # k1, k2 and seed follow the solver's rules
+        Hyperparams(k1=self.k1, k2=self.k2, seed=self.seed)
         if self.M < 1 or self.n_s < 1 or self.n_t < 1:
             raise InvalidConfigError(
                 f"M, n_s, n_t must be positive, got {self.M}, {self.n_s}, {self.n_t}"
@@ -483,12 +454,6 @@ class SynthSpec:
             raise InvalidConfigError(f"need at least 2 classes, got {self.c}")
         if self.P < 1:
             raise InvalidConfigError(f"need at least 1 target, got {self.P}")
-        if self.k1 < 1:
-            raise InvalidConfigError(f"k1 must be a positive integer, got {self.k1}")
-        if self.k2 < self.k1:
-            raise InvalidConfigError(
-                f"k1 must not exceed k2, got k1={self.k1}, k2={self.k2}"
-            )
         if self.k2 > self.M:
             raise InvalidConfigError(
                 f"k2={self.k2} exceeds the number of features M={self.M}"
@@ -497,8 +462,6 @@ class SynthSpec:
             raise InvalidConfigError(
                 f"noise must be finite and nonnegative, got {self.noise}"
             )
-        if self.seed < 0:
-            raise InvalidConfigError(f"seed must be nonnegative, got {self.seed}")
         if not 0.0 <= self.domain_shift <= 1.0:
             raise InvalidConfigError(
                 f"domain_shift must lie in [0, 1], got {self.domain_shift}"

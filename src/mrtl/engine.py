@@ -148,9 +148,10 @@ class ProblemData:
     """A labeled source corpus plus P unlabeled target corpora.
 
     X_s is M x n_s, Y_s is the n_s x c one-hot label matrix, and each entry
-    of targets is an M x n_p matrix over the same M features. A corpus may
-    be a dense array or a scipy sparse array, which is held as CSC. All
-    matrices must be nonnegative. Callers normally pass column-normalized
+    of targets is an M x n_p matrix over the same M features; every corpus
+    holds at least one instance. A corpus may be a dense array or a scipy
+    sparse array, which is held as CSC. All matrices must be nonnegative.
+    Callers normally pass column-normalized
     corpora (each instance a distribution over features). sq_norms holds
     ||X_s||^2 followed by each target's squared Frobenius norm, XY_s the
     fixed M x c product X_s @ Y_s and YY_s the fixed c x c Gram matrix
@@ -174,6 +175,8 @@ class ProblemData:
             raise InvalidConfigError("at least one target corpus is required")
         if any(t.ndim != 2 for t in targets):
             raise InvalidConfigError("every target must be a 2-d matrix")
+        if X_s.shape[1] < 1:
+            raise InvalidConfigError("the source corpus has no instances")
         if Y_s.shape[0] != X_s.shape[1]:
             raise InvalidConfigError(
                 f"Y_s has {Y_s.shape[0]} rows but X_s has {X_s.shape[1]} instances"
@@ -188,6 +191,8 @@ class ProblemData:
                     f"target {p + 1} has {t.shape[0]} features but the source "
                     f"has {X_s.shape[0]}"
                 )
+            if t.shape[1] < 1:
+                raise InvalidConfigError(f"target {p + 1} has no instances")
         if not np.all(stored_entries(X_s) >= 0):
             raise InvalidConfigError("X_s must be nonnegative")
         if any(not np.all(stored_entries(t) >= 0) for t in targets):

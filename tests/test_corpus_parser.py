@@ -219,7 +219,8 @@ RARE = "8:1_0 +9:2 10:\u0663"
 
 
 def test_plain_tokens_are_read_in_bulk(monkeypatch):
-    # odd but plain spellings never reach the scalar rule; the rest do
+    # odd but plain spellings never reach the scalar rule; a block holding
+    # any other token goes through it whole
     seen = []
     entry = mrtl.data._entry
 
@@ -228,10 +229,12 @@ def test_plain_tokens_are_read_in_bulk(monkeypatch):
         return entry(tok, *args)
 
     monkeypatch.setattr(mrtl.data, "_entry", spy)
-    text = f"20 1 2\n1 {PLAIN} {RARE}\n"
-    assert outcome(parse_corpus, text.splitlines()) == outcome(
-        scalar_parse, text.splitlines())
-    assert seen == RARE.split()
+    for tokens, scalar in [(PLAIN, []), (f"{PLAIN} {RARE}", f"{PLAIN} {RARE}".split())]:
+        seen.clear()
+        text = f"20 1 2\n1 {tokens}\n"
+        assert outcome(parse_corpus, text.splitlines()) == outcome(
+            scalar_parse, text.splitlines())
+        assert seen == scalar
 
 
 @pytest.mark.parametrize("last", [
@@ -306,6 +309,28 @@ def test_first_fault_across_block_boundary_is_named(faults, tmp_path):
     assert expected[0] == first
     assert outcome(parse_corpus, text.splitlines()) == expected
     assert outcome(lambda _: load_corpus(path), None) == expected
+
+
+def test_scalar_rule_reads_only_the_blocks_that_need_it(monkeypatch):
+    # a rare value in the first record sends the first block through _entry;
+    # every record from the second block on is still read in bulk
+    header, records, boundary = multi_block_corpus()
+    label, first, rest = records[0].split(None, 2)
+    idx, _, val = first.partition(":")
+    assert len(val) >= 3  # padded to its length, so the block ends where it did
+    records = [f"{label} {idx}:{'1_0'.rjust(len(val), '0')} {rest}", *records[1:]]
+    text = "\n".join([header] + records) + "\n"
+    seen = []
+    entry = mrtl.data._entry
+
+    def spy(tok, *args):
+        seen.append(tok)
+        return entry(tok, *args)
+
+    monkeypatch.setattr(mrtl.data, "_entry", spy)
+    assert outcome(parse_corpus, text.splitlines()) == outcome(
+        scalar_parse, text.splitlines())
+    assert seen == [tok for r in records[:boundary] for tok in r.split()[1:]]
 
 
 def test_file_and_lines_parse_alike_across_blocks(tmp_path):

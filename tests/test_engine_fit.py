@@ -178,6 +178,22 @@ def test_fit_rejects_bad_truth():
         fit(data, hp, v_init, truth=[np.ones(5), np.ones(99)])
 
 
+def test_problem_data_rejects_corpora_with_no_instances():
+    # unchecked, an empty source fits with no labels at all to a
+    # normal-looking trace, and an empty target's trace accuracy is the
+    # mean of an empty slice
+    data, _ = random_problem(np.random.default_rng(0), M=6, n_t=(4,))
+    empty = np.zeros((6, 0))
+    cases = [
+        (dict(targets=(empty,)), "target 1 has no instances"),
+        (dict(targets=(data.targets[0], empty)), "target 2 has no instances"),
+        (dict(X_s=empty, Y_s=np.zeros((0, 2))), "the source corpus has no instances"),
+    ]
+    for changes, message in cases:
+        with pytest.raises(InvalidConfigError, match=message):
+            replace(data, **changes)
+
+
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
 def test_fit_raises_on_divergence_with_iteration():
     data = ProblemData(
