@@ -2,13 +2,15 @@
 
 Exit codes: 0 success, 2 configuration error (bad flags, unreadable paths,
 invalid hyperparameters), 3 parse error in an input file, 4 numeric failure
-while fitting. Every output file is written to a temporary name and renamed
-into place, so a failed run leaves no partial outputs.
+while fitting. Each command computes everything it writes before it writes
+anything; then every file goes to a temporary name and all are renamed into
+place, manifest.txt last. So a run writes all of its files or replaces none.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -48,11 +50,25 @@ EXIT_PARSE = 3
 EXIT_NUMERIC = 4
 
 
-def _write_text(path: str, text: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+def _write_outputs(out: str, files) -> None:
+    """Write each (name, text) of files into directory out, all or none:
+    every file goes to name + ".tmp", and only after the last one are they
+    renamed into place, manifest.txt last. A failed write removes them."""
+    os.makedirs(out, exist_ok=True)
+    names = []
+    try:
+        for name, text in files:
+            names.append(name)
+            with open(os.path.join(out, name + ".tmp"), "w", encoding="utf-8") as fh:
+                fh.write(text)
+            del text  # freed before files builds the next one
+    except BaseException:
+        for name in names:
+            with contextlib.suppress(OSError):
+                os.remove(os.path.join(out, name + ".tmp"))
+        raise
+    for name in sorted(names, key=lambda name: name == "manifest.txt"):
+        os.replace(os.path.join(out, name + ".tmp"), os.path.join(out, name))
 
 
 def _check_readable(paths) -> None:
@@ -87,26 +103,24 @@ def _read_labels(path: str, c: int | None = None) -> np.ndarray:
     return np.asarray(labels, dtype=np.int64)
 
 
-def _manifest(command: str, pairs: dict) -> str:
-    lines = [f"command={command}"]
-    for key in sorted(pairs):
-        lines.append(f"{key}={pairs[key]}")
+# parsed flags the manifest leaves out: the subcommand comes first on its own
+# line, and sweep writes its parsed sweep_axis and sweep_values instead
+_NOT_IN_MANIFEST = {"command", "func", "sweep_k1", "sweep_lambda"}
+_MANIFEST_KEYS = {"lam": "lambda", "truths": "truth"}
+
+
+def _manifest(args, **extra) -> str:
+    """command= and then every parsed flag and each extra, sorted by key; a
+    repeated flag is joined with commas and an absent one is empty."""
+    pairs = {_MANIFEST_KEYS.get(key, key): value for key, value in vars(args).items()
+             if key not in _NOT_IN_MANIFEST}
+    pairs.update(extra)
+    lines = [f"command={args.command}"]
+    for key, value in sorted(pairs.items()):
+        if isinstance(value, list):
+            value = ",".join(str(v) for v in value)
+        lines.append(f"{key}={'' if value is None else value}")
     return "\n".join(lines) + "\n"
-
-
-def _run_manifest_pairs(args) -> dict:
-    return {
-        "source": args.source,
-        "targets": ",".join(args.targets),
-        "truth": ",".join(args.truths) if args.truths else "",
-        "lambda": repr(float(args.lam)),
-        "k1": args.k1,
-        "k2": args.k2,
-        "maxiter": args.maxiter,
-        "seed": args.seed,
-        "tol": repr(float(args.tol)),
-        "out": args.out,
-    }
 
 
 def _load_problem(args) -> tuple:
@@ -205,7 +219,7 @@ def _predictions_text(labels) -> str:
 
 def _metrics_text(baseline: str, rows, preds, truth) -> str:
     lines = [f"baseline={baseline}", f"iterations={len(rows)}"]
-    if rows and rows[-1].objective is not None:
+    if rows:
         lines.append(f"final_objective={float(rows[-1].objective)!r}")
     if truth is not None:
         accs = [accuracy(pred, t) for pred, t in zip(preds, truth)]
@@ -223,11 +237,6 @@ def _logreg_init(data, collect_loss=None):
 def cmd_train(args) -> int:
     hp = _hyperparams(args)
     data, truth = _load_problem(args)
-    os.makedirs(args.out, exist_ok=True)
-    pairs = _run_manifest_pairs(args)
-    pairs["baseline"] = args.baseline
-    _write_text(os.path.join(args.out, "manifest.txt"), _manifest("train", pairs))
-
     if args.baseline == "mrtl":
         _, v_init = _logreg_init(data)
         factors, _, rows = fit(data, hp, v_init, truth=truth)
@@ -247,28 +256,22 @@ def cmd_train(args) -> int:
             preds.append(nmf_predict_labels(H))
             per_target_err.append(errs)
         rows = [
-            TraceRecord(iteration=i + 1, objective=float(sum(e[i] for e in per_target_err)))
-            for i in range(hp.maxiter)
+            TraceRecord(iteration=i, objective=float(sum(errs)))
+            for i, errs in enumerate(zip(*per_target_err), start=1)
         ]
     else:  # logreg
-        losses = []
-        _, v_init = _logreg_init(
-            data, collect_loss=lambda i, v, losses=losses: losses.append((i, v))
-        )
+        rows = []
+        _, v_init = _logreg_init(data, collect_loss=lambda i, v: rows.append(
+            TraceRecord(iteration=i, objective=float(v))))
         preds = [np.argmax(v, axis=1) + 1 for v in v_init]
-        rows = [TraceRecord(iteration=i, objective=float(v)) for i, v in losses]
 
     acc_count = data.P if (truth is not None and args.baseline == "mrtl") else 0
-    _write_text(os.path.join(args.out, "trace.csv"), _trace_csv(rows, acc_count))
-    for p, labels in enumerate(preds):
-        _write_text(
-            os.path.join(args.out, f"predictions_{p + 1}.txt"),
-            _predictions_text(labels),
-        )
-    _write_text(
-        os.path.join(args.out, "metrics.txt"),
-        _metrics_text(args.baseline, rows, preds, truth),
-    )
+    files = [("trace.csv", _trace_csv(rows, acc_count))]
+    files += [(f"predictions_{p + 1}.txt", _predictions_text(labels))
+              for p, labels in enumerate(preds)]
+    files += [("metrics.txt", _metrics_text(args.baseline, rows, preds, truth)),
+              ("manifest.txt", _manifest(args))]
+    _write_outputs(args.out, files)
     return EXIT_OK
 
 
@@ -286,35 +289,16 @@ def cmd_synth(args) -> int:
         seed=args.seed,
     )
     data, truth = generate_synthetic(spec)
-    os.makedirs(args.out, exist_ok=True)
-    pairs = {
-        "features": spec.M,
-        "classes": spec.c,
-        "num_targets": spec.P,
-        "n_source": spec.n_s,
-        "n_target": spec.n_t,
-        "k1": spec.k1,
-        "k2": spec.k2,
-        "noise": repr(float(spec.noise)),
-        "domain_shift": repr(float(spec.domain_shift)),
-        "seed": spec.seed,
-        "out": args.out,
-    }
-    _write_text(os.path.join(args.out, "manifest.txt"), _manifest("synth", pairs))
-    source_labels = np.argmax(data.Y_s, axis=1) + 1
-    _write_text(
-        os.path.join(args.out, "source.txt"),
-        serialize_corpus(data.X_s, spec.c, labels=source_labels),
-    )
-    for p in range(spec.P):
-        _write_text(
-            os.path.join(args.out, f"target_{p + 1}.txt"),
-            serialize_corpus(data.targets[p], spec.c),
-        )
-        _write_text(
-            os.path.join(args.out, f"truth_{p + 1}.txt"),
-            _predictions_text(truth[p]),
-        )
+
+    def files():  # one serialized corpus at a time
+        source_labels = np.argmax(data.Y_s, axis=1) + 1
+        yield "source.txt", serialize_corpus(data.X_s, spec.c, labels=source_labels)
+        for p in range(spec.P):
+            yield f"target_{p + 1}.txt", serialize_corpus(data.targets[p], spec.c)
+            yield f"truth_{p + 1}.txt", _predictions_text(truth[p])
+        yield "manifest.txt", _manifest(args)
+
+    _write_outputs(args.out, files())
     return EXIT_OK
 
 
@@ -366,19 +350,8 @@ def cmd_sweep(args) -> int:
         raise InvalidConfigError(
             "sweep needs true target labels (labeled targets or --truth)"
         )
-    os.makedirs(args.out, exist_ok=True)
-    pairs = _run_manifest_pairs(args)
-    pairs["sweep_axis"] = axis
-    pairs["sweep_values"] = ",".join(repr(float(v)) for v in values)
-    _write_text(os.path.join(args.out, "manifest.txt"), _manifest("sweep", pairs))
-
     _, v_init = _logreg_init(data)
-    header = (
-        "value,"
-        + ",".join(f"acc_{p + 1}" for p in range(data.P))
-        + ",avg_acc"
-    )
-    lines = [header]
+    lines = ["value," + ",".join(f"acc_{p + 1}" for p in range(data.P)) + ",avg_acc"]
     for v, hp in zip(values, settings):
         factors, _, _ = fit(data, hp, v_init)
         accs = [accuracy(predict(f), t) for f, t in zip(factors, truth)]
@@ -386,7 +359,10 @@ def cmd_sweep(args) -> int:
         cells.extend(repr(float(a)) for a in accs)
         cells.append(repr(float(np.mean(accs))))
         lines.append(",".join(cells))
-    _write_text(os.path.join(args.out, "sweep.csv"), "\n".join(lines) + "\n")
+    manifest = _manifest(args, sweep_axis=axis,
+                         sweep_values=[float(v) for v in values])
+    _write_outputs(args.out, [("sweep.csv", "\n".join(lines) + "\n"),
+                              ("manifest.txt", manifest)])
     return EXIT_OK
 
 

@@ -530,14 +530,8 @@ def _handed_over(factors: list):
 
 
 def _all_finite(factors, shared: SharedFactors) -> bool:
-    for f in factors:
-        for a in (f.U_common, f.U_target, f.U_source, f.V,
-                  f.Theta_common, f.Theta_target, f.Theta_source):
-            if not np.isfinite(a).all():
-                return False
-    return np.isfinite(shared.Theta_common).all() and np.isfinite(
-        shared.Theta_specific
-    ).all()
+    return all(np.isfinite(a).all() for f in (*factors, shared)
+               for a in vars(f).values())
 
 
 def fit(data: ProblemData, hp: Hyperparams, v_init, truth=None) -> tuple:

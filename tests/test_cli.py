@@ -488,3 +488,121 @@ def test_sweep_bad_swept_value_exits_2_before_parsing(tmp_path, capsys, axis,
     err = capsys.readouterr().err
     assert flag in err and "line" not in err
     assert not (tmp_path / "s").exists()
+
+
+def test_failed_rerun_changes_nothing(tmp_path, monkeypatch, capsys):
+    # every output is computed before any is written, so a run that fails
+    # into a used --out leaves each of its files as the last good run wrote it
+    src = synth(tmp_path / "data")
+    out = tmp_path / "run"
+    assert cli.main(train_args(src, out)) == 0
+    first = {name: read(out / name) for name in os.listdir(out)}
+
+    def unchanged():
+        assert sorted(os.listdir(out)) == sorted(first)
+        for name, text in first.items():
+            assert read(out / name) == text, name
+
+    # k2=40 exceeds M=30 once the corpora are read
+    assert cli.main(train_args(src, out, ["--k2", "40", "--lambda", "3"])) == 2
+    assert "k2=40 exceeds the number of features M=30" in capsys.readouterr().err
+    unchanged()
+    assert cli.main(sweep_args(src, out, "--sweep-lambda", "1,3",
+                               ["--k2", "40"])) == 2
+    unchanged()
+
+    def explode(*a, **kw):
+        raise NumericalDivergenceError(3)
+
+    monkeypatch.setattr(cli, "fit", explode)
+    assert cli.main(train_args(src, out, ["--lambda", "3"])) == 4
+    unchanged()
+    assert cli.main(train_args(src, tmp_path / "unused")) == 4
+    assert not (tmp_path / "unused").exists()
+
+
+def test_manifests_in_full(tmp_path):
+    src = synth(tmp_path / "data")
+    assert read(src / "manifest.txt") == (
+        "command=synth\n"
+        "classes=2\n"
+        "domain_shift=0.3\n"
+        "features=30\n"
+        "k1=2\n"
+        "k2=4\n"
+        "n_source=20\n"
+        "n_target=12\n"
+        "noise=0.5\n"
+        "num_targets=2\n"
+        f"out={src}\n"
+        "seed=0\n"
+    )
+    targets = f"{src / 'target_1.txt'},{src / 'target_2.txt'}"
+    truths = f"{src / 'truth_1.txt'},{src / 'truth_2.txt'}"
+
+    def run_manifest(out, command, head, truth, tail=()):
+        return "".join(line + "\n" for line in [
+            f"command={command}",
+            *head,
+            "k1=2",
+            "k2=4",
+            "lambda=10.0",
+            "maxiter=8",
+            f"out={out}",
+            "seed=0",
+            f"source={src / 'source.txt'}",
+            *tail,
+            f"targets={targets}",
+            "tol=0.0",
+            f"truth={truth}",
+        ])
+
+    out = tmp_path / "mrtl"
+    assert cli.main(train_args(src, out)) == 0
+    assert read(out / "manifest.txt") == run_manifest(
+        out, "train", ["baseline=mrtl"], truths)
+
+    out = tmp_path / "nmf"
+    assert cli.main(train_args(src, out, ["--baseline", "nmf"])) == 0
+    assert read(out / "manifest.txt") == run_manifest(
+        out, "train", ["baseline=nmf"], truths)
+
+    out = tmp_path / "no_truth"
+    argv = train_args(src, out)
+    at = argv.index("--truth")
+    del argv[at:at + 4]  # both --truth flags
+    assert cli.main(argv) == 0
+    assert read(out / "manifest.txt") == run_manifest(
+        out, "train", ["baseline=mrtl"], "")
+
+    out = tmp_path / "sweep_k1"
+    assert cli.main(sweep_args(src, out, "--sweep-k1", "1,2,4")) == 0
+    assert read(out / "manifest.txt") == run_manifest(
+        out, "sweep", [], truths,
+        tail=["sweep_axis=k1", "sweep_values=1.0,2.0,4.0"])
+
+    out = tmp_path / "sweep_lambda"
+    assert cli.main(sweep_args(src, out, "--sweep-lambda", "0.5,10")) == 0
+    assert read(out / "manifest.txt") == run_manifest(
+        out, "sweep", [], truths,
+        tail=["sweep_axis=lambda", "sweep_values=0.5,10.0"])
+
+
+def test_write_outputs_renames_manifest_last_and_cleans_up_on_failure(
+        tmp_path, monkeypatch):
+    renamed = []
+    replace = os.replace
+    monkeypatch.setattr(cli.os, "replace",
+                        lambda a, b: (renamed.append(os.path.basename(b)),
+                                      replace(a, b)))
+    cli._write_outputs(str(tmp_path), [("manifest.txt", "m"), ("b.txt", "b")])
+    assert renamed == ["b.txt", "manifest.txt"]
+
+    def files():
+        yield "b.txt", "new"
+        raise OSError("disk full")
+
+    with pytest.raises(OSError):
+        cli._write_outputs(str(tmp_path), files())
+    assert sorted(os.listdir(tmp_path)) == ["b.txt", "manifest.txt"]
+    assert read(tmp_path / "b.txt") == "b"
