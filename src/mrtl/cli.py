@@ -13,6 +13,7 @@ import argparse
 import contextlib
 import math
 import os
+import re
 import sys
 from dataclasses import replace
 
@@ -50,10 +51,17 @@ EXIT_PARSE = 3
 EXIT_NUMERIC = 4
 
 
+# the numbered outputs, one per target: train's predictions_<k>.txt, synth's
+# target_<k>.txt and truth_<k>.txt
+_NUMBERED = re.compile(r"(\w+)_[1-9][0-9]*\.txt")
+
+
 def _write_outputs(out: str, files) -> None:
     """Write each (name, text) of files into directory out, all or none:
     every file goes to name + ".tmp", and only after the last one are they
-    renamed into place, manifest.txt last. A failed write removes them."""
+    renamed into place, manifest.txt last. A failed write removes them.
+    Just before manifest.txt, a numbered file of a kind this run writes but
+    which it did not write, left by a run over more targets, is removed."""
     os.makedirs(out, exist_ok=True)
     names = []
     try:
@@ -67,7 +75,13 @@ def _write_outputs(out: str, files) -> None:
             with contextlib.suppress(OSError):
                 os.remove(os.path.join(out, name + ".tmp"))
         raise
+    kinds = {m[1] for m in map(_NUMBERED.fullmatch, names) if m}
     for name in sorted(names, key=lambda name: name == "manifest.txt"):
+        if name == "manifest.txt":
+            for old in os.listdir(out):
+                m = _NUMBERED.fullmatch(old)
+                if m and m[1] in kinds and old not in names:
+                    os.remove(os.path.join(out, old))
         os.replace(os.path.join(out, name + ".tmp"), os.path.join(out, name))
 
 
@@ -81,7 +95,7 @@ def _read_labels(path: str, c: int | None = None) -> np.ndarray:
     """One integer label per non-blank line, each at least 1 (a class) and,
     with c given, at most c."""
     labels = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
             s = raw.strip()
             if not s:

@@ -53,14 +53,16 @@ def parse_corpus(lines) -> tuple:
     separated by whitespace as str.split() finds it; the header and the
     labels are Python int literals, and each entry is ``idx:val`` with idx a
     Python int literal and val a Python float literal, exactly what int()
-    and float() accept. Lines are read one at a time; their entries are
-    converted in blocks of about BLOCK_BYTES, so the text held at once is
-    one block, not the file. Raises CorpusFormatError naming the first
-    offending line for a malformed header or one announcing matrices too
-    large to allocate, a feature index out of [1, M], indices not strictly
+    and float() accept, so neither accepts the lone surrogate load_corpus
+    makes of a byte that is not UTF-8. Lines are read one at a time; their
+    entries are queued and converted in blocks of about BLOCK_BYTES, so the
+    text held at once is one block, not the file. Raises CorpusFormatError
+    naming the first offending line in file order (a queued entry's fault
+    is raised in place of a later line's or of an error lines raises) for a
+    malformed header or one announcing matrices too large to allocate, a
+    malformed token, a feature index out of [1, M], indices not strictly
     increasing, a negative or non-finite value, a label outside [0, c],
-    mixed labeled/unlabeled records, or a record count different from the
-    header's n.
+    mixed labeled/unlabeled records, or a record count unlike the header's n.
     """
     it = iter(lines)
     try:
@@ -85,9 +87,8 @@ def parse_corpus(lines) -> tuple:
 
     X = _header_zeros((M, n), f"M={M} x n={n} matrix")
     labels = np.zeros(n, dtype=np.int64)
-    entries = _Block(X)
-    saw_labeled = False
-    saw_unlabeled = False
+    # (entries text, line, column) of each record not yet in X, and their size
+    queued, size = [], 0
     count = 0
     lineno = 1
     try:
@@ -117,35 +118,36 @@ def parse_corpus(lines) -> tuple:
                 raise CorpusFormatError(
                     lineno, f"label {label} outside [0, {c}]"
                 )
-            if label == 0:
-                saw_unlabeled = True
-            else:
-                saw_labeled = True
-            if saw_labeled and saw_unlabeled:
+            # the first record sets whether the file is labeled
+            if count and (label == 0) != (labels[0] == 0):
                 raise CorpusFormatError(
                     lineno, "mixed labeled and unlabeled records in one file"
                 )
             if len(parts) == 2:
-                entries.add(parts[1], lineno, count)
+                queued.append((parts[1], lineno, count))
+                size += len(parts[1]) + 1
+                if size >= BLOCK_BYTES:
+                    # emptied first, so a fault it raises is not met again below
+                    block, queued, size = queued, [], 0
+                    _convert(X, block)
             labels[count] = label
             count += 1
-        entries.flush()
-        if count != n:
-            raise CorpusFormatError(
-                lineno, f"header announced {n} records but the file has {count}"
-            )
     except Exception:
-        # the entries still waiting in the block come from earlier lines, so
-        # a fault among them comes first in the file, before a line fault or
-        # a read error (UnicodeDecodeError) of a later line
-        entries.flush()
+        # the queued entries come from earlier lines: a fault among them comes
+        # first in the file, before a later line's fault or read error
+        _convert(X, queued)
         raise
+    _convert(X, queued)
+    if count != n:
+        raise CorpusFormatError(
+            lineno, f"header announced {n} records but the file has {count}"
+        )
 
-    if saw_labeled:
-        Y = _header_zeros((n, c), f"n={n} x c={c} label matrix")
-        Y[np.arange(n), labels - 1] = 1.0
-        return X, Y
-    return X, None
+    if labels[0] == 0:
+        return X, None
+    Y = _header_zeros((n, c), f"n={n} x c={c} label matrix")
+    Y[np.arange(n), labels - 1] = 1.0
+    return X, Y
 
 
 def _entry(tok: str, M: int, prev: int, lineno: int) -> tuple:
@@ -198,48 +200,26 @@ _BLANKS = bytes(
 _MAX_INDEX_DIGITS = 18
 
 
-class _Block:
-    """Record entries waiting to be converted into X in one block pass."""
-
-    def __init__(self, X):
-        self.X = X
-        self._clear()
-
-    def _clear(self):
-        self.texts, self.starts, self.linenos, self.cols = [], [], [], []
-        self.size = 0
-
-    def add(self, text: str, lineno: int, col: int) -> None:
-        """Queue the entries text of the record on line lineno, column col;
-        convert the block once it holds BLOCK_BYTES."""
-        self.texts.append(text)
-        self.starts.append(self.size)
-        self.linenos.append(lineno)
-        self.cols.append(col)
-        self.size += len(text) + 1
-        if self.size >= BLOCK_BYTES:
-            self.flush()
-
-    def flush(self) -> None:
-        """Convert the queued entries into X, or raise the CorpusFormatError
-        of the first faulty one; the block is empty afterwards either way."""
-        if not self.texts:
-            return
-        texts, starts, linenos, cols = self.texts, self.starts, self.linenos, self.cols
-        self._clear()
-        # every record, the last too, ends in "\n"
-        data = "\n".join([*texts, ""]).encode("utf-8", "surrogatepass")
-        if _convert_block(self.X, data, np.array(starts), np.array(cols)):
-            return
-        # the scalar rule in file order raises at the first faulty entry, or
-        # else converts every one
-        M = self.X.shape[0]
-        for text, lineno, col in zip(texts, linenos, cols):
-            prev = 0
-            for tok in text.split():
-                idx, val = _entry(tok, M, prev, lineno)
-                self.X[idx - 1, col] = val
-                prev = idx
+def _convert(X, queued) -> None:
+    """Write the entries of the queued (entries text, line, column) records
+    into X, or raise the CorpusFormatError of the first faulty one."""
+    if not queued:
+        return
+    texts, _, cols = zip(*queued)
+    # every record, the last too, ends in "\n"
+    data = "\n".join([*texts, ""]).encode("utf-8", "surrogatepass")
+    sizes = np.array([len(text) + 1 for text in texts])
+    if _convert_block(X, data, np.cumsum(sizes) - sizes, np.array(cols)):
+        return
+    # the scalar rule in file order raises at the first faulty entry, or
+    # else converts every one
+    M = X.shape[0]
+    for text, lineno, col in queued:
+        prev = 0
+        for tok in text.split():
+            idx, val = _entry(tok, M, prev, lineno)
+            X[idx - 1, col] = val
+            prev = idx
 
 
 def _convert_block(X, data: bytes, starts, cols) -> bool:
@@ -364,8 +344,9 @@ def serialize_corpus(X, c: int, labels=None) -> str:
 
 
 def load_corpus(path) -> tuple:
-    """parse_corpus over the lines of a text file."""
-    with open(path, "r", encoding="utf-8") as fh:
+    """parse_corpus over the lines of a UTF-8 text file; a byte that is not
+    UTF-8 reads as a lone surrogate, which the format refuses."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         return parse_corpus(fh)
 
 
@@ -534,14 +515,16 @@ def generate_synthetic(spec: SynthSpec) -> tuple:
         (1.0 - spec.domain_shift) * assoc_source
         + spec.domain_shift * _block_association(ks, spec.c, 1)
     )
-    def stack(assoc_specific):
-        if not ks:
-            return assoc_common
-        return np.vstack(
-            [_COMMON_WEIGHT * assoc_common, (1.0 - _COMMON_WEIGHT) * assoc_specific]
-        )
+    # at k1 = k2 the dictionary is common and the associations assoc_common
+    dictionary = np.hstack([common, source_specific])
+    source_assoc, target_assoc = (
+        np.vstack([_COMMON_WEIGHT * assoc_common,
+                   (1.0 - _COMMON_WEIGHT) * assoc_specific])
+        if ks else assoc_common
+        for assoc_specific in (assoc_source, assoc_target)
+    )
 
-    def corpus(dictionary_specific, association, n):
+    def corpus(association, n):
         labels = np.arange(n) % spec.c + 1
         weights = association[:, labels - 1]
         if spec.noise > 0:
@@ -549,25 +532,12 @@ def generate_synthetic(spec: SynthSpec) -> tuple:
             # combinations of clusters
             spill = rng.dirichlet(np.ones(association.shape[0]), size=n).T
             weights = (1.0 - _MIXTURE) * weights + _MIXTURE * spill
-        dictionary = (
-            np.hstack([common, dictionary_specific]) if ks else common
-        )
-        clean = dictionary @ weights
+        X = dictionary @ weights
         if spec.noise > 0:
-            X = clean + spec.noise * clean.mean() * np.abs(
-                rng.standard_normal(clean.shape)
-            )
-        else:
-            X = clean
+            X = X + spec.noise * X.mean() * np.abs(rng.standard_normal(X.shape))
         return normalize_input(np.maximum(X, 0.0)), labels
 
-    X_s, labels_s = corpus(source_specific, stack(assoc_source), spec.n_s)
-    Y_s = np.zeros((spec.n_s, spec.c))
-    Y_s[np.arange(spec.n_s), labels_s - 1] = 1.0
-    targets = []
-    truth = []
-    for p in range(spec.P):
-        X_t, labels_t = corpus(source_specific, stack(assoc_target), spec.n_t)
-        targets.append(X_t)
-        truth.append(labels_t)
-    return ProblemData(X_s=X_s, Y_s=Y_s, targets=tuple(targets)), truth
+    X_s, labels_s = corpus(source_assoc, spec.n_s)
+    targets, truth = zip(*(corpus(target_assoc, spec.n_t) for _ in range(spec.P)))
+    Y_s = np.eye(spec.c)[labels_s - 1]
+    return ProblemData(X_s=X_s, Y_s=Y_s, targets=targets), list(truth)

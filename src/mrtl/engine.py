@@ -214,10 +214,6 @@ class ProblemData:
         return self.X_s.shape[0]
 
     @property
-    def n_s(self) -> int:
-        return self.X_s.shape[1]
-
-    @property
     def c(self) -> int:
         return self.Y_s.shape[1]
 

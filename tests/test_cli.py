@@ -259,6 +259,49 @@ def test_train_truth_label_outside_classes_exits_3(tmp_path, capsys, label):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("raw, message", [
+    (b"30 1\xff 2\n0 1:1\n",
+     "line 1: malformed header, expected three integers, got '30 1\\udcff 2'"),
+    (b"30 1 2\n0\xff 1:1\n", "line 2: malformed label '0\\udcff'"),
+    (b"30 2 2\n0 1:1\n0 2:1\xff\n",
+     "line 3: malformed entry '2:1\\udcff', expected idx:val"),
+], ids=["header", "label", "entry"])
+def test_corpus_byte_not_utf8_exits_3(tmp_path, capsys, raw, message):
+    src = synth(tmp_path / "data")
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(raw)
+    rc = cli.main(["train", "--source", str(src / "source.txt"),
+                   "--target", str(bad), "--out", str(tmp_path / "run")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert message in err and err.isascii()
+    assert not (tmp_path / "run").exists()
+
+
+def test_truth_byte_not_utf8_exits_3(tmp_path, capsys):
+    src = synth(tmp_path / "data")
+    truth = tmp_path / "truth.txt"
+    truth.write_bytes(b"1\n2\n1\xff\n")
+    args = train_args(src, tmp_path / "run")
+    args[args.index(str(src / "truth_1.txt"))] = str(truth)
+    assert cli.main(args) == 3
+    err = capsys.readouterr().err
+    assert "line 3: malformed label '1\\udcff', expected an integer" in err
+    assert err.isascii() and not (tmp_path / "run").exists()
+
+
+def test_eval_byte_not_utf8_exits_3(tmp_path, capsys):
+    pred = tmp_path / "pred.txt"
+    truth = tmp_path / "truth.txt"
+    pred.write_bytes(b"1\n\xfe\n")
+    truth.write_text("1\n2\n")
+    rc = cli.main(["eval", "--predictions", str(pred), "--truth", str(truth)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "line 2: malformed label '\\udcfe', expected an integer" in err
+    assert err.isascii()
+
+
 def test_train_numeric_failure_exits_4(tmp_path, monkeypatch, capsys):
     src = synth(tmp_path / "data")
 
@@ -519,6 +562,31 @@ def test_failed_rerun_changes_nothing(tmp_path, monkeypatch, capsys):
     unchanged()
     assert cli.main(train_args(src, tmp_path / "unused")) == 4
     assert not (tmp_path / "unused").exists()
+
+
+def test_smaller_rerun_leaves_no_stale_numbered_output(tmp_path):
+    # a run removes the numbered files of the kinds it writes that it did not
+    # write, and nothing else
+    src = synth(tmp_path / "data")
+    out = tmp_path / "run"
+    assert cli.main(train_args(src, out)) == 0
+    assert cli.main(["train", "--source", str(src / "source.txt"),
+                     "--target", str(src / "target_1.txt"),
+                     "--k1", "2", "--k2", "4", "--maxiter", "8",
+                     "--out", str(out)]) == 0
+    assert sorted(os.listdir(out)) == [
+        "manifest.txt", "metrics.txt", "predictions_1.txt", "trace.csv"]
+    assert cli.main(sweep_args(src, out, "--sweep-lambda", "1")) == 0
+    assert sorted(os.listdir(out)) == [
+        "manifest.txt", "metrics.txt", "predictions_1.txt", "sweep.csv",
+        "trace.csv"]
+    # train into the synth directory, then synth there over one target
+    assert cli.main(train_args(src, src)) == 0
+    synth(src, extra=["--num-targets", "1"])
+    assert sorted(os.listdir(src)) == [
+        "manifest.txt", "metrics.txt", "predictions_1.txt",
+        "predictions_2.txt", "source.txt", "target_1.txt", "trace.csv",
+        "truth_1.txt"]
 
 
 def test_manifests_in_full(tmp_path):

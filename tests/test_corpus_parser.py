@@ -429,3 +429,21 @@ def test_entry_fault_comes_before_a_later_read_error(tmp_path):
         expected = outcome(scalar_parse, fh)
     assert expected == (2, "line 2: feature indices must be strictly increasing, 2 follows 3")
     assert outcome(lambda _: load_corpus(path), None) == expected
+
+
+def test_entry_fault_comes_before_an_error_the_lines_raise():
+    # the lines raise after a faulty entry's line, while that entry is still
+    # queued: its fault is raised in place of an Exception, never of a
+    # KeyboardInterrupt, and a queue without fault lets the error through
+    def lines(first, error):
+        yield "60 5 2\n"
+        yield first
+        yield "1 1:0.5\n"
+        raise error
+
+    assert outcome(parse_corpus, lines("1 3:1 2:1\n", OSError("read failed"))) == (
+        2, "line 2: feature indices must be strictly increasing, 2 follows 3")
+    with pytest.raises(KeyboardInterrupt):
+        parse_corpus(lines("1 3:1 2:1\n", KeyboardInterrupt()))
+    with pytest.raises(OSError, match="read failed"):
+        parse_corpus(lines("1 2:1 3:1\n", OSError("read failed")))
