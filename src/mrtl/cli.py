@@ -104,7 +104,7 @@ def _read_labels(path: str, c: int | None = None) -> np.ndarray:
                 label = int(s)
             except ValueError:
                 raise CorpusFormatError(
-                    lineno, f"malformed label {s!r}, expected an integer"
+                    lineno, f"malformed label {s!r}, expected an integer in {path}"
                 ) from None
             if label < 1 or (c is not None and label > c):
                 upper = "c" if c is None else c

@@ -3,8 +3,9 @@
 import numpy as np
 from hypothesis import settings
 
+from mrtl.baselines import LogRegModel, expit
 from mrtl.engine import Hyperparams, ProblemData, SharedFactors, TargetFactors
-from mrtl.linalg import normalize_columns_l1, normalize_rows_l1
+from mrtl.linalg import as_corpus, normalize_columns_l1, normalize_rows_l1
 
 
 # Pair p's objective, once. Each row
@@ -98,6 +99,62 @@ def num_den_per_term(name: str, data: ProblemData, p: int, f: TargetFactors,
             n, d = U.T @ (X @ W), (U.T @ B) @ (W.T @ W)
         num, den = num + w * n, den + w * d
     return num, den
+
+
+def _scores(XT, W) -> np.ndarray:
+    """n x c linear scores of the rows of XT (the instances) under weights
+    W, whose last row is the bias."""
+    return XT @ W[:-1] + W[-1]
+
+
+def logreg_train_primal(X, Y, l2: float = 1e-3, steps: int = 500,
+                        lr: float = 0.1, on_step=None) -> LogRegModel:
+    """baselines.logreg_train's descent written on the weights W themselves:
+    each step forms the gradient X @ R and the next forward pass X^T @ W.
+
+    The reference for the dual-coefficient loop, which must give the same
+    iterates up to rounding. Arguments are not checked.
+    """
+    X = as_corpus(X)
+    Y = np.asarray(Y, dtype=np.float64)
+    M, n = X.shape
+    c = Y.shape[1]
+
+    W = np.zeros((M + 1, c))
+    grad = np.empty((M + 1, c))
+    # a CSC corpus transposes to a CSR array over the same arrays, no copy
+    XT = X.T
+
+    def loss_of(Wc):
+        """(loss, unclipped probabilities) at weights Wc: one forward pass."""
+        probs = expit(_scores(XT, Wc))
+        clipped = np.clip(probs, 1e-15, 1.0 - 1e-15)
+        nll = -(Y * np.log(clipped) + (1.0 - Y) * np.log(1.0 - clipped)).sum() / n
+        # the bias row is not penalized
+        return nll + 0.5 * l2 * float(np.sum(Wc[:M] * Wc[:M])), probs
+
+    # the accepted step's forward pass is the next gradient's
+    cur, probs = loss_of(W)
+    step_size = lr
+    for step in range(1, steps + 1):
+        residual = probs - Y
+        np.divide(X @ residual, n, out=grad[:M])
+        grad[:M] += l2 * W[:M]
+        np.divide(residual.sum(axis=0), n, out=grad[M])
+        accepted = False
+        while step_size >= 1e-18:
+            W_new = W - step_size * grad
+            new, new_probs = loss_of(W_new)
+            if new <= cur:
+                accepted = True
+                break
+            step_size *= 0.5
+        if not accepted:
+            break
+        W, cur, probs = W_new, new, new_probs
+        if on_step is not None:
+            on_step(step, cur)
+    return LogRegModel(weights=W, n_classes=c)
 
 
 def one_hot(labels, c):

@@ -1,7 +1,11 @@
 """NMF and logistic-regression baselines."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 import mrtl.baselines as baselines
 from mrtl.baselines import (
@@ -12,7 +16,7 @@ from mrtl.baselines import (
     nmf_predict_labels,
 )
 from mrtl.engine import InvalidConfigError
-from conftest import one_hot
+from conftest import logreg_train_primal, one_hot
 
 
 def test_nmf_recovers_rank_one():
@@ -127,9 +131,22 @@ def test_logreg_deterministic():
     rng = np.random.default_rng(7)
     X = rng.random((6, 12))
     Y = one_hot(rng.integers(1, 3, size=12), 2)
-    m1 = logreg_train(X, Y)
-    m2 = logreg_train(X, Y)
-    assert np.array_equal(m1.weights, m2.weights)
+    # the CSC case stores more than n^2 / 4 entries, so it forms its Gram
+    # matrix through a sparse product
+    for corpus in (X, sp.csc_array(X * (X > 0.3))):
+        m1 = logreg_train(corpus, Y)
+        m2 = logreg_train(corpus, Y)
+        assert np.array_equal(m1.weights, m2.weights)
+
+
+def test_logreg_duplicated_opposite_instances_get_zero_weights():
+    # every empty document normalizes to the same uniform column; two of
+    # them with opposite labels get equal and opposite coefficients, which
+    # must cancel exactly in the weights, dense or CSC
+    X = np.full((5, 2), 0.2)
+    Y = one_hot([1, 2], 2)
+    for corpus in (X, sp.csc_array(X)):
+        assert not np.any(logreg_train(corpus, Y).weights)
 
 
 def test_logreg_rejects_degenerate_input():
@@ -196,3 +213,55 @@ def test_logreg_one_forward_pass_per_step(monkeypatch):
     after_step = []
     logreg_train(X, Y, steps=50, on_step=lambda i, v: after_step.append(len(calls)))
     assert after_step == list(range(2, 52))
+
+
+def rel(got, want):
+    """Largest absolute difference relative to the largest entry of want."""
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+@st.composite
+def logreg_problems(draw):
+    """A dense or CSC corpus, one-hot labels, l2 and a step count. With
+    n <= M a dense corpus always forms its Gram matrix and a CSC one does at
+    full density; with n >= 8M neither does, so both products are drawn."""
+    M = draw(st.integers(1, 8))
+    tall = draw(st.booleans())
+    n = draw(st.integers(8 * M, 10 * M) if tall else st.integers(1, M))
+    c = draw(st.integers(2, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.random((M, n))
+    if draw(st.booleans()):
+        X = sp.csc_array(X * (rng.random((M, n)) < draw(st.sampled_from([0.3, 1.0]))))
+    Y = one_hot(rng.integers(1, c + 1, size=n), c)
+    return X, Y, draw(st.sampled_from([0.0, 1e-3, 1e6])), draw(st.integers(1, 60))
+
+
+@settings(max_examples=60)
+@given(logreg_problems())
+def test_logreg_dual_descent_matches_primal(problem):
+    X, Y, l2, steps = problem
+    got_losses, want_losses = [], []
+    got = logreg_train(X, Y, l2=l2, steps=steps,
+                       on_step=lambda i, v: got_losses.append(v))
+    want = logreg_train_primal(X, Y, l2=l2, steps=steps,
+                               on_step=lambda i, v: want_losses.append(v))
+    assert len(got_losses) == len(want_losses)
+    assert np.all(np.abs(np.subtract(got_losses, want_losses))
+                  <= 1e-12 * np.abs(want_losses))
+    assert rel(got.weights, want.weights) <= 1e-12
+    assert rel(logreg_predict_proba(got, X), logreg_predict_proba(want, X)) <= 1e-12
+
+
+def test_logreg_tall_corpus_never_forms_the_gram_matrix():
+    # X^T X would take 72 MB here against X's 480 kB
+    rng = np.random.default_rng(11)
+    X = rng.random((20, 3000))
+    Y = one_hot(rng.integers(1, 3, size=3000), 2)
+    tracemalloc.start()
+    try:
+        logreg_train(X, Y, steps=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * X.nbytes

@@ -302,6 +302,20 @@ def test_eval_byte_not_utf8_exits_3(tmp_path, capsys):
     assert err.isascii()
 
 
+@pytest.mark.parametrize("bad", ["predictions", "truth"])
+def test_eval_malformed_label_names_its_file(tmp_path, capsys, bad):
+    # both files are read by one rule; the message says which one is bad
+    files = {name: tmp_path / f"{name}.txt" for name in ("predictions", "truth")}
+    for name, path in files.items():
+        path.write_bytes(b"\xfe\n1\n" if name == bad else b"1\n2\n")
+    rc = cli.main(["eval", "--predictions", str(files["predictions"]),
+                   "--truth", str(files["truth"])])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert (f"line 1: malformed label '\\udcfe', expected an integer "
+            f"in {files[bad]}") in err
+
+
 def test_train_numeric_failure_exits_4(tmp_path, monkeypatch, capsys):
     src = synth(tmp_path / "data")
 
