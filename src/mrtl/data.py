@@ -337,9 +337,11 @@ def serialize_corpus(X, c: int, labels=None) -> str:
     out = [f"{M} {n} {c}"]
     for label, col in zip(labels.tolist(), X.T):
         nz = np.flatnonzero(col)
-        out.append(" ".join([str(label)] + [
-            f"{j + 1}:{v:.12g}" for j, v in zip(nz.tolist(), col[nz].tolist())
-        ]))
+        # one format call per record: the label, then index and value pairs
+        fields = [label] * (2 * nz.size + 1)
+        fields[1::2] = (nz + 1).tolist()
+        fields[2::2] = col[nz].tolist()
+        out.append(("%d" + " %d:%.12g" * nz.size) % tuple(fields))
     return "\n".join(out) + "\n"
 
 
@@ -352,11 +354,25 @@ def load_corpus(path) -> tuple:
 
 def compact_corpus(X):
     """A parsed M x n corpus as it is held from then on: a CSC array when at
-    most SPARSE_MAX_DENSITY of its entries are nonzero, X itself otherwise."""
+    most SPARSE_MAX_DENSITY of its entries are nonzero, X itself otherwise.
+
+    The CSC array is sp.csc_array(X) to the bit, index dtype included, but
+    built from one byte mask of the nonzero entries: their count, their
+    positions in column-major order (the order CSC stores them in) and the
+    values gathered there.
+    """
     X = np.asarray(X, dtype=np.float64)
-    if np.count_nonzero(X) <= SPARSE_MAX_DENSITY * X.size:
-        return sp.csc_array(X)
-    return X
+    nonzero = X != 0
+    nnz = np.count_nonzero(nonzero)
+    if nnz > SPARSE_MAX_DENSITY * X.size:
+        return X
+    M, n = X.shape
+    at = np.flatnonzero(nonzero.T)
+    cols, rows = np.divmod(at, M)
+    # scipy's choice for a dense input: 32-bit indices whenever they fit
+    index = np.int32 if max(M, n, nnz) <= np.iinfo(np.int32).max else np.int64
+    indptr = np.searchsorted(at, np.arange(n + 1) * M).astype(index)
+    return sp.csc_array((X[rows, cols], rows.astype(index), indptr), shape=(M, n))
 
 
 def normalize_input(X):

@@ -43,21 +43,29 @@ XY = X_s Y_s and YY = Y_s^T Y_s that ProblemData holds:
 
 This is the factored form of Lee & Seung (NIPS 2000) and Ding et al. (KDD
 2006): no step forms an M x n matrix. The step preserves nonnegativity, and
-every denominator is floored at linalg.EPSILON (1e-12); the new block is
-written into the step factor's own buffer. The public update_* functions
-apply it block by block in a fixed order, each pair's steps followed by L1
-normalization of the cluster matrices (columns) and the assignment (rows).
-fit frees each pair's old factors as soon as the sweep has taken them, and
-the sweep holds the pair in work once, so beyond the P live pairs a step
-adds at most three arrays of its block's size.
+every denominator is floored at linalg.EPSILON (1e-12). A U block's rows are
+independent: row i of its num and den reads row i of the M x c products
+(XV, XY, B_t, B_g, B_s) alone. So a U step forms those products once and
+then takes num, den, the step factor and the new rows one block of rows
+(ROW_BLOCK_BYTES of U) at a time, straight into the new U, and its M x k
+temporaries stay in cache; any other block is written into the step
+factor's own buffer. XV and G change only with V, so fit forms them once
+per value of V, right after a pair is normalized, for the shared step, the
+objective and the next sweep's first four steps. The public update_*
+functions apply the steps block by block in a fixed order, each pair's
+steps followed by L1 normalization of the cluster matrices (columns) and
+the assignment (rows). fit frees each pair's old factors as soon as the
+sweep has taken them, and the sweep holds the pair in work once, so beyond
+the P live pairs a step adds at most three arrays of its block's size.
 
 The objective is factored the same way: a term is
 w * (||X||^2 - 2 <X W, B> + <B^T B, W^T W>), where ||X||^2 is computed once
 per corpus by ProblemData. The sum cancels badly near an exact fit, so a
 term that comes out below CANCELLATION_GUARD (1e-4) of
 ||X||^2 + 2 |<X W, B>| + <B^T B, W^T W> is taken again from its residual
-X - B W^T; that keeps the objective exactly 0 on an exact reconstruction
-and within the monotonicity bounds the fit is held to.
+X - B W^T, a block of columns at a time (linalg.residual_sq); that keeps
+the objective 0 on an exact reconstruction and within the monotonicity
+bounds the fit is held to.
 
 Since the corpora enter only through X @ W, X.T @ B and ||X||^2, each may
 be a dense array or a scipy sparse CSC array; the code is the same.
@@ -71,6 +79,7 @@ import numpy as np
 
 from .linalg import (
     as_corpus,
+    blocks,
     frobenius_sq,
     normalize_columns_l1,
     normalize_rows_l1,
@@ -299,43 +308,40 @@ def init_factors(data: ProblemData, hp: Hyperparams, v_init) -> tuple:
         # uniform on (0, 1]: keeps every initial entry strictly positive
         return 1.0 - rng.random((rows, cols))
 
-    u_common = normalize_columns_l1(draw(data.M, hp.k1))
-    u_target = normalize_columns_l1(draw(data.M, ks))
-    u_source = normalize_columns_l1(draw(data.M, ks))
-    theta_common = draw(hp.k1, data.c)
-    theta_target = draw(ks, data.c)
-    theta_source = draw(ks, data.c)
+    drawn = {
+        "U_common": normalize_columns_l1(draw(data.M, hp.k1)),
+        "U_target": normalize_columns_l1(draw(data.M, ks)),
+        "U_source": normalize_columns_l1(draw(data.M, ks)),
+        "Theta_common": draw(hp.k1, data.c),
+        "Theta_target": draw(ks, data.c),
+        "Theta_source": draw(ks, data.c),
+    }
+    shared = SharedFactors(
+        Theta_common=drawn["Theta_common"].copy(),
+        Theta_specific=drawn["Theta_target"].copy(),
+    )
+    # the first pair takes the drawn blocks, every other pair a copy
     factors = [
-        TargetFactors(
-            U_common=u_common.copy(),
-            U_target=u_target.copy(),
-            U_source=u_source.copy(),
-            V=normalize_rows_l1(v_init[p]),
-            Theta_common=theta_common.copy(),
-            Theta_target=theta_target.copy(),
-            Theta_source=theta_source.copy(),
-        )
+        TargetFactors(V=normalize_rows_l1(v_init[p]),
+                      **(drawn if p == 0 else {k: a.copy() for k, a in drawn.items()}))
         for p in range(data.P)
     ]
-    shared = SharedFactors(
-        Theta_common=theta_common.copy(),
-        Theta_specific=theta_target.copy(),
-    )
     return factors, shared
 
 
 def objective(data: ProblemData, factors, shared: SharedFactors,
-              hp: Hyperparams) -> float:
+              hp: Hyperparams, products=None) -> float:
     """Joint squared reconstruction error over all pairs: the sum over p of
     the target, source and lam-weighted shared terms. Each is taken in
     factored form unless cancellation would cost it its accuracy (see
-    residual_sq). X_t V, V^T V and U_c Theta_c are built once per pair.
+    residual_sq). Each pair's X_t V and V^T V come from products when it is
+    given and are built here otherwise; U_c Theta_c is built once per pair.
     """
     X_s, xx_s = data.X_s, data.sq_norms[0]
     total = 0.0
     for p, f in enumerate(factors):
         X_t, xx_t, V = data.targets[p], data.sq_norms[p + 1], f.V
-        XV, G = X_t @ V, V.T @ V
+        XV, G = _v_products(data, p, V) if products is None else products[p]
         UcTc = f.U_common @ f.Theta_common
         B_g = f.U_common @ shared.Theta_common + f.U_target @ shared.Theta_specific
         total += residual_sq(X_t, xx_t, UcTc + f.U_target @ f.Theta_target, V, XV, G)
@@ -345,15 +351,63 @@ def objective(data: ProblemData, factors, shared: SharedFactors,
     return total
 
 
+def _v_products(data: ProblemData, p: int, V) -> tuple:
+    """(X_t V, V^T V) for target p's assignment V: what every step but those
+    of V and the source-only blocks reads of V."""
+    return data.targets[p] @ V, V.T @ V
+
+
+def _u_terms(name: str, data: ProblemData, p: int, f: TargetFactors,
+             shared: SharedFactors, lam: float, products=None) -> tuple:
+    """The numerator and denominator of U block name as two lists of terms
+    (L, R), each standing for the product L @ R of an M x c matrix L and a
+    c x k matrix R; they are the block's row of the module docstring's
+    folded table. Row i of a sum reads row i of each L alone, so the sums
+    can be taken over any rows. products is (X_t V, V^T V) for f.V, built
+    here when not given.
+    """
+    Uc, Ut, Us = f.U_common, f.U_target, f.U_source
+    Tc, Tt, Ts = f.Theta_common, f.Theta_target, f.Theta_source
+    XY, YY = data.XY_s, data.YY_s
+    if name == "U_source":
+        return [(XY, Ts.T)], [(Uc @ Tc + Us @ Ts, YY @ Ts.T)]
+    XV, G = _v_products(data, p, f.V) if products is None else products
+    Sc, Ss = shared.Theta_common, shared.Theta_specific
+    B_g = Uc @ Sc + Ut @ Ss
+    if name == "U_target":
+        return ([(XV, (Tt + lam * Ss).T)],
+                [(Uc @ Tc + Ut @ Tt, G @ Tt.T), (B_g, lam * (G @ Ss.T))])
+    if name == "U_common":
+        UcTc = Uc @ Tc
+        return ([(XV, (Tc + lam * Sc).T), (XY, Tc.T)],
+                [(UcTc + Ut @ Tt, G @ Tc.T), (B_g, lam * (G @ Sc.T)),
+                 (UcTc + Us @ Ts, YY @ Tc.T)])
+    raise ValueError(f"no cluster block named {name!r}")
+
+
+def _rows_sum(terms, rows) -> np.ndarray:
+    """Rows rows (a slice) of the sum of L @ R over terms, in their order."""
+    (L, R), *rest = terms
+    total = L[rows] @ R
+    for L, R in rest:
+        total += L[rows] @ R
+    return total
+
+
 def _num_den(name: str, data: ProblemData, p: int, f: TargetFactors,
-             shared: SharedFactors, lam: float) -> tuple:
+             shared: SharedFactors, lam: float, products=None) -> tuple:
     """Numerator and denominator of the multiplicative step on one block.
 
     name is a TargetFactors field or "shared." + a SharedFactors field. Each
-    branch is the block's row of the module docstring's folded table: it sums
-    pair p's terms that hold the block, the shared one weighted by lam, and
-    builds only what it reads. num - den is minus half the gradient.
+    branch is the block's row of the module docstring's folded table (a U
+    block's is _u_terms, summed over all rows): it sums pair p's terms that
+    hold the block, the shared one weighted by lam, and builds only what it
+    reads. products is (X_t V, V^T V) for f.V, built here when not given.
+    num - den is minus half the gradient.
     """
+    if name.startswith("U_"):
+        num, den = _u_terms(name, data, p, f, shared, lam, products)
+        return _rows_sum(num, slice(None)), _rows_sum(den, slice(None))
     X_t, V, XY, YY = data.targets[p], f.V, data.XY_s, data.YY_s
     Uc, Ut, Us = f.U_common, f.U_target, f.U_source
     Tc, Tt, Ts = f.Theta_common, f.Theta_target, f.Theta_source
@@ -361,11 +415,9 @@ def _num_den(name: str, data: ProblemData, p: int, f: TargetFactors,
     if name == "V":
         B_t, B_g = Uc @ Tc + Ut @ Tt, Uc @ Sc + Ut @ Ss
         return X_t.T @ (B_t + lam * B_g), V @ (B_t.T @ B_t + lam * (B_g.T @ B_g))
-    if name == "U_source":
-        return XY @ Ts.T, (Uc @ Tc + Us @ Ts) @ (YY @ Ts.T)
     if name == "Theta_source":
         return Us.T @ XY, Us.T @ ((Uc @ Tc + Us @ Ts) @ YY)
-    XV, G = X_t @ V, V.T @ V
+    XV, G = _v_products(data, p, V) if products is None else products
     if name == "Theta_target":
         return Ut.T @ XV, Ut.T @ ((Uc @ Tc + Ut @ Tt) @ G)
     if name == "Theta_common":
@@ -378,18 +430,6 @@ def _num_den(name: str, data: ProblemData, p: int, f: TargetFactors,
         return Uc.T @ (lam * XV), Uc.T @ (B_g @ (lam * G))
     if name == "shared.Theta_specific":
         return Ut.T @ (lam * XV), Ut.T @ (B_g @ (lam * G))
-    if name == "U_target":
-        den = (Uc @ Tc + Ut @ Tt) @ (G @ Tt.T)
-        den += B_g @ (lam * (G @ Ss.T))
-        return XV @ (Tt + lam * Ss).T, den
-    if name == "U_common":
-        UcTc = Uc @ Tc
-        num = XV @ (Tc + lam * Sc).T
-        num += XY @ Tc.T
-        den = (UcTc + Ut @ Tt) @ (G @ Tc.T)
-        den += B_g @ (lam * (G @ Sc.T))
-        den += (UcTc + Us @ Ts) @ (YY @ Tc.T)
-        return num, den
     raise ValueError(f"no factor block named {name!r}")
 
 
@@ -402,16 +442,41 @@ def _scaled(factors, field: str, num, den):
     )
 
 
+# A U step is taken over blocks of rows of about this many bytes of U
+# (linalg.blocks), so its numerator, denominator and step factor stay in
+# cache between the passes that build and read them. The three U steps of
+# one pair (M=8000, c=2, k=10/40/40, CSC corpora) took a median 10.2, 9.8,
+# 7.4, 6.6 and 6.7 ms at 16, 32, 64, 128 and 256 KiB, and 8.3 ms in one
+# block of all rows; smaller blocks pay Python's per-call cost. At 256 KiB
+# the last block, which takes the remainder, held 1232 of M=2000 rows, and
+# the fit's tracemalloc peak outgrew test_fit_peak_is_the_pairs_and_one_step
+# (P + 1.65 pair-factor sets against P + 1.22 at 64 and 128 KiB).
+ROW_BLOCK_BYTES = 128 * 1024
+
+
 def _pair_step(name: str, data, p: int, f: TargetFactors,
-               shared: SharedFactors, hp: Hyperparams) -> TargetFactors:
-    num, den = _num_den(name, data, p, f, shared, hp.lam)
-    return _scaled(f, name, num, den)
+               shared: SharedFactors, hp: Hyperparams,
+               products=None) -> TargetFactors:
+    """f after the multiplicative step on block name. A U block is stepped
+    one row block at a time, straight into the new U; any other block in
+    one piece."""
+    if not name.startswith("U_"):
+        num, den = _num_den(name, data, p, f, shared, hp.lam, products)
+        return _scaled(f, name, num, den)
+    num, den = _u_terms(name, data, p, f, shared, hp.lam, products)
+    U = getattr(f, name)
+    new = np.empty_like(U)
+    for rows in blocks(*U.shape, ROW_BLOCK_BYTES):
+        step = safe_ratio_sqrt(_rows_sum(num, rows), _rows_sum(den, rows))
+        np.multiply(U[rows], step, out=new[rows])
+    return replace(f, **{name: new})
 
 
 def update_u_target(data, p: int, f: TargetFactors, shared: SharedFactors,
-                    hp: Hyperparams) -> TargetFactors:
-    """Multiplicative step on the target-specific clusters U_target."""
-    return _pair_step("U_target", data, p, f, shared, hp)
+                    hp: Hyperparams, products=None) -> TargetFactors:
+    """Multiplicative step on the target-specific clusters U_target.
+    products is (X_t V, V^T V) for f.V, built here when not given."""
+    return _pair_step("U_target", data, p, f, shared, hp, products)
 
 
 def update_u_source(data, p: int, f: TargetFactors, shared: SharedFactors,
@@ -421,13 +486,14 @@ def update_u_source(data, p: int, f: TargetFactors, shared: SharedFactors,
 
 
 def update_u_common(data, p: int, f: TargetFactors, shared: SharedFactors,
-                    hp: Hyperparams) -> TargetFactors:
+                    hp: Hyperparams, products=None) -> TargetFactors:
     """Multiplicative step on the common clusters U_common.
 
     Pulls three gradients at once: the pair's target and source fits plus
-    the lam-weighted shared fit of the target.
+    the lam-weighted shared fit of the target. products is (X_t V, V^T V)
+    for f.V, built here when not given.
     """
-    return _pair_step("U_common", data, p, f, shared, hp)
+    return _pair_step("U_common", data, p, f, shared, hp, products)
 
 
 def update_v(data, p: int, f: TargetFactors, shared: SharedFactors,
@@ -437,32 +503,35 @@ def update_v(data, p: int, f: TargetFactors, shared: SharedFactors,
 
 
 def update_pair_associations(data, p: int, f: TargetFactors,
-                             shared: SharedFactors,
-                             hp: Hyperparams) -> TargetFactors:
+                             shared: SharedFactors, hp: Hyperparams,
+                             products=None) -> TargetFactors:
     """Multiplicative steps on the three pair-level association matrices.
 
     Theta_common first (it sees both corpora), then Theta_target and
-    Theta_source, each against the factors updated so far.
+    Theta_source, each against the factors updated so far. products is
+    (X_t V, V^T V) for f.V, built here when not given.
     """
     for name in ("Theta_common", "Theta_target", "Theta_source"):
-        f = _pair_step(name, data, p, f, shared, hp)
+        f = _pair_step(name, data, p, f, shared, hp, products)
     return f
 
 
 def update_shared_associations(data, factors, shared: SharedFactors,
-                               hp: Hyperparams) -> SharedFactors:
+                               hp: Hyperparams, products=None) -> SharedFactors:
     """Multiplicative steps on the two association matrices shared by all pairs.
 
     Numerators and denominators are summed over every pair before the ratio
     is taken (the denominator floor applies to the summed value). The
-    specific block is updated against the fresh common block.
+    specific block is updated against the fresh common block. products,
+    when given, holds each pair's (X_t V, V^T V).
     """
     for field in ("Theta_common", "Theta_specific"):
         num = den = 0.0
         for p, f in enumerate(factors):
             # lam weighs the one term that holds the block, so it cancels
             # from the ratio; unit weight keeps the rule defined at lam = 0
-            n, d = _num_den("shared." + field, data, p, f, shared, 1.0)
+            n, d = _num_den("shared." + field, data, p, f, shared, 1.0,
+                            None if products is None else products[p])
             num, den = num + n, den + d
         shared = _scaled(shared, field, num, den)
     return shared
@@ -484,7 +553,7 @@ def normalize_all(f: TargetFactors) -> TargetFactors:
 
 
 def run_iteration(data: ProblemData, factors, shared: SharedFactors,
-                  hp: Hyperparams) -> tuple:
+                  hp: Hyperparams, products=None) -> tuple:
     """One full sweep over all factors; the loop body of fit.
 
     factors is any iterable of exactly the P pairs' TargetFactors, taken
@@ -494,26 +563,36 @@ def run_iteration(data: ProblemData, factors, shared: SharedFactors,
     sees the freshest factors. Pairs never read each other's factors and see
     the iteration-start shared snapshot, so the sweep over pairs is
     order-independent.
+
+    X_t V and V^T V are built once per value of V: right after a pair is
+    normalized, for the shared step and the next sweep's first four steps.
+    products, when given, is a list holding each pair's (X_t V, V^T V) for
+    the V in factors, and the sweep replaces its entries with those of the
+    new V; without it they are built from factors.
     """
     # next() rather than zip: zip keeps its last result tuple for reuse, and
     # that tuple would hold the handed-over pair through the whole of its
     # sweep, a second copy of the pair in work
     given = iter(factors)
-    new_factors = []
+    new_factors, new_products = [], []
     for p in range(data.P):
         f = next(given, None)
         if f is None:
             raise InvalidConfigError(f"factors holds {p} pairs for {data.P} targets")
-        f = update_u_target(data, p, f, shared, hp)
+        pair_products = _v_products(data, p, f.V) if products is None else products[p]
+        f = update_u_target(data, p, f, shared, hp, pair_products)
         f = update_u_source(data, p, f, shared, hp)
-        f = update_u_common(data, p, f, shared, hp)
-        f = update_pair_associations(data, p, f, shared, hp)
+        f = update_u_common(data, p, f, shared, hp, pair_products)
+        f = update_pair_associations(data, p, f, shared, hp, pair_products)
         f = update_v(data, p, f, shared, hp)
         f = normalize_all(f)
         new_factors.append(f)
+        new_products.append(_v_products(data, p, f.V))
     if next(given, None) is not None:
         raise InvalidConfigError(f"factors holds more than {data.P} pairs")
-    shared = update_shared_associations(data, new_factors, shared, hp)
+    shared = update_shared_associations(data, new_factors, shared, hp, new_products)
+    if products is not None:
+        products[:] = new_products
     return new_factors, shared
 
 
@@ -544,6 +623,8 @@ def fit(data: ProblemData, hp: Hyperparams, v_init, truth=None) -> tuple:
     inputs and seed reproduce the run exactly.
     """
     factors, shared = init_factors(data, hp, v_init)
+    # each pair's (X_t V, V^T V), renewed by every sweep
+    products = [_v_products(data, p, f.V) for p, f in enumerate(factors)]
     if truth is not None:
         truth = [np.asarray(t).ravel() for t in truth]
         if len(truth) != data.P:
@@ -559,8 +640,9 @@ def fit(data: ProblemData, hp: Hyperparams, v_init, truth=None) -> tuple:
     trace = []
     prev_obj = None
     for iteration in range(1, hp.maxiter + 1):
-        factors, shared = run_iteration(data, _handed_over(factors), shared, hp)
-        obj = objective(data, factors, shared, hp)
+        factors, shared = run_iteration(data, _handed_over(factors), shared, hp,
+                                        products)
+        obj = objective(data, factors, shared, hp, products)
         if not _all_finite(factors, shared) or not np.isfinite(obj):
             raise NumericalDivergenceError(iteration)
         accs = None

@@ -1,11 +1,25 @@
 """Shared builders for engine-level tests."""
 
+import warnings
+
 import numpy as np
 from hypothesis import settings
 
 from mrtl.baselines import LogRegModel, expit
 from mrtl.engine import Hyperparams, ProblemData, SharedFactors, TargetFactors
 from mrtl.linalg import as_corpus, normalize_columns_l1, normalize_rows_l1
+
+# hypothesis's pytest plugin imports libcst to report a failing example, from
+# a report hook outside the test's warning filters. Under a module's "error"
+# filter the DeprecationWarning of that first import aborts the session with
+# INTERNALERROR instead of reporting the failure; imported once here, libcst
+# raises nothing later.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import libcst  # noqa: F401
+    except ImportError:
+        pass
 
 
 # Pair p's objective, once. Each row
