@@ -322,7 +322,8 @@ def cmd_eval(args) -> int:
     true = _read_labels(args.truth)
     if pred.shape[0] != true.shape[0]:
         print(
-            f"error: {pred.shape[0]} predictions vs {true.shape[0]} truth labels",
+            f"error: {pred.shape[0]} predictions in {args.predictions} vs "
+            f"{true.shape[0]} truth labels in {args.truth}",
             file=sys.stderr,
         )
         return EXIT_PARSE

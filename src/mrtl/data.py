@@ -32,6 +32,7 @@ class CorpusFormatError(ValueError):
     def __init__(self, line: int, message: str):
         super().__init__(f"line {line}: {message}")
         self.line = line
+        self.message = message
 
 
 def _header_zeros(shape, what: str) -> np.ndarray:
@@ -347,9 +348,13 @@ def serialize_corpus(X, c: int, labels=None) -> str:
 
 def load_corpus(path) -> tuple:
     """parse_corpus over the lines of a UTF-8 text file; a byte that is not
-    UTF-8 reads as a lone surrogate, which the format refuses."""
+    UTF-8 reads as a lone surrogate, which the format refuses. A format
+    error names the file after its line, as a label file's does."""
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        return parse_corpus(fh)
+        try:
+            return parse_corpus(fh)
+        except CorpusFormatError as exc:
+            raise CorpusFormatError(exc.line, f"{exc.message} in {path}") from None
 
 
 def compact_corpus(X):

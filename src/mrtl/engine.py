@@ -21,7 +21,7 @@ where U_c, U_t, U_s are U_common, U_target, U_source, Theta_c, Theta_t,
 Theta_s the pair associations, and Theta^g_c, Theta^g_s the shared ones.
 The multiplicative step on a block x is x <- x * sqrt(num / den), where
 num - den is minus half the gradient. tests/conftest.py sums num and den
-term by term as the reference; _num_den writes out the folded sums below,
+term by term as the reference; _terms writes out the folded sums below,
 in which a weight scales only a c x k, c x c or M x c factor and the target
 and shared terms share one X_t V. With G = V^T V, XV = X_t V and the fixed
 XY = X_s Y_s and YY = Y_s^T Y_s that ProblemData holds:
@@ -43,20 +43,22 @@ XY = X_s Y_s and YY = Y_s^T Y_s that ProblemData holds:
 
 This is the factored form of Lee & Seung (NIPS 2000) and Ding et al. (KDD
 2006): no step forms an M x n matrix. The step preserves nonnegativity, and
-every denominator is floored at linalg.EPSILON (1e-12). A U block's rows are
-independent: row i of its num and den reads row i of the M x c products
-(XV, XY, B_t, B_g, B_s) alone. So a U step forms those products once and
-then takes num, den, the step factor and the new rows one block of rows
-(ROW_BLOCK_BYTES of U) at a time, straight into the new U, and its M x k
-temporaries stay in cache; any other block is written into the step
-factor's own buffer. XV and G change only with V, so fit forms them once
-per value of V, right after a pair is normalized, for the shared step, the
-objective and the next sweep's first four steps. The public update_*
-functions apply the steps block by block in a fixed order, each pair's
+every denominator is floored at linalg.EPSILON (1e-12). A U block's rows
+are independent: row i of its num and den reads row i of the M x c products
+(XV, XY, B_t, B_g, B_s) alone. So _pair_step takes a U block's num, den,
+step factor and new rows one block of rows (ROW_BLOCK_BYTES of U) at a
+time, straight into the new U, and its M x k temporaries stay in cache; any
+other block it takes in one piece. XV and G change only with V, and every
+step is handed them: run_iteration builds them right after a pair is
+normalized, for the shared step, the objective and the next sweep's first
+four steps, and fit carries them between sweeps; only objective and
+run_iteration build them when none are given. run_iteration calls the
+public update_* steps by their module names, in a fixed order, each pair's
 steps followed by L1 normalization of the cluster matrices (columns) and
 the assignment (rows). fit frees each pair's old factors as soon as the
 sweep has taken them, and the sweep holds the pair in work once, so beyond
-the P live pairs a step adds at most three arrays of its block's size.
+the P live pairs a step adds its new block and at most three arrays of one
+piece's size.
 
 The objective is factored the same way: a term is
 w * (||X||^2 - 2 <X W, B> + <B^T B, W^T W>), where ||X||^2 is computed once
@@ -357,89 +359,67 @@ def _v_products(data: ProblemData, p: int, V) -> tuple:
     return data.targets[p] @ V, V.T @ V
 
 
-def _u_terms(name: str, data: ProblemData, p: int, f: TargetFactors,
-             shared: SharedFactors, lam: float, products=None) -> tuple:
-    """The numerator and denominator of U block name as two lists of terms
-    (L, R), each standing for the product L @ R of an M x c matrix L and a
-    c x k matrix R; they are the block's row of the module docstring's
-    folded table. Row i of a sum reads row i of each L alone, so the sums
-    can be taken over any rows. products is (X_t V, V^T V) for f.V, built
-    here when not given.
-    """
+def _terms(name: str, data: ProblemData, p: int, f: TargetFactors,
+           shared: SharedFactors, lam: float, products: tuple) -> tuple:
+    """Block name's step numerator and denominator, each a list of terms
+    (L, R) standing for the sum of the products L @ R: the block's row of
+    the module docstring's folded table. name is a TargetFactors field or
+    "shared." + a SharedFactors field; the terms are pair p's that hold the
+    block, the shared one weighted by lam, and only what they read is
+    built. products is (X_t V, V^T V) for f.V. A U block's L are M x c and
+    its R c x k, so row i of a sum reads row i of each L alone."""
+    (XV, G), XY, YY = products, data.XY_s, data.YY_s
     Uc, Ut, Us = f.U_common, f.U_target, f.U_source
     Tc, Tt, Ts = f.Theta_common, f.Theta_target, f.Theta_source
-    XY, YY = data.XY_s, data.YY_s
-    if name == "U_source":
-        return [(XY, Ts.T)], [(Uc @ Tc + Us @ Ts, YY @ Ts.T)]
-    XV, G = _v_products(data, p, f.V) if products is None else products
     Sc, Ss = shared.Theta_common, shared.Theta_specific
-    B_g = Uc @ Sc + Ut @ Ss
     if name == "U_target":
         return ([(XV, (Tt + lam * Ss).T)],
-                [(Uc @ Tc + Ut @ Tt, G @ Tt.T), (B_g, lam * (G @ Ss.T))])
+                [(Uc @ Tc + Ut @ Tt, G @ Tt.T), (Uc @ Sc + Ut @ Ss, lam * (G @ Ss.T))])
+    if name == "U_source":
+        return [(XY, Ts.T)], [(Uc @ Tc + Us @ Ts, YY @ Ts.T)]
     if name == "U_common":
         UcTc = Uc @ Tc
         return ([(XV, (Tc + lam * Sc).T), (XY, Tc.T)],
-                [(UcTc + Ut @ Tt, G @ Tc.T), (B_g, lam * (G @ Sc.T)),
+                [(UcTc + Ut @ Tt, G @ Tc.T), (Uc @ Sc + Ut @ Ss, lam * (G @ Sc.T)),
                  (UcTc + Us @ Ts, YY @ Tc.T)])
-    raise ValueError(f"no cluster block named {name!r}")
+    if name == "V":
+        B_t, B_g = Uc @ Tc + Ut @ Tt, Uc @ Sc + Ut @ Ss
+        return ([(data.targets[p].T, B_t + lam * B_g)],
+                [(f.V, B_t.T @ B_t + lam * (B_g.T @ B_g))])
+    if name == "Theta_source":
+        return [(Us.T, XY)], [(Us.T, (Uc @ Tc + Us @ Ts) @ YY)]
+    if name == "Theta_target":
+        return [(Ut.T, XV)], [(Ut.T, (Uc @ Tc + Ut @ Tt) @ G)]
+    if name == "Theta_common":
+        UcTc = Uc @ Tc
+        return ([(Uc.T, XV + XY)],
+                [(Uc.T, (UcTc + Ut @ Tt) @ G + (UcTc + Us @ Ts) @ YY)])
+    if name == "shared.Theta_common":
+        return [(Uc.T, lam * XV)], [(Uc.T, (Uc @ Sc + Ut @ Ss) @ (lam * G))]
+    if name == "shared.Theta_specific":
+        return [(Ut.T, lam * XV)], [(Ut.T, (Uc @ Sc + Ut @ Ss) @ (lam * G))]
+    raise ValueError(f"no factor block named {name!r}")
 
 
-def _rows_sum(terms, rows) -> np.ndarray:
-    """Rows rows (a slice) of the sum of L @ R over terms, in their order."""
+def _rows_sum(terms, rows=...) -> np.ndarray:
+    """The sum of L @ R over terms, in their order, over rows rows (a slice)
+    of each L, or over all rows for ..., the default. All rows take each L
+    whole: slicing would copy a sparse L (V's numerator reads X_t^T)."""
+    if rows is not ...:
+        terms = [(L[rows], R) for L, R in terms]
     (L, R), *rest = terms
-    total = L[rows] @ R
+    total = L @ R
     for L, R in rest:
-        total += L[rows] @ R
+        total += L @ R
     return total
 
 
 def _num_den(name: str, data: ProblemData, p: int, f: TargetFactors,
-             shared: SharedFactors, lam: float, products=None) -> tuple:
-    """Numerator and denominator of the multiplicative step on one block.
-
-    name is a TargetFactors field or "shared." + a SharedFactors field. Each
-    branch is the block's row of the module docstring's folded table (a U
-    block's is _u_terms, summed over all rows): it sums pair p's terms that
-    hold the block, the shared one weighted by lam, and builds only what it
-    reads. products is (X_t V, V^T V) for f.V, built here when not given.
-    num - den is minus half the gradient.
-    """
-    if name.startswith("U_"):
-        num, den = _u_terms(name, data, p, f, shared, lam, products)
-        return _rows_sum(num, slice(None)), _rows_sum(den, slice(None))
-    X_t, V, XY, YY = data.targets[p], f.V, data.XY_s, data.YY_s
-    Uc, Ut, Us = f.U_common, f.U_target, f.U_source
-    Tc, Tt, Ts = f.Theta_common, f.Theta_target, f.Theta_source
-    Sc, Ss = shared.Theta_common, shared.Theta_specific
-    if name == "V":
-        B_t, B_g = Uc @ Tc + Ut @ Tt, Uc @ Sc + Ut @ Ss
-        return X_t.T @ (B_t + lam * B_g), V @ (B_t.T @ B_t + lam * (B_g.T @ B_g))
-    if name == "Theta_source":
-        return Us.T @ XY, Us.T @ ((Uc @ Tc + Us @ Ts) @ YY)
-    XV, G = _v_products(data, p, V) if products is None else products
-    if name == "Theta_target":
-        return Ut.T @ XV, Ut.T @ ((Uc @ Tc + Ut @ Tt) @ G)
-    if name == "Theta_common":
-        UcTc = Uc @ Tc
-        den = (UcTc + Ut @ Tt) @ G
-        den += (UcTc + Us @ Ts) @ YY
-        return Uc.T @ (XV + XY), Uc.T @ den
-    B_g = Uc @ Sc + Ut @ Ss
-    if name == "shared.Theta_common":
-        return Uc.T @ (lam * XV), Uc.T @ (B_g @ (lam * G))
-    if name == "shared.Theta_specific":
-        return Ut.T @ (lam * XV), Ut.T @ (B_g @ (lam * G))
-    raise ValueError(f"no factor block named {name!r}")
-
-
-def _scaled(factors, field: str, num, den):
-    """factors with block field multiplied by sqrt(num / den), written into
-    the step's own buffer."""
-    step = safe_ratio_sqrt(num, den)
-    return replace(
-        factors, **{field: np.multiply(getattr(factors, field), step, out=step)}
-    )
+             shared: SharedFactors, lam: float, products: tuple) -> tuple:
+    """Numerator and denominator of the multiplicative step on one block:
+    its _terms summed over all rows. num - den is minus half the gradient."""
+    num, den = _terms(name, data, p, f, shared, lam, products)
+    return _rows_sum(num), _rows_sum(den)
 
 
 # A U step is taken over blocks of rows of about this many bytes of U
@@ -456,60 +436,58 @@ ROW_BLOCK_BYTES = 128 * 1024
 
 def _pair_step(name: str, data, p: int, f: TargetFactors,
                shared: SharedFactors, hp: Hyperparams,
-               products=None) -> TargetFactors:
-    """f after the multiplicative step on block name. A U block is stepped
-    one row block at a time, straight into the new U; any other block in
-    one piece."""
-    if not name.startswith("U_"):
-        num, den = _num_den(name, data, p, f, shared, hp.lam, products)
-        return _scaled(f, name, num, den)
-    num, den = _u_terms(name, data, p, f, shared, hp.lam, products)
-    U = getattr(f, name)
-    new = np.empty_like(U)
-    for rows in blocks(*U.shape, ROW_BLOCK_BYTES):
+               products: tuple) -> TargetFactors:
+    """f after the multiplicative step on block name, taken straight into
+    the new block: a U block one row block at a time, any other block in
+    one piece. products is (X_t V, V^T V) for f.V."""
+    num, den = _terms(name, data, p, f, shared, hp.lam, products)
+    x = getattr(f, name)
+    new = np.empty_like(x)
+    pieces = blocks(*x.shape, ROW_BLOCK_BYTES) if name.startswith("U_") else [...]
+    for rows in pieces:
         step = safe_ratio_sqrt(_rows_sum(num, rows), _rows_sum(den, rows))
-        np.multiply(U[rows], step, out=new[rows])
+        np.multiply(x[rows], step, out=new[rows])
     return replace(f, **{name: new})
 
 
 def update_u_target(data, p: int, f: TargetFactors, shared: SharedFactors,
-                    hp: Hyperparams, products=None) -> TargetFactors:
+                    hp: Hyperparams, products: tuple) -> TargetFactors:
     """Multiplicative step on the target-specific clusters U_target.
-    products is (X_t V, V^T V) for f.V, built here when not given."""
+    products is (X_t V, V^T V) for f.V."""
     return _pair_step("U_target", data, p, f, shared, hp, products)
 
 
 def update_u_source(data, p: int, f: TargetFactors, shared: SharedFactors,
-                    hp: Hyperparams) -> TargetFactors:
+                    hp: Hyperparams, products: tuple) -> TargetFactors:
     """Multiplicative step on the source-specific clusters U_source."""
-    return _pair_step("U_source", data, p, f, shared, hp)
+    return _pair_step("U_source", data, p, f, shared, hp, products)
 
 
 def update_u_common(data, p: int, f: TargetFactors, shared: SharedFactors,
-                    hp: Hyperparams, products=None) -> TargetFactors:
+                    hp: Hyperparams, products: tuple) -> TargetFactors:
     """Multiplicative step on the common clusters U_common.
 
     Pulls three gradients at once: the pair's target and source fits plus
     the lam-weighted shared fit of the target. products is (X_t V, V^T V)
-    for f.V, built here when not given.
+    for f.V.
     """
     return _pair_step("U_common", data, p, f, shared, hp, products)
 
 
 def update_v(data, p: int, f: TargetFactors, shared: SharedFactors,
-             hp: Hyperparams) -> TargetFactors:
+             hp: Hyperparams, products: tuple) -> TargetFactors:
     """Multiplicative step on the target's soft class assignment V."""
-    return _pair_step("V", data, p, f, shared, hp)
+    return _pair_step("V", data, p, f, shared, hp, products)
 
 
 def update_pair_associations(data, p: int, f: TargetFactors,
                              shared: SharedFactors, hp: Hyperparams,
-                             products=None) -> TargetFactors:
+                             products: tuple) -> TargetFactors:
     """Multiplicative steps on the three pair-level association matrices.
 
     Theta_common first (it sees both corpora), then Theta_target and
     Theta_source, each against the factors updated so far. products is
-    (X_t V, V^T V) for f.V, built here when not given.
+    (X_t V, V^T V) for f.V.
     """
     for name in ("Theta_common", "Theta_target", "Theta_source"):
         f = _pair_step(name, data, p, f, shared, hp, products)
@@ -517,23 +495,24 @@ def update_pair_associations(data, p: int, f: TargetFactors,
 
 
 def update_shared_associations(data, factors, shared: SharedFactors,
-                               hp: Hyperparams, products=None) -> SharedFactors:
+                               hp: Hyperparams, products) -> SharedFactors:
     """Multiplicative steps on the two association matrices shared by all pairs.
 
     Numerators and denominators are summed over every pair before the ratio
     is taken (the denominator floor applies to the summed value). The
-    specific block is updated against the fresh common block. products,
-    when given, holds each pair's (X_t V, V^T V).
+    specific block is updated against the fresh common block. products
+    holds each pair's (X_t V, V^T V).
     """
     for field in ("Theta_common", "Theta_specific"):
         num = den = 0.0
         for p, f in enumerate(factors):
             # lam weighs the one term that holds the block, so it cancels
             # from the ratio; unit weight keeps the rule defined at lam = 0
-            n, d = _num_den("shared." + field, data, p, f, shared, 1.0,
-                            None if products is None else products[p])
+            n, d = _num_den("shared." + field, data, p, f, shared, 1.0, products[p])
             num, den = num + n, den + d
-        shared = _scaled(shared, field, num, den)
+        step = safe_ratio_sqrt(num, den)  # the new block is written into it
+        shared = replace(shared, **{field: np.multiply(getattr(shared, field), step,
+                                                       out=step)})
     return shared
 
 
@@ -564,10 +543,9 @@ def run_iteration(data: ProblemData, factors, shared: SharedFactors,
     the iteration-start shared snapshot, so the sweep over pairs is
     order-independent.
 
-    X_t V and V^T V are built once per value of V: right after a pair is
-    normalized, for the shared step and the next sweep's first four steps.
-    products, when given, is a list holding each pair's (X_t V, V^T V) for
-    the V in factors, and the sweep replaces its entries with those of the
+    X_t V and V^T V are built once per value of V, right after a pair is
+    normalized. products, when given, is a list of each pair's (X_t V,
+    V^T V) for the V in factors, which the sweep replaces with those of the
     new V; without it they are built from factors.
     """
     # next() rather than zip: zip keeps its last result tuple for reuse, and
@@ -580,11 +558,11 @@ def run_iteration(data: ProblemData, factors, shared: SharedFactors,
         if f is None:
             raise InvalidConfigError(f"factors holds {p} pairs for {data.P} targets")
         pair_products = _v_products(data, p, f.V) if products is None else products[p]
-        f = update_u_target(data, p, f, shared, hp, pair_products)
-        f = update_u_source(data, p, f, shared, hp)
-        f = update_u_common(data, p, f, shared, hp, pair_products)
-        f = update_pair_associations(data, p, f, shared, hp, pair_products)
-        f = update_v(data, p, f, shared, hp)
+        # each step is looked up by its module name at every call, so a
+        # wrapper installed on mrtl.engine sees it
+        for step in (update_u_target, update_u_source, update_u_common,
+                     update_pair_associations, update_v):
+            f = step(data, p, f, shared, hp, pair_products)
         f = normalize_all(f)
         new_factors.append(f)
         new_products.append(_v_products(data, p, f.V))

@@ -6,7 +6,13 @@ import numpy as np
 from hypothesis import settings
 
 from mrtl.baselines import LogRegModel, expit
-from mrtl.engine import Hyperparams, ProblemData, SharedFactors, TargetFactors
+from mrtl.engine import (
+    Hyperparams,
+    ProblemData,
+    SharedFactors,
+    TargetFactors,
+    _v_products,
+)
 from mrtl.linalg import as_corpus, normalize_columns_l1, normalize_rows_l1
 
 # hypothesis's pytest plugin imports libcst to report a failing example, from
@@ -113,6 +119,12 @@ def num_den_per_term(name: str, data: ProblemData, p: int, f: TargetFactors,
             n, d = U.T @ (X @ W), (U.T @ B) @ (W.T @ W)
         num, den = num + w * n, den + w * d
     return num, den
+
+
+def v_products(data: ProblemData, factors) -> list:
+    """Each pair's (X_t V, V^T V), as fit carries them into a sweep and
+    update_shared_associations takes them."""
+    return [_v_products(data, p, f.V) for p, f in enumerate(factors)]
 
 
 def _scores(XT, W) -> np.ndarray:

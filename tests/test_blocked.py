@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from conftest import one_hot, random_state, reconstructions
+from conftest import num_den_per_term, one_hot, random_state, reconstructions
 
 from mrtl.data import compact_corpus, normalize_input
 from mrtl.engine import (
@@ -21,7 +21,6 @@ from mrtl.engine import (
     SharedFactors,
     TargetFactors,
     _num_den,
-    _scaled,
     _v_products,
     fit,
     init_factors,
@@ -40,6 +39,7 @@ from mrtl.linalg import (
     normalize_columns_l1,
     normalize_rows_l1,
     residual_sq,
+    safe_ratio_sqrt,
 )
 
 pytestmark = pytest.mark.filterwarnings("error")
@@ -103,17 +103,20 @@ def test_row_blocked_u_step_equals_the_one_piece_step(name, kind, k1, k2):
         assert len(pieces) >= 4
         assert pieces[-1].stop - pieces[-1].start > rows_per_block(k)
     for p, f in enumerate(factors):
-        want = _scaled(f, name, *_num_den(name, data, p, f, shared, hp.lam))
-        # U_source reads nothing of V; the other two may be handed X_t V, V^T V
-        carried = () if name == "U_source" else (_v_products(data, p, f.V),)
-        for extra in ((), *((products,) for products in carried)):
-            got = U_STEPS[name](data, p, f, shared, hp, *extra)
-            assert getattr(got, name).shape == (data.M, k)
-            assert np.array_equal(getattr(got, name), getattr(want, name))
-            # the step takes no other block
-            for other, a in vars(got).items():
-                if other != name:
-                    assert a is getattr(f, other)
+        products = _v_products(data, p, f.V)
+        U = getattr(f, name)
+        # the one-piece step: the kernel summed over all rows at once
+        want = U * safe_ratio_sqrt(*_num_den(name, data, p, f, shared, hp.lam, products))
+        got = U_STEPS[name](data, p, f, shared, hp, products)
+        assert getattr(got, name).shape == (data.M, k)
+        assert np.array_equal(getattr(got, name), want)
+        # and the per-term reference, up to the rounding of the folding
+        ref = U * safe_ratio_sqrt(*num_den_per_term(name, data, p, f, shared, hp.lam))
+        assert np.allclose(want, ref, rtol=1e-12, atol=0.0)
+        # the step takes no other block
+        for other, a in vars(got).items():
+            if other != name:
+                assert a is getattr(f, other)
 
 
 def corpora_with_edge_entries():

@@ -212,6 +212,20 @@ def test_train_malformed_corpus_exits_3(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+def test_train_corpus_error_names_the_faulty_target(tmp_path, capsys):
+    src = synth(tmp_path / "data")
+    bad = tmp_path / "bad_target.txt"
+    lines = read(src / "target_2.txt").splitlines()
+    lines[2] = "0 x:1"
+    bad.write_text("\n".join(lines) + "\n")
+    args = train_args(src, tmp_path / "run")
+    args[args.index(str(src / "target_2.txt"))] = str(bad)
+    assert cli.main(args) == 3
+    assert (f"error: line 3: malformed entry 'x:1', expected idx:val in {bad}"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("value", ["inf", "nan", "-inf"])
 def test_train_non_finite_corpus_value_exits_3(tmp_path, capsys, value):
     src = synth(tmp_path / "data")
@@ -365,6 +379,8 @@ def test_eval_length_mismatch_exits_3(tmp_path, capsys):
     truth.write_text("1\n")
     rc = cli.main(["eval", "--predictions", str(pred), "--truth", str(truth)])
     assert rc == 3
+    assert (f"error: 2 predictions in {pred} vs 1 truth labels in {truth}"
+            in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("pred_text, truth_text, bad, line, label", [

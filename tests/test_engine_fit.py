@@ -8,6 +8,7 @@ import pytest
 from conftest import one_hot, random_problem, random_state
 from hypothesis import example, given, strategies as st
 
+import mrtl.engine
 from mrtl.engine import (
     Hyperparams,
     InvalidConfigError,
@@ -265,6 +266,31 @@ def test_fit_peak_is_the_pairs_and_one_step(P, M):
     finally:
         tracemalloc.stop()
     assert peak <= (P + 1.5) * unit, f"peak {peak / unit:.2f} pair-factor sets"
+
+
+PAIR_STEPS = ("update_u_target", "update_u_source", "update_u_common",
+              "update_pair_associations", "update_v", "normalize_all")
+
+
+def test_sweep_calls_each_step_through_its_module_name(monkeypatch):
+    # a wrapper installed on mrtl.engine, as a tracer installs one, sees
+    # every pair step once per pair and the shared step once per sweep
+    calls = []
+
+    def counted(name):
+        step = getattr(mrtl.engine, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return step(*args, **kwargs)
+        return wrapper
+
+    for name in (*PAIR_STEPS, "update_shared_associations"):
+        monkeypatch.setattr(mrtl.engine, name, counted(name))
+    data, v_init = random_problem(np.random.default_rng(12), M=10, n_t=(5, 4, 6))
+    fit(data, Hyperparams(k1=2, k2=4, maxiter=3), v_init)
+    sweep = [*PAIR_STEPS * data.P, "update_shared_associations"]
+    assert calls == sweep * 3
 
 
 @pytest.mark.parametrize("given", [2, 4], ids=["P-1", "P+1"])

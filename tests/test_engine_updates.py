@@ -11,11 +11,13 @@ from conftest import (
     random_state,
     reconstructions,
     tiny_hp,
+    v_products,
 )
 
 from mrtl.engine import (
     Hyperparams,
     _num_den,
+    _v_products,
     ProblemData,
     SharedFactors,
     TargetFactors,
@@ -185,7 +187,8 @@ def test_update_u_target_fixed_point():
     rng = np.random.default_rng(5)
     data, factors, shared = exact_problem(rng)
     hp = tiny_hp(lam=4.0)
-    new = update_u_target(data, 0, factors[0], shared, hp)
+    new = update_u_target(data, 0, factors[0], shared, hp,
+                          _v_products(data, 0, factors[0].V))
     assert np.max(np.abs(new.U_target - factors[0].U_target)) <= 1e-12
 
 
@@ -196,7 +199,7 @@ def test_update_u_target_scalar_sqrt2():
         Theta_common=np.array([[0.0, 0.0]]), Theta_specific=np.array([[1.0, 0.0]])
     )
     hp = Hyperparams(k1=1, k2=2, lam=0.0)
-    new = update_u_target(data, 0, f, shared, hp)
+    new = update_u_target(data, 0, f, shared, hp, _v_products(data, 0, f.V))
     assert new.U_target[0, 0] == pytest.approx(np.sqrt(2.0), abs=1e-15)
 
 
@@ -213,7 +216,7 @@ def test_update_u_target_formula_oracle():
         rec_sh @ f.V @ shared.Theta_specific.T
     )
     want = f.U_target * np.sqrt(num / np.maximum(den, EPSILON))
-    got = update_u_target(data, 0, f, shared, hp)
+    got = update_u_target(data, 0, f, shared, hp, _v_products(data, 0, f.V))
     assert np.allclose(got.U_target, want, rtol=1e-12, atol=0)
 
 
@@ -223,7 +226,8 @@ def test_update_u_target_formula_oracle():
 def test_update_u_source_fixed_point():
     rng = np.random.default_rng(7)
     data, factors, shared = exact_problem(rng)
-    new = update_u_source(data, 0, factors[0], shared, tiny_hp())
+    new = update_u_source(data, 0, factors[0], shared, tiny_hp(),
+                          _v_products(data, 0, factors[0].V))
     assert np.max(np.abs(new.U_source - factors[0].U_source)) <= 1e-12
 
 
@@ -233,7 +237,8 @@ def test_update_u_source_scalar_times_two():
     shared = SharedFactors(
         Theta_common=np.array([[0.0, 0.0]]), Theta_specific=np.array([[1.0, 0.0]])
     )
-    new = update_u_source(data, 0, f, shared, Hyperparams(k1=1, k2=2))
+    new = update_u_source(data, 0, f, shared, Hyperparams(k1=1, k2=2),
+                          _v_products(data, 0, f.V))
     assert new.U_source[0, 0] == pytest.approx(2.0, abs=1e-15)
 
 
@@ -243,7 +248,8 @@ def test_update_u_source_scalar_times_two():
 def test_update_u_common_fixed_point():
     rng = np.random.default_rng(8)
     data, factors, shared = exact_problem(rng)
-    new = update_u_common(data, 0, factors[0], shared, tiny_hp(lam=2.0))
+    new = update_u_common(data, 0, factors[0], shared, tiny_hp(lam=2.0),
+                          _v_products(data, 0, factors[0].V))
     assert np.max(np.abs(new.U_common - factors[0].U_common)) <= 1e-12
 
 
@@ -258,7 +264,7 @@ def test_update_u_common_lambda_zero_oracle():
     num = X_t @ f.V @ f.Theta_common.T + data.X_s @ data.Y_s @ f.Theta_common.T
     den = rec_t @ f.V @ f.Theta_common.T + rec_s @ data.Y_s @ f.Theta_common.T
     want = f.U_common * np.sqrt(num / np.maximum(den, EPSILON))
-    got = update_u_common(data, 0, f, shared, hp)
+    got = update_u_common(data, 0, f, shared, hp, _v_products(data, 0, f.V))
     assert np.allclose(got.U_common, want, rtol=1e-12, atol=0)
 
 
@@ -268,7 +274,8 @@ def test_update_u_common_lambda_zero_oracle():
 def test_update_v_fixed_point():
     rng = np.random.default_rng(10)
     data, factors, shared = exact_problem(rng)
-    new = update_v(data, 0, factors[0], shared, tiny_hp(lam=5.0))
+    new = update_v(data, 0, factors[0], shared, tiny_hp(lam=5.0),
+                   _v_products(data, 0, factors[0].V))
     assert np.max(np.abs(new.V - factors[0].V)) <= 1e-12
 
 
@@ -279,7 +286,7 @@ def test_update_v_scalar_sqrt3():
         Theta_common=np.array([[1.0, 0.0]]), Theta_specific=np.array([[0.0, 0.0]])
     )
     hp = Hyperparams(k1=1, k2=2, lam=1.0)
-    new = update_v(data, 0, f, shared, hp)
+    new = update_v(data, 0, f, shared, hp, _v_products(data, 0, f.V))
     assert new.V[0, 0] == pytest.approx(np.sqrt(3.0), abs=1e-15)
 
 
@@ -318,7 +325,8 @@ def test_normalize_all_hand_and_degenerate_row():
 def test_update_pair_associations_fixed_point():
     rng = np.random.default_rng(14)
     data, factors, shared = exact_problem(rng)
-    new = update_pair_associations(data, 0, factors[0], shared, tiny_hp())
+    new = update_pair_associations(data, 0, factors[0], shared, tiny_hp(),
+                                   _v_products(data, 0, factors[0].V))
     assert np.max(np.abs(new.Theta_common - factors[0].Theta_common)) <= 1e-12
     assert np.max(np.abs(new.Theta_target - factors[0].Theta_target)) <= 1e-12
     assert np.max(np.abs(new.Theta_source - factors[0].Theta_source)) <= 1e-12
@@ -330,7 +338,8 @@ def test_update_pair_associations_scalar_times_two():
     shared = SharedFactors(
         Theta_common=np.array([[0.0, 0.0]]), Theta_specific=np.array([[1.0, 0.0]])
     )
-    new = update_pair_associations(data, 0, f, shared, Hyperparams(k1=1, k2=2))
+    new = update_pair_associations(data, 0, f, shared, Hyperparams(k1=1, k2=2),
+                                   _v_products(data, 0, f.V))
     # numerator 4, denominator 1 on the live target entry
     assert new.Theta_target[0, 0] == pytest.approx(2.0, abs=1e-15)
     assert new.Theta_common[0, 0] == 0.0
@@ -343,7 +352,8 @@ def test_update_pair_associations_scalar_times_two():
 def test_update_shared_fixed_point_single_pair():
     rng = np.random.default_rng(15)
     data, factors, shared = exact_problem(rng, n_t=(5,))
-    new = update_shared_associations(data, factors, shared, tiny_hp())
+    new = update_shared_associations(data, factors, shared, tiny_hp(),
+                                     v_products(data, factors))
     assert np.max(np.abs(new.Theta_common - shared.Theta_common)) <= 1e-12
     assert np.max(np.abs(new.Theta_specific - shared.Theta_specific)) <= 1e-12
 
@@ -358,8 +368,10 @@ def test_update_shared_two_identical_targets_match_single():
         targets=(data1.targets[0], data1.targets[0].copy()),
     )
     factors2 = [factors1[0], factors1[0]]
-    single = update_shared_associations(data1, factors1, shared, hp)
-    double = update_shared_associations(data2, factors2, shared, hp)
+    single = update_shared_associations(data1, factors1, shared, hp,
+                                        v_products(data1, factors1))
+    double = update_shared_associations(data2, factors2, shared, hp,
+                                        v_products(data2, factors2))
     # doubled sums cancel exactly in the ratio
     assert np.array_equal(single.Theta_common, double.Theta_common)
     assert np.array_equal(single.Theta_specific, double.Theta_specific)
@@ -465,7 +477,8 @@ def test_kernel_gradient_matches_finite_differences(block, lam):
         x = getattr(shared, field)
         analytic = sum(
             2.0 * (den - num)
-            for num, den in (_num_den(block, data, p, f, shared, hp.lam)
+            for num, den in (_num_den(block, data, p, f, shared, hp.lam,
+                                      _v_products(data, p, f.V))
                              for p, f in enumerate(factors))
         )
 
@@ -474,7 +487,8 @@ def test_kernel_gradient_matches_finite_differences(block, lam):
     else:
         f = factors[0]
         x = getattr(f, block)
-        num, den = _num_den(block, data, 0, f, shared, hp.lam)
+        num, den = _num_den(block, data, 0, f, shared, hp.lam,
+                             _v_products(data, 0, f.V))
         analytic = 2.0 * (den - num)
 
         def objective_at(value):

@@ -36,6 +36,7 @@ from mrtl.engine import (
     Hyperparams,
     ProblemData,
     _num_den,
+    _v_products,
     fit,
     objective,
     predict,
@@ -114,8 +115,10 @@ def test_objective_and_kernel_equal_on_dense_and_csc(problem):
                objective(dense, factors, shared, hp)) <= RTOL
     for p, f in enumerate(factors):
         for block in BLOCKS:
-            for got, want in zip(_num_den(block, csc, p, f, shared, hp.lam),
-                                 _num_den(block, dense, p, f, shared, hp.lam)):
+            for got, want in zip(_num_den(block, csc, p, f, shared, hp.lam,
+                                          _v_products(csc, p, f.V)),
+                                 _num_den(block, dense, p, f, shared, hp.lam,
+                                          _v_products(dense, p, f.V))):
                 assert rel(got, want) <= RTOL, block
     got_factors, got_shared = run_iteration(csc, factors, shared, hp)
     want_factors, want_shared = run_iteration(dense, factors, shared, hp)
@@ -135,7 +138,8 @@ def test_folded_kernel_matches_per_term_formulas(problem):
     for data in (dense, csc):
         for p, f in enumerate(factors):
             for block in BLOCKS:
-                got = _num_den(block, data, p, f, shared, hp.lam)
+                got = _num_den(block, data, p, f, shared, hp.lam,
+                               _v_products(data, p, f.V))
                 want = num_den_per_term(block, data, p, f, shared, hp.lam)
                 for g, w in zip(got, want):
                     assert g.shape == w.shape, block
