@@ -57,13 +57,15 @@ def parse_corpus(lines) -> tuple:
     and float() accept, so neither accepts the lone surrogate load_corpus
     makes of a byte that is not UTF-8. Lines are read one at a time; their
     entries are queued and converted in blocks of about BLOCK_BYTES, so the
-    text held at once is one block, not the file. Raises CorpusFormatError
-    naming the first offending line in file order (a queued entry's fault
-    is raised in place of a later line's or of an error lines raises) for a
-    malformed header or one announcing matrices too large to allocate, a
-    malformed token, a feature index out of [1, M], indices not strictly
-    increasing, a negative or non-finite value, a label outside [0, c],
-    mixed labeled/unlabeled records, or a record count unlike the header's n.
+    text held at once is one block, not the file. A block of plain tokens is
+    read in numpy passes (as exact int64 index and mantissa pairs where it
+    can), any other entry by entry. Raises CorpusFormatError naming the first
+    offending line in file order (a queued entry's fault is raised in place of
+    a later line's or of an error lines raises) for a malformed header or one
+    announcing matrices too large to allocate, a malformed token, a feature
+    index out of [1, M], indices not strictly increasing, a negative or
+    non-finite value, a label outside [0, c], mixed labeled/unlabeled
+    records, or a record count unlike the header's n.
     """
     it = iter(lines)
     try:
@@ -184,21 +186,47 @@ def _entry(tok: str, M: int, prev: int, lineno: int) -> tuple:
 # Record entries are converted into X in blocks of at least this many
 # characters (a block ends with the record that reaches it), which are bytes
 # in every block the numpy passes read. At 256 KiB those passes cost far more
-# than setting them up, and the text and the per-byte arrays of one block
-# stay small beside a dense corpus.
+# than setting them up, and the text and the per-byte and per-event arrays of
+# one block stay small beside a dense corpus.
 BLOCK_BYTES = 256 * 1024
 
-# the ASCII characters str.split() splits on; every one becomes a space, a
-# separator fromstring knows, and every byte that no plain token holds
-# becomes an "x"
-_WHITESPACE = b" \t\n\v\f\r\x1c\x1d\x1e\x1f"
-_BLANKS = bytes(
-    32 if b in _WHITESPACE else b if b in b"0123456789:.eE+-" else ord("x")
-    for b in range(256)
-)
-# an index of up to 18 digits fits int64; a block with a longer one goes to
-# _entry
-_MAX_INDEX_DIGITS = 18
+# The kind of each byte of a block: 0 for a digit, and for any other byte
+# an event of the token check, _OTHER for one that no grammar lets through
+_SPACE, _COLON, _DOT, _EXP, _SIGN, _OTHER = range(1, 7)
+_WHITESPACE = b" \t\n\v\f\r\x1c\x1d\x1e\x1f"  # what str.split() splits on in ASCII
+_KINDS = bytes(next(
+    (kind for kind, chars in enumerate(
+        (b"0123456789", _WHITESPACE, b":", b".", b"eE", b"+-")) if b in chars),
+    _OTHER) for b in range(256))
+# what fromstring reads: whitespace and colons become spaces, its separator,
+# and for the int64 read e and E too, with dots deleted
+_FLOAT_TEXT = bytes.maketrans(b":" + _WHITESPACE, b" " * (1 + len(_WHITESPACE)))
+_INT_TEXT = bytes.maketrans(b":eE" + _WHITESPACE, b" " * (3 + len(_WHITESPACE)))
+_MAX_DIGITS = 18  # an int64 holds every number of up to 18 digits
+
+
+def _grammar(allowed: dict) -> bytes:
+    """A translate table that maps to 1 the code of each event whose pair
+    of kinds (written as two bytes of those kinds) allowed gives its class
+    of digits, and any other code to 0."""
+    codes = {32 * prev + 4 * kind + int(digits)
+             for pair, classes in allowed.items() for digits in classes
+             for prev, kind in [pair.encode().translate(_KINDS)]}
+    return bytes(code in codes for code in range(256))
+
+
+# a token: a space run, 1 to 18 index digits, a colon and a nonempty value
+_TOKEN = _grammar({**{a + b: "012" for a in ":.e+" for b in " .e+"},
+                   "  ": "0", " :": "1", ": ": "12"})
+# a token whose value is digits[.digits][e[sign]digits], with up to 18
+# digits after the e and before it (there a count checked at the dot)
+_PLAIN = _grammar({"  ": "0", " :": "1", ": ": "1", ":e": "1", ":.": "01",
+                   ". ": "01", ".e": "01", "e+": "0", "e ": "1", "+ ": "1"})
+# Clinger's fast path ("How to Read Floating Point Numbers Accurately", PLDI
+# 1990), which strtod takes first: for m <= 2**53 and |q| <= 22, m and
+# 10**|q| are doubles exactly, so one correctly rounded multiply or divide
+# gives the double nearest m * 10**q, the one float() reads
+_POW10 = np.array([float(10**q) for q in range(23)])
 
 
 def _convert(X, queued) -> None:
@@ -228,31 +256,32 @@ def _convert_block(X, data: bytes, starts, cols) -> bool:
     and return True, or write nothing and return False.
 
     data holds the records' entries, each record ending in "\n"; record r
-    starts at byte starts[r] and goes to column cols[r]. The passes read a
-    block only when every token is plain, up to 18 ASCII digits, a colon and
-    a value of ``0-9 . e E + -``, fromstring vouches for every value, and
-    every entry passes the checks; any other block is left to _entry.
+    starts at byte starts[r] and goes to column cols[r]. Each byte but a
+    digit is an event, coded 32 * the previous event's kind + 4 * its kind
+    + its class of digits since (none, 1 to 18, more); a translate of the
+    codes checks them against a grammar. _PLAIN tokens are read by
+    _exact_entries where it can, other _TOKEN ones as float64; a failed
+    read or check leaves the block to _entry.
     """
     M = X.shape[0]
-    blanked = data.translate(_BLANKS)
-    if b"x" in blanked:
-        return False
-    text = np.frombuffer(bytearray(blanked), dtype=np.uint8)
-    word = text != ord(" ")
-    # token t is text[begin[t]:end[t]]; text[end[t]] is a space
-    edges = np.flatnonzero(np.diff(word, prepend=False, append=False))
-    begin, end = edges[0::2], edges[1::2]
-    colons = np.flatnonzero(text == ord(":"))
-    colon = np.append(colons, text.size)[np.searchsorted(colons, begin)]
-    if np.any((colon - begin > _MAX_INDEX_DIGITS) | (colon >= end)):
-        return False
-    idx, digits = _read_indices(text, begin, colon)
-    # what is left of text once the indices and colons are blanked out with
-    # NULs is the values between whitespace
-    val = _read_values(text[text != 0].tobytes(), begin.size)
-    if val is None or not digits.all():
-        return False
-    rec = np.searchsorted(starts, begin, side="right") - 1
+    kind = np.frombuffer(data.translate(_KINDS), dtype=np.uint8)
+    at = np.flatnonzero(kind != 0)
+    kind, at = kind[at], at.astype(np.int32)
+    # a space before the block is the event before the first
+    gap = np.diff(at, prepend=np.int32(-1)) - 1
+    code = (np.insert(kind[:-1], 0, _SPACE) * np.uint8(32) + kind * np.uint8(4)
+            + (gap > 0).view(np.uint8) + (gap > _MAX_DIGITS).view(np.uint8))
+    colon = np.flatnonzero(kind == _COLON)
+    plain = 0 not in code.tobytes().translate(_PLAIN)
+    entries = _exact_entries(data, kind, gap, colon) if plain else None
+    if entries is None:
+        pairs = None if 0 in code.tobytes().translate(_TOKEN) else _read_values(
+            data.translate(_FLOAT_TEXT), 2 * colon.size, np.float64)
+        if pairs is None:
+            return False
+        entries = pairs[0::2].astype(np.int64), pairs[1::2]
+    idx, val = entries
+    rec = np.searchsorted(starts, at[colon], side="right") - 1
     prev = np.concatenate(([0], np.where(rec[1:] == rec[:-1], idx[:-1], 0)))
     if np.any((idx <= prev) | (idx > M) | ~((val >= 0.0) & (val < np.inf))):
         return False
@@ -260,45 +289,38 @@ def _convert_block(X, data: bytes, starts, cols) -> bool:
     return True
 
 
-def _read_indices(text, begin, colon) -> tuple:
-    """(indices, digits): text[begin:colon] as int64, read byte by byte from
-    the colon back, each times its power of ten, and whether every one of
-    those bytes is an ASCII digit. Blanks each index and its colon with
-    NULs."""
-    idx = np.zeros(begin.size, dtype=np.int64)
-    digits = np.ones(begin.size, dtype=bool)
-    text[colon] = 0
-    at, power = colon - 1, np.int64(1)
-    for _ in range(int((colon - begin).max(initial=0))):
-        inside = at >= begin
-        # widened before the arithmetic: numpy 1.x keeps uint8 * int64
-        # scalar in uint8, where 3 * 100 wraps to 44
-        digit = text[at].astype(np.int64) - ord("0")
-        digits &= ~inside | ((digit >= 0) & (digit <= 9))
-        idx += np.where(inside, digit, 0) * power
-        # a shorter index blanks its first byte again, which it has read
-        text[np.maximum(at, begin)] = 0
-        at, power = at - 1, power * 10
-    return idx, digits
+def _exact_entries(data: bytes, kind, gap, colon):
+    """(idx, val) of a block of _PLAIN tokens: index, m and, after an e,
+    exponent read as int64 (an empty m leaves the count short), each value
+    m * 10**q with q the exponent less the digits after the dot; or None
+    where a value is not one or a read fails."""
+    dot = kind[colon + 1] == _DOT
+    end = colon + 1 + dot  # the event after the digits before any e
+    frac, exp = gap[end] * dot, kind[end] == _EXP
+    ints = _read_values(data.translate(_INT_TEXT, b"."),
+                        2 * colon.size + np.count_nonzero(exp), np.int64)
+    if ints is None:
+        return None
+    first = 2 * np.arange(colon.size) + np.cumsum(exp) - exp
+    idx, m, q = ints[first], ints[first + 1], -frac.astype(np.int64)
+    q[exp] += ints[first[exp] + 2]
+    if not np.all((gap[colon + 1] + frac <= _MAX_DIGITS) & (m <= 2**53)
+                  & (np.abs(q) < _POW10.size)):
+        return None
+    power = _POW10[np.abs(q)]
+    return idx, np.where(q < 0, m / power, m * power)
 
 
-def _read_values(text: bytes, count: int):
-    """The count values in text, between whitespace, as float64, or None
-    unless fromstring reads exactly count numbers.
-
-    fromstring reads a number with the correctly rounded conversion float()
-    uses, and needs whitespace after it. So a value of ``0-9 . e E + -``
-    that float() accepts reads as itself, and any other stops fromstring
-    short of the whitespace (unmatched data) or, if empty, leaves the count
-    short.
-    """
-    if not count:
-        return np.zeros(0)  # fromstring reads whitespace alone as [-1.0]
+def _read_values(text: bytes, count: int, dtype):
+    """The count numbers in text, between spaces, as dtype, or None unless
+    fromstring reads that many: a float as float() reads it, an int64 of up
+    to 18 digits as int() does, and any other number stops it short of the
+    space (unmatched data) or, if empty, leaves the count short."""
     with warnings.catch_warnings():
         # numpy before 2.3 warns on unmatched data where later ones raise
         warnings.simplefilter("error", DeprecationWarning)
         try:
-            values = np.fromstring(text, sep=" ")
+            values = np.fromstring(text, dtype=dtype, sep=" ")
         except (DeprecationWarning, ValueError):
             return None
     return values if values.size == count else None

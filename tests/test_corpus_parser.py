@@ -4,13 +4,16 @@ and within a memory bound."""
 import io
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import mrtl.data
-from mrtl.data import BLOCK_BYTES, CorpusFormatError, load_corpus, parse_corpus
+from mrtl.data import (
+    BLOCK_BYTES, CorpusFormatError, load_corpus, parse_corpus, serialize_corpus,
+)
 
 
 def scalar_parse(lines) -> tuple:
@@ -249,6 +252,137 @@ def test_faulty_token_of_plain_bytes_is_named(last):
     assert expected[0] == 3
 
 
+@pytest.fixture
+def reads(monkeypatch):
+    """(tokens _entry reads, dtypes _read_values reads) from here on."""
+    tokens, dtypes = [], []
+    entry, read_values = mrtl.data._entry, mrtl.data._read_values
+
+    def spy_entry(tok, *args):
+        tokens.append(tok)
+        return entry(tok, *args)
+
+    def spy_read(text, count, dtype):
+        dtypes.append(dtype)
+        return read_values(text, count, dtype)
+
+    monkeypatch.setattr(mrtl.data, "_entry", spy_entry)
+    monkeypatch.setattr(mrtl.data, "_read_values", spy_read)
+    return tokens, dtypes
+
+
+INT, FLOAT = np.int64, np.float64
+
+
+@pytest.mark.parametrize("values, dtypes", [
+    # m at and past 2**53; 18 and 19 digits before the e
+    ("9007199254740992", [INT]),
+    ("9007199254740993", [INT, FLOAT]),
+    ("0.00000000000000005 000000000000000007", [INT]),
+    ("0.000000000000000005", [INT, FLOAT]),
+    ("123456789012345678", [INT, FLOAT]),
+    ("1234567890123456789", [FLOAT]),
+    # q = +-22 and +-23, the digits after the dot counted
+    ("1e22 1e-22 1.5e23 1.5e-21 7e+22", [INT]),
+    ("1e23", [INT, FLOAT]),
+    ("1e-23", [INT, FLOAT]),
+    ("1.5e24", [INT, FLOAT]),
+    ("1.5e-22", [INT, FLOAT]),
+    # an exponent that a 32-bit q would wrap to -5, and ones past 18 digits
+    ("1e-4294967301", [INT, FLOAT]),
+    ("1e0000000000000000000005", [FLOAT]),
+    ("1e-99999999999999999999", [FLOAT]),
+    ("1e99999999999999999999", [FLOAT]),
+    ("5. .5 1.e5 0.e0 00.50", [INT]),
+    ("4.9e-324", [INT, FLOAT]),
+    ("-0", [FLOAT]),  # its sign bit kept
+    ("0.25 9007199254740993 3e-5", [INT, FLOAT]),
+    ("0.25 -0 3e-5 +.5", [FLOAT]),
+])
+def test_exact_route_edges_match_scalar_reference(values, dtypes, reads):
+    # every spelling is read in bulk, by the int64 read alone where m and q
+    # allow; _entry only names a fault
+    tokens, read = reads
+    entries = " ".join(f"{j}:{v}" for j, v in enumerate(values.split(), 1))
+    text = f"6 1 2\n1 {entries}\n".splitlines()
+    expected = outcome(scalar_parse, text)
+    tokens.clear()
+    assert outcome(parse_corpus, text) == expected
+    assert read == dtypes
+    assert tokens == (entries.split() if isinstance(expected[0], int) else [])
+
+
+def test_written_corpora_take_the_int64_read(reads):
+    # what serialize_corpus writes at magnitudes 1e-9 to 1e9, and a dense
+    # normalized .12g record set like the benchmark's, never need the
+    # float64 read: losing that route would cost every such block
+    tokens, read = reads
+    rng = np.random.default_rng(3)
+    X = 10.0 ** rng.uniform(-9, 9, size=(300, 40))
+    X[rng.random(X.shape) < 0.3] = 0.0
+    dense = rng.random((1000, 24))
+    dense /= dense.sum(axis=0)
+    lines = ["1000 24 2"] + [" ".join(["0"] + [
+        f"{j + 1}:{v:.12g}" for j, v in enumerate(col.tolist())]) for col in dense.T]
+    for text in [serialize_corpus(X, 2, np.arange(40) % 2 + 1), "\n".join(lines)]:
+        read.clear()
+        parsed = parse_corpus(text.splitlines())[0]
+        assert parsed.tobytes() == scalar_parse(text.splitlines())[0].tobytes()
+        assert read and set(read) == {INT} and tokens == []
+    assert len(read) > 1  # the dense records span blocks
+
+
+FROMSTRING = np.fromstring
+
+
+def fromstring_before_2_3(text, dtype=float, sep=" "):
+    """np.fromstring as numpy before 2.3 has it: unmatched data warns and
+    ends the read, with the numbers read up to there."""
+    try:
+        return FROMSTRING(text, dtype=dtype, sep=sep)
+    except ValueError:
+        pass
+
+    def reads_one(word):
+        try:
+            return FROMSTRING(word + b" ", dtype=dtype, sep=" ").size == 1
+        except ValueError:
+            return False
+
+    read = []
+    for word in text.split():
+        # the longest head of the word that is a number, as strtod takes it
+        head = next((word[:k] for k in range(len(word), 0, -1) if reads_one(word[:k])), b"")
+        read += [head] if head else []
+        if head != word:
+            break
+    warnings.warn("string or file could not be read to its end due to unmatched "
+                  "data", DeprecationWarning, stacklevel=2)
+    return FROMSTRING(b" ".join(read) + b" ", dtype=dtype, sep=sep) if read else \
+        np.zeros(0, dtype)
+
+
+@pytest.mark.parametrize("last", [
+    "11:5+", "11:1e5+5", "11:1.5-", "11:1.2.3", "11:1e", "11:.", "11:+1.5e-5-5",
+    "11:1e5.", "11:0.5", "11:+.5", "11:1e23", "11:-0",
+])
+def test_numpy_that_warns_on_unmatched_data_parses_alike(last, monkeypatch):
+    # a faulty last value leaves such a numpy short of nothing but the
+    # warning; both reads run under it, though only the float64 read can
+    # meet unmatched data once the tokens passed the grammar
+    text = f"20 2 2\n1 1:5 2:0.25 4:3e-5\n2 7:1 {last}\n".splitlines()
+    expected = outcome(scalar_parse, text)
+    monkeypatch.setattr(mrtl.data.np, "fromstring", fromstring_before_2_3)
+    with warnings.catch_warnings():
+        # as outside a test run, where a DeprecationWarning raises no error
+        warnings.simplefilter("ignore", DeprecationWarning)
+        assert outcome(parse_corpus, text) == expected
+    for dtype in (INT, FLOAT):
+        with pytest.warns(DeprecationWarning):
+            read = mrtl.data.np.fromstring(b"1 2 5+ ", dtype=dtype, sep=" ")
+        assert read.tolist() == [1, 2, 5] and read.dtype == dtype
+
+
 def multi_block_corpus():
     """(header, records, boundary): a labeled corpus whose text spans at
     least three blocks, and the index of the first record of the second."""
@@ -371,12 +505,12 @@ def test_load_corpus_memory_stays_near_the_dense_matrix(tmp_path):
 READ_VALUES = mrtl.data._read_values
 
 
-def negated_values(text, count):
-    values = READ_VALUES(text, count)
+def negated_values(text, count, dtype):
+    values = READ_VALUES(text, count, dtype)
     return None if values is None else -values
 
 
-@pytest.mark.parametrize("read", [lambda text, count: None, negated_values])
+@pytest.mark.parametrize("read", [lambda text, count, dtype: None, negated_values])
 def test_block_read_by_scalar_rule_where_numpy_reads_values_otherwise(read, monkeypatch):
     # should numpy ever read the plain values differently, whether it reads
     # none or ones a bulk check flags though _entry finds them valid, the
@@ -390,17 +524,37 @@ def test_block_read_by_scalar_rule_where_numpy_reads_values_otherwise(read, monk
     assert expected[1][0] == 5
 
 
+@pytest.mark.parametrize("read", [lambda text, count, dtype: None, negated_values])
+def test_float_read_faults_also_reach_the_scalar_rule(read, monkeypatch):
+    # the same faults where a "+" before every value leaves each block to
+    # the float64 read
+    header, records, _ = multi_block_corpus()
+    records = [record.replace(":", ":+") for record in records]
+    good = "\n".join([header] + records) + "\n"
+    bad = faulted(header, records, [(3, "order"), (5, "label")])
+    expected = [outcome(parse_corpus, t.splitlines()) for t in (good, bad)]
+    monkeypatch.setattr(mrtl.data, "_read_values", read)
+    assert [outcome(parse_corpus, t.splitlines()) for t in (good, bad)] == expected
+    assert expected[1][0] == 5
+
+
 @pytest.mark.parametrize("index", [
     "7", "10", "99", "300", "999", "1000", "10000", "90000", "4294967296",
     "123456789012345678", "999999999999999999", "000000000000000300",
 ])
-def test_indices_of_many_digits_are_read_in_bulk(index):
-    # every digit times its power of ten in int64, whatever the dtype rules
-    # of the numpy release: 3 * 100 must not wrap in the text's uint8
-    text = np.frombuffer(bytearray(f" 5:1 {index}:2 ".encode()), dtype=np.uint8)
-    begin, colon = np.array([1, 5]), np.array([2, 5 + len(index)])
-    idx, digits = mrtl.data._read_indices(text, begin, colon)
-    assert idx.tolist() == [5, int(index)] and digits.all()
+def test_indices_of_many_digits_are_read_in_bulk(index, monkeypatch):
+    # every index of up to 18 digits is read whole, by the int64 read and
+    # by the float64 read that a "+" before the value calls for, whatever
+    # the dtype rules of the numpy release: 300 must not wrap as in a byte
+    M = 100_000
+    for value in ["2", "+2"]:
+        text = f"{M} 1 2\n1 5:1 {index}:{value}\n".splitlines()
+        expected = outcome(scalar_parse, text)
+        with monkeypatch.context() as patch:
+            if int(index) <= M:
+                patch.setattr(mrtl.data, "_entry", None)  # all of it in bulk
+                assert expected[0][8 * (int(index) - 1):][:8] == np.float64(2).tobytes()
+            assert outcome(parse_corpus, text) == expected
 
 
 def test_three_digit_indices_parse_as_written(monkeypatch):
