@@ -43,22 +43,22 @@ XY = X_s Y_s and YY = Y_s^T Y_s that ProblemData holds:
 
 This is the factored form of Lee & Seung (NIPS 2000) and Ding et al. (KDD
 2006): no step forms an M x n matrix. The step preserves nonnegativity, and
-every denominator is floored at linalg.EPSILON (1e-12). A U block's rows
-are independent: row i of its num and den reads row i of the M x c products
-(XV, XY, B_t, B_g, B_s) alone. So _pair_step takes a U block's num, den,
-step factor and new rows one block of rows (ROW_BLOCK_BYTES of U) at a
-time, straight into the new U, and its M x k temporaries stay in cache; any
-other block it takes in one piece. XV and G change only with V, and every
-step is handed them: run_iteration builds them right after a pair is
-normalized, for the shared step, the objective and the next sweep's first
-four steps, and fit carries them between sweeps; only objective and
-run_iteration build them when none are given. run_iteration calls the
-public update_* steps by their module names, in a fixed order, each pair's
-steps followed by L1 normalization of the cluster matrices (columns) and
-the assignment (rows). fit frees each pair's old factors as soon as the
-sweep has taken them, and the sweep holds the pair in work once, so beyond
-the P live pairs a step adds its new block and at most three arrays of one
-piece's size.
+every denominator is floored at linalg.EPSILON (1e-12). No pair reads
+another pair's factors within a sweep, so each step takes all P pairs at
+once on one stack (_Stack) of (P, rows, cols) blocks, with X_t V and V^T V
+stacked as (P, M, c) and (P, c, c): one batched matmul pass per term, the
+new block written into the stack in place. _terms reads blocks through .mT
+and [..., rows, :], so the same code serves one pair's 2-d blocks and the
+stack; only V, whose n_p differs between targets, is stepped per target. A
+U block's rows are independent: row i of its num and den reads row i of
+the M x c products (XV, XY, B_t, B_g, B_s) alone, so _pair_step takes a U
+step one block of rows (ROW_BLOCK_BYTES of the stacked U) at a time, and
+its temporaries stay in cache. XV and G change only with V; the stack
+rebuilds them right after V is normalized. run_iteration calls the public
+update_* steps by their module names, once per sweep each, then the L1
+normalization (cluster matrices by column, V by row), then the shared step.
+fit draws its factors straight into its own stack, so beyond the P pairs a
+step holds its M x c products and one row block's arrays.
 
 The objective is factored the same way: a term is
 w * (||X||^2 - 2 <X W, B> + <B^T B, W^T W>), where ||X||^2 is computed once
@@ -252,6 +252,49 @@ class TargetFactors:
     Theta_source: np.ndarray
 
 
+# the TargetFactors blocks a _Stack holds stacked over pairs
+STACKED = ("U_common", "U_target", "U_source",
+           "Theta_common", "Theta_target", "Theta_source")
+
+
+class _Stack(tuple):
+    """The P pairs' TargetFactors, in pair order, as views into blocks that
+    a sweep steps in place: the stack's attribute for each field in STACKED
+    is one (P, rows, cols) array of every pair's block, V is the list of the
+    P n_p x c assignments (n_p differs between targets), and XV (P x M x c)
+    and G (P x c x c) are each pair's X_t V and V^T V for its current V."""
+
+    def __new__(cls, data: ProblemData, stacked: dict, V: list):
+        stack = super().__new__(cls, (
+            TargetFactors(V=v, **{name: a[p] for name, a in stacked.items()})
+            for p, v in enumerate(V)))
+        vars(stack).update(stacked, V=V, XV=np.empty((data.P, data.M, data.c)),
+                           G=np.empty((data.P, data.c, data.c)))
+        stack.renew_v_products(data)
+        return stack
+
+    @classmethod
+    def of(cls, data: ProblemData, factors) -> "_Stack":
+        """A fresh stack of copies of factors, an iterable of exactly the P
+        pairs' TargetFactors, taken once."""
+        factors = list(factors)
+        if len(factors) != data.P:
+            raise InvalidConfigError(
+                f"factors holds {len(factors)} pairs for {data.P} targets")
+        stacked = {name: np.stack([getattr(f, name) for f in factors], dtype=np.float64)
+                   for name in STACKED}
+        return cls(data, stacked, [np.array(f.V, dtype=np.float64) for f in factors])
+
+    def renew_v_products(self, data: ProblemData) -> None:
+        """Rebuild XV and G from the current V."""
+        for p, V in enumerate(self.V):
+            self.XV[p], self.G[p] = _v_products(data, p, V)
+
+    def __reduce__(self):
+        # a copy or a pickle is the plain list of the pairs' TargetFactors
+        return list, (list(self),)
+
+
 @dataclass(frozen=True)
 class SharedFactors:
     """Association matrices shared by every pair: common (k1 x c) and
@@ -283,7 +326,9 @@ def init_factors(data: ProblemData, hp: Hyperparams, v_init) -> tuple:
     unrelated random labeling. V is taken from v_init (one row-stochastic
     n_p x c matrix per target, e.g. classifier probabilities) and
     row-normalized. The draw order is fixed, so identical (data shapes,
-    hp.seed, v_init) give bitwise identical factors.
+    hp.seed, v_init) give bitwise identical factors. Returns (factors,
+    shared), factors a fresh stack: the pairs' TargetFactors, in pair
+    order, which run_iteration steps in place (see _Stack).
     """
     if hp.k2 > data.M:
         raise InvalidConfigError(
@@ -310,40 +355,39 @@ def init_factors(data: ProblemData, hp: Hyperparams, v_init) -> tuple:
         # uniform on (0, 1]: keeps every initial entry strictly positive
         return 1.0 - rng.random((rows, cols))
 
-    drawn = {
-        "U_common": normalize_columns_l1(draw(data.M, hp.k1)),
-        "U_target": normalize_columns_l1(draw(data.M, ks)),
-        "U_source": normalize_columns_l1(draw(data.M, ks)),
-        "Theta_common": draw(hp.k1, data.c),
-        "Theta_target": draw(ks, data.c),
-        "Theta_source": draw(ks, data.c),
+    def every_pair(block):
+        return np.repeat(block[np.newaxis], data.P, axis=0)
+
+    # each block is drawn once and repeated for every pair as it is drawn
+    stacked = {
+        "U_common": every_pair(normalize_columns_l1(draw(data.M, hp.k1))),
+        "U_target": every_pair(normalize_columns_l1(draw(data.M, ks))),
+        "U_source": every_pair(normalize_columns_l1(draw(data.M, ks))),
+        "Theta_common": every_pair(draw(hp.k1, data.c)),
+        "Theta_target": every_pair(draw(ks, data.c)),
+        "Theta_source": every_pair(draw(ks, data.c)),
     }
     shared = SharedFactors(
-        Theta_common=drawn["Theta_common"].copy(),
-        Theta_specific=drawn["Theta_target"].copy(),
+        Theta_common=stacked["Theta_common"][0].copy(),
+        Theta_specific=stacked["Theta_target"][0].copy(),
     )
-    # the first pair takes the drawn blocks, every other pair a copy
-    factors = [
-        TargetFactors(V=normalize_rows_l1(v_init[p]),
-                      **(drawn if p == 0 else {k: a.copy() for k, a in drawn.items()}))
-        for p in range(data.P)
-    ]
-    return factors, shared
+    return _Stack(data, stacked, [normalize_rows_l1(v) for v in v_init]), shared
 
 
 def objective(data: ProblemData, factors, shared: SharedFactors,
-              hp: Hyperparams, products=None) -> float:
+              hp: Hyperparams) -> float:
     """Joint squared reconstruction error over all pairs: the sum over p of
     the target, source and lam-weighted shared terms. Each is taken in
     factored form unless cancellation would cost it its accuracy (see
-    residual_sq). Each pair's X_t V and V^T V come from products when it is
-    given and are built here otherwise; U_c Theta_c is built once per pair.
+    residual_sq). The pairs of a stack read the X_t V and V^T V it carries;
+    any others' are built here. U_c Theta_c is built once per pair.
     """
     X_s, xx_s = data.X_s, data.sq_norms[0]
     total = 0.0
     for p, f in enumerate(factors):
         X_t, xx_t, V = data.targets[p], data.sq_norms[p + 1], f.V
-        XV, G = _v_products(data, p, V) if products is None else products[p]
+        XV, G = ((factors.XV[p], factors.G[p]) if isinstance(factors, _Stack)
+                 else _v_products(data, p, V))
         UcTc = f.U_common @ f.Theta_common
         B_g = f.U_common @ shared.Theta_common + f.U_target @ shared.Theta_specific
         total += residual_sq(X_t, xx_t, UcTc + f.U_target @ f.Theta_target, V, XV, G)
@@ -359,54 +403,57 @@ def _v_products(data: ProblemData, p: int, V) -> tuple:
     return data.targets[p] @ V, V.T @ V
 
 
-def _terms(name: str, data: ProblemData, p: int, f: TargetFactors,
-           shared: SharedFactors, lam: float, products: tuple) -> tuple:
+def _terms(name: str, data: ProblemData, p, f, shared: SharedFactors,
+           lam: float, products: tuple) -> tuple:
     """Block name's step numerator and denominator, each a list of terms
     (L, R) standing for the sum of the products L @ R: the block's row of
     the module docstring's folded table. name is a TargetFactors field or
-    "shared." + a SharedFactors field; the terms are pair p's that hold the
-    block, the shared one weighted by lam, and only what they read is
-    built. products is (X_t V, V^T V) for f.V. A U block's L are M x c and
-    its R c x k, so row i of a sum reads row i of each L alone."""
+    "shared." + a SharedFactors field; lam weights the shared term, and only
+    what the terms read is built. f is one pair's TargetFactors or a stack,
+    and products its (X_t V, V^T V) likewise; V's terms are target p's, from
+    one pair's f. A U block's L are (..., M, c) and its R (..., c, k), so
+    row i of a sum reads row i of each L alone."""
     (XV, G), XY, YY = products, data.XY_s, data.YY_s
     Uc, Ut, Us = f.U_common, f.U_target, f.U_source
     Tc, Tt, Ts = f.Theta_common, f.Theta_target, f.Theta_source
     Sc, Ss = shared.Theta_common, shared.Theta_specific
     if name == "U_target":
-        return ([(XV, (Tt + lam * Ss).T)],
-                [(Uc @ Tc + Ut @ Tt, G @ Tt.T), (Uc @ Sc + Ut @ Ss, lam * (G @ Ss.T))])
+        return ([(XV, (Tt + lam * Ss).mT)],
+                [(Uc @ Tc + Ut @ Tt, G @ Tt.mT),
+                 (Uc @ Sc + Ut @ Ss, lam * (G @ Ss.mT))])
     if name == "U_source":
-        return [(XY, Ts.T)], [(Uc @ Tc + Us @ Ts, YY @ Ts.T)]
+        return [(XY, Ts.mT)], [(Uc @ Tc + Us @ Ts, YY @ Ts.mT)]
     if name == "U_common":
         UcTc = Uc @ Tc
-        return ([(XV, (Tc + lam * Sc).T), (XY, Tc.T)],
-                [(UcTc + Ut @ Tt, G @ Tc.T), (Uc @ Sc + Ut @ Ss, lam * (G @ Sc.T)),
-                 (UcTc + Us @ Ts, YY @ Tc.T)])
+        return ([(XV, (Tc + lam * Sc).mT), (XY, Tc.mT)],
+                [(UcTc + Ut @ Tt, G @ Tc.mT), (Uc @ Sc + Ut @ Ss, lam * (G @ Sc.mT)),
+                 (UcTc + Us @ Ts, YY @ Tc.mT)])
     if name == "V":
         B_t, B_g = Uc @ Tc + Ut @ Tt, Uc @ Sc + Ut @ Ss
         return ([(data.targets[p].T, B_t + lam * B_g)],
                 [(f.V, B_t.T @ B_t + lam * (B_g.T @ B_g))])
     if name == "Theta_source":
-        return [(Us.T, XY)], [(Us.T, (Uc @ Tc + Us @ Ts) @ YY)]
+        return [(Us.mT, XY)], [(Us.mT, (Uc @ Tc + Us @ Ts) @ YY)]
     if name == "Theta_target":
-        return [(Ut.T, XV)], [(Ut.T, (Uc @ Tc + Ut @ Tt) @ G)]
+        return [(Ut.mT, XV)], [(Ut.mT, (Uc @ Tc + Ut @ Tt) @ G)]
     if name == "Theta_common":
         UcTc = Uc @ Tc
-        return ([(Uc.T, XV + XY)],
-                [(Uc.T, (UcTc + Ut @ Tt) @ G + (UcTc + Us @ Ts) @ YY)])
+        return ([(Uc.mT, XV + XY)],
+                [(Uc.mT, (UcTc + Ut @ Tt) @ G + (UcTc + Us @ Ts) @ YY)])
     if name == "shared.Theta_common":
-        return [(Uc.T, lam * XV)], [(Uc.T, (Uc @ Sc + Ut @ Ss) @ (lam * G))]
+        return [(Uc.mT, lam * XV)], [(Uc.mT, (Uc @ Sc + Ut @ Ss) @ (lam * G))]
     if name == "shared.Theta_specific":
-        return [(Ut.T, lam * XV)], [(Ut.T, (Uc @ Sc + Ut @ Ss) @ (lam * G))]
+        return [(Ut.mT, lam * XV)], [(Ut.mT, (Uc @ Sc + Ut @ Ss) @ (lam * G))]
     raise ValueError(f"no factor block named {name!r}")
 
 
 def _rows_sum(terms, rows=...) -> np.ndarray:
-    """The sum of L @ R over terms, in their order, over rows rows (a slice)
-    of each L, or over all rows for ..., the default. All rows take each L
-    whole: slicing would copy a sparse L (V's numerator reads X_t^T)."""
+    """The sum of L @ R over terms, in their order, over rows rows (a slice
+    of each L's second-to-last axis), or over all rows for ..., the default.
+    All rows take each L whole: slicing would copy a sparse L (V's
+    numerator reads X_t^T)."""
     if rows is not ...:
-        terms = [(L[rows], R) for L, R in terms]
+        terms = [(L[..., rows, :], R) for L, R in terms]
     (L, R), *rest = terms
     total = L @ R
     for L, R in rest:
@@ -414,177 +461,132 @@ def _rows_sum(terms, rows=...) -> np.ndarray:
     return total
 
 
-def _num_den(name: str, data: ProblemData, p: int, f: TargetFactors,
-             shared: SharedFactors, lam: float, products: tuple) -> tuple:
+def _num_den(name: str, data: ProblemData, p, f, shared: SharedFactors,
+             lam: float, products: tuple) -> tuple:
     """Numerator and denominator of the multiplicative step on one block:
     its _terms summed over all rows. num - den is minus half the gradient."""
     num, den = _terms(name, data, p, f, shared, lam, products)
     return _rows_sum(num), _rows_sum(den)
 
 
-# A U step is taken over blocks of rows of about this many bytes of U
-# (linalg.blocks), so its numerator, denominator and step factor stay in
-# cache between the passes that build and read them. The three U steps of
-# one pair (M=8000, c=2, k=10/40/40, CSC corpora) took a median 10.2, 9.8,
-# 7.4, 6.6 and 6.7 ms at 16, 32, 64, 128 and 256 KiB, and 8.3 ms in one
-# block of all rows; smaller blocks pay Python's per-call cost. At 256 KiB
-# the last block, which takes the remainder, held 1232 of M=2000 rows, and
-# the fit's tracemalloc peak outgrew test_fit_peak_is_the_pairs_and_one_step
-# (P + 1.65 pair-factor sets against P + 1.22 at 64 and 128 KiB).
+# A U step is taken over blocks of rows of about this many bytes of the
+# stacked U (linalg.blocks over P * k columns), so its numerator,
+# denominator and step factor stay in cache between the passes that build
+# and read them. The three U steps of a three-pair stack (M=8000, c=2,
+# k=10/40/40, CSC corpora, 2 OpenBLAS threads) took a median 19.3, 17.3,
+# 13.3, 12.9 and 14.2 ms at 32, 64, 128, 256 and 512 KiB, and 21.6 ms in one
+# block; the fit's tracemalloc peak in test_fit_peak_is_the_pairs_and_one_step
+# reads P + 0.60, 0.77 and 1.36 pair-factor sets at 64, 128 and 256 KiB
+# (P = 4, M = 2000), against a bound of P + 1.5.
 ROW_BLOCK_BYTES = 128 * 1024
 
 
-def _pair_step(name: str, data, p: int, f: TargetFactors,
-               shared: SharedFactors, hp: Hyperparams,
-               products: tuple) -> TargetFactors:
-    """f after the multiplicative step on block name, taken straight into
-    the new block: a U block one row block at a time, any other block in
-    one piece. products is (X_t V, V^T V) for f.V."""
-    num, den = _terms(name, data, p, f, shared, hp.lam, products)
-    x = getattr(f, name)
-    new = np.empty_like(x)
-    pieces = blocks(*x.shape, ROW_BLOCK_BYTES) if name.startswith("U_") else [...]
+def _pair_step(name: str, data, stack: _Stack, shared: SharedFactors, hp) -> None:
+    """The multiplicative step on block name of every pair, written into the
+    stack: a U block one row block at a time, a Theta block in one piece."""
+    num, den = _terms(name, data, None, stack, shared, hp.lam, (stack.XV, stack.G))
+    x = getattr(stack, name)
+    P, M, k = x.shape
+    pieces = (blocks(M, P * k, ROW_BLOCK_BYTES) if name.startswith("U_")
+              else [slice(None)])
     for rows in pieces:
         step = safe_ratio_sqrt(_rows_sum(num, rows), _rows_sum(den, rows))
-        np.multiply(x[rows], step, out=new[rows])
-    return replace(f, **{name: new})
+        block = x[..., rows, :]
+        np.multiply(block, step, out=block)
 
 
-def update_u_target(data, p: int, f: TargetFactors, shared: SharedFactors,
-                    hp: Hyperparams, products: tuple) -> TargetFactors:
-    """Multiplicative step on the target-specific clusters U_target.
-    products is (X_t V, V^T V) for f.V."""
-    return _pair_step("U_target", data, p, f, shared, hp, products)
+def update_u_target(data, stack: _Stack, shared: SharedFactors, hp) -> None:
+    """Multiplicative step on every pair's target-specific clusters U_target."""
+    _pair_step("U_target", data, stack, shared, hp)
 
 
-def update_u_source(data, p: int, f: TargetFactors, shared: SharedFactors,
-                    hp: Hyperparams, products: tuple) -> TargetFactors:
-    """Multiplicative step on the source-specific clusters U_source."""
-    return _pair_step("U_source", data, p, f, shared, hp, products)
+def update_u_source(data, stack: _Stack, shared: SharedFactors, hp) -> None:
+    """Multiplicative step on every pair's source-specific clusters U_source."""
+    _pair_step("U_source", data, stack, shared, hp)
 
 
-def update_u_common(data, p: int, f: TargetFactors, shared: SharedFactors,
-                    hp: Hyperparams, products: tuple) -> TargetFactors:
-    """Multiplicative step on the common clusters U_common.
-
-    Pulls three gradients at once: the pair's target and source fits plus
-    the lam-weighted shared fit of the target. products is (X_t V, V^T V)
-    for f.V.
-    """
-    return _pair_step("U_common", data, p, f, shared, hp, products)
+def update_u_common(data, stack: _Stack, shared: SharedFactors, hp) -> None:
+    """Multiplicative step on every pair's common clusters U_common, which
+    pulls three gradients: the target and source fits and the shared one."""
+    _pair_step("U_common", data, stack, shared, hp)
 
 
-def update_v(data, p: int, f: TargetFactors, shared: SharedFactors,
-             hp: Hyperparams, products: tuple) -> TargetFactors:
-    """Multiplicative step on the target's soft class assignment V."""
-    return _pair_step("V", data, p, f, shared, hp, products)
+def update_v(data, stack: _Stack, shared: SharedFactors, hp) -> None:
+    """Multiplicative step on each target's soft class assignment V, one
+    target at a time, since n_p differs between targets."""
+    for p, f in enumerate(stack):
+        num, den = _num_den("V", data, p, f, shared, hp.lam, (stack.XV[p], stack.G[p]))
+        np.multiply(f.V, safe_ratio_sqrt(num, den), out=f.V)
 
 
-def update_pair_associations(data, p: int, f: TargetFactors,
-                             shared: SharedFactors, hp: Hyperparams,
-                             products: tuple) -> TargetFactors:
-    """Multiplicative steps on the three pair-level association matrices.
+def update_pair_associations(data, stack: _Stack, shared: SharedFactors, hp) -> None:
+    """Multiplicative steps on every pair's three association matrices.
 
     Theta_common first (it sees both corpora), then Theta_target and
-    Theta_source, each against the factors updated so far. products is
-    (X_t V, V^T V) for f.V.
+    Theta_source, each against the factors updated so far.
     """
     for name in ("Theta_common", "Theta_target", "Theta_source"):
-        f = _pair_step(name, data, p, f, shared, hp, products)
-    return f
+        _pair_step(name, data, stack, shared, hp)
 
 
-def update_shared_associations(data, factors, shared: SharedFactors,
-                               hp: Hyperparams, products) -> SharedFactors:
+def update_shared_associations(data, stack: _Stack, shared: SharedFactors,
+                               hp) -> SharedFactors:
     """Multiplicative steps on the two association matrices shared by all pairs.
 
-    Numerators and denominators are summed over every pair before the ratio
-    is taken (the denominator floor applies to the summed value). The
-    specific block is updated against the fresh common block. products
-    holds each pair's (X_t V, V^T V).
+    Numerators and denominators are summed over the pairs of the stack, in
+    pair order, before the ratio is taken (the denominator floor applies to
+    the summed value). The specific block is updated against the fresh
+    common block. Returns the new SharedFactors; shared is not modified.
     """
     for field in ("Theta_common", "Theta_specific"):
-        num = den = 0.0
-        for p, f in enumerate(factors):
-            # lam weighs the one term that holds the block, so it cancels
-            # from the ratio; unit weight keeps the rule defined at lam = 0
-            n, d = _num_den("shared." + field, data, p, f, shared, 1.0, products[p])
-            num, den = num + n, den + d
-        step = safe_ratio_sqrt(num, den)  # the new block is written into it
+        # lam weighs the one term that holds the block, so it cancels from
+        # the ratio; unit weight keeps the rule defined at lam = 0
+        num, den = _num_den("shared." + field, data, None, stack, shared, 1.0,
+                            (stack.XV, stack.G))
+        step = safe_ratio_sqrt(sum(num[1:], num[0]), sum(den[1:], den[0]))
+        # the new block is written into the step factor
         shared = replace(shared, **{field: np.multiply(getattr(shared, field), step,
                                                        out=step)})
     return shared
 
 
-def normalize_all(f: TargetFactors) -> TargetFactors:
-    """L1-normalize the cluster matrices by column and V by row.
-
-    Association matrices are never normalized. Idempotent up to float
-    rounding.
+def normalize_all(stack: _Stack) -> None:
+    """L1-normalize every pair's cluster matrices by column and each V by
+    row, in place. Association matrices are never normalized. Idempotent up
+    to float rounding.
     """
-    return replace(
-        f,
-        U_common=normalize_columns_l1(f.U_common),
-        U_target=normalize_columns_l1(f.U_target),
-        U_source=normalize_columns_l1(f.U_source),
-        V=normalize_rows_l1(f.V),
-    )
+    for name in ("U_common", "U_target", "U_source"):
+        U = getattr(stack, name)
+        normalize_columns_l1(U, out=U)
+    for V in stack.V:
+        normalize_rows_l1(V, out=V)
 
 
 def run_iteration(data: ProblemData, factors, shared: SharedFactors,
-                  hp: Hyperparams, products=None) -> tuple:
+                  hp: Hyperparams) -> tuple:
     """One full sweep over all factors; the loop body of fit.
 
-    factors is any iterable of exactly the P pairs' TargetFactors, taken
-    once in pair order and never modified; the new factors come back as a
-    list. Per pair: U_target, U_source, U_common, the pair associations, V,
-    then normalization. After all pairs, the shared associations. Each step
-    sees the freshest factors. Pairs never read each other's factors and see
-    the iteration-start shared snapshot, so the sweep over pairs is
-    order-independent.
+    factors is the P pairs' factors in pair order: a stack, as init_factors
+    returns one, which the sweep steps in place, or any other iterable of
+    exactly P TargetFactors, taken once and copied into a fresh stack, so
+    never modified. Returns (the stack's pairs as a list of TargetFactors
+    views, the new SharedFactors).
 
-    X_t V and V^T V are built once per value of V, right after a pair is
-    normalized. products, when given, is a list of each pair's (X_t V,
-    V^T V) for the V in factors, which the sweep replaces with those of the
-    new V; without it they are built from factors.
+    Each step takes every pair at once: U_target, U_source, U_common, the
+    pair associations, V, then normalization, then the shared associations.
+    Each step sees the freshest factors. Pairs never read each other's
+    factors and see the iteration-start shared snapshot, so each pair's new
+    factors are those of a sweep over that pair alone.
     """
-    # next() rather than zip: zip keeps its last result tuple for reuse, and
-    # that tuple would hold the handed-over pair through the whole of its
-    # sweep, a second copy of the pair in work
-    given = iter(factors)
-    new_factors, new_products = [], []
-    for p in range(data.P):
-        f = next(given, None)
-        if f is None:
-            raise InvalidConfigError(f"factors holds {p} pairs for {data.P} targets")
-        pair_products = _v_products(data, p, f.V) if products is None else products[p]
-        # each step is looked up by its module name at every call, so a
-        # wrapper installed on mrtl.engine sees it
-        for step in (update_u_target, update_u_source, update_u_common,
-                     update_pair_associations, update_v):
-            f = step(data, p, f, shared, hp, pair_products)
-        f = normalize_all(f)
-        new_factors.append(f)
-        new_products.append(_v_products(data, p, f.V))
-    if next(given, None) is not None:
-        raise InvalidConfigError(f"factors holds more than {data.P} pairs")
-    shared = update_shared_associations(data, new_factors, shared, hp, new_products)
-    if products is not None:
-        products[:] = new_products
-    return new_factors, shared
-
-
-def _handed_over(factors: list):
-    """Yield the entries of factors in order, taking each out of the list as
-    it is handed over, so the consumer holds the only reference to it."""
-    factors.reverse()
-    while factors:
-        yield factors.pop()
-
-
-def _all_finite(factors, shared: SharedFactors) -> bool:
-    return all(np.isfinite(a).all() for f in (*factors, shared)
-               for a in vars(f).values())
+    stack = factors if isinstance(factors, _Stack) else _Stack.of(data, factors)
+    # each step is looked up by its module name at every call, so a wrapper
+    # installed on mrtl.engine sees it
+    for step in (update_u_target, update_u_source, update_u_common,
+                 update_pair_associations, update_v):
+        step(data, stack, shared, hp)
+    normalize_all(stack)
+    stack.renew_v_products(data)
+    return list(stack), update_shared_associations(data, stack, shared, hp)
 
 
 def fit(data: ProblemData, hp: Hyperparams, v_init, truth=None) -> tuple:
@@ -598,37 +600,32 @@ def fit(data: ProblemData, hp: Hyperparams, v_init, truth=None) -> tuple:
     update; when truth (one integer label array per target) is given each
     record also carries per-target accuracy. Raises NumericalDivergenceError
     naming the iteration if any factor entry becomes non-finite. Identical
-    inputs and seed reproduce the run exactly.
+    inputs and seed reproduce the run exactly. The factors are drawn
+    straight into fit's own stack, which every sweep steps in place, and
+    come back as each pair's TargetFactors, views into it.
     """
-    factors, shared = init_factors(data, hp, v_init)
-    # each pair's (X_t V, V^T V), renewed by every sweep
-    products = [_v_products(data, p, f.V) for p, f in enumerate(factors)]
+    stack, shared = init_factors(data, hp, v_init)
     if truth is not None:
         truth = [np.asarray(t).ravel() for t in truth]
         if len(truth) != data.P:
             raise InvalidConfigError(
-                f"truth has {len(truth)} label arrays for {data.P} targets"
-            )
-        for p, t in enumerate(truth):
-            if t.shape[0] != data.targets[p].shape[1]:
+                f"truth has {len(truth)} label arrays for {data.P} targets")
+        for p, (t, X_t) in enumerate(zip(truth, data.targets)):
+            if t.shape[0] != X_t.shape[1]:
                 raise InvalidConfigError(
-                    f"truth[{p}] has {t.shape[0]} labels for "
-                    f"{data.targets[p].shape[1]} instances"
-                )
+                    f"truth[{p}] has {t.shape[0]} labels for {X_t.shape[1]} instances")
     trace = []
     prev_obj = None
     for iteration in range(1, hp.maxiter + 1):
-        factors, shared = run_iteration(data, _handed_over(factors), shared, hp,
-                                        products)
-        obj = objective(data, factors, shared, hp, products)
-        if not _all_finite(factors, shared) or not np.isfinite(obj):
+        _, shared = run_iteration(data, stack, shared, hp)
+        obj = objective(data, stack, shared, hp)
+        arrays = (*(getattr(stack, name) for name in STACKED), *stack.V,
+                  *vars(shared).values())
+        if not (np.isfinite(obj) and all(np.isfinite(a).all() for a in arrays)):
             raise NumericalDivergenceError(iteration)
         accs = None
         if truth is not None:
-            accs = tuple(
-                float(np.mean(predict(factors[p]) == truth[p]))
-                for p in range(data.P)
-            )
+            accs = tuple(float(np.mean(predict(f) == t)) for f, t in zip(stack, truth))
         trace.append(
             TraceRecord(iteration=iteration, objective=obj, per_target_accuracy=accs)
         )
@@ -637,10 +634,9 @@ def fit(data: ProblemData, hp: Hyperparams, v_init, truth=None) -> tuple:
             if abs(prev_obj - obj) / scale < hp.convergence_tol:
                 break
         prev_obj = obj
-    return factors, shared, trace
+    return list(stack), shared, trace
 
 
 def predict(f: TargetFactors) -> np.ndarray:
     """1-based class labels: per-row argmax of V, lowest index wins ties."""
     return np.argmax(f.V, axis=1).astype(np.int64) + 1
-

@@ -109,26 +109,30 @@ def blocks(count: int, width: int, nbytes: int) -> list:
     return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
-def normalize_columns_l1(a) -> np.ndarray:
+def normalize_columns_l1(a, out=None) -> np.ndarray:
     """Rescale each column to sum 1; an all-zero column becomes uniform.
 
     Degenerate columns are mapped to the uniform distribution 1/rows rather
     than left at zero so downstream multiplicative updates can still move
-    them. Nonnegative input is assumed.
+    them. Nonnegative input is assumed. In a stack of matrices each is taken
+    alone. The result goes into out when given (a itself, to normalize in
+    place), else into a new array.
     """
-    a = np.asarray(a, dtype=np.float64)
-    sums = a.sum(axis=0, keepdims=True)
-    positive = sums > 0.0
-    if positive.all():
-        return a / sums
-    return np.where(positive, a / np.where(positive, sums, 1.0), 1.0 / a.shape[0])
+    return _normalize_l1(a, -2, out)
 
 
-def normalize_rows_l1(a) -> np.ndarray:
-    """Rescale each row to sum 1; an all-zero row becomes uniform 1/cols."""
+def normalize_rows_l1(a, out=None) -> np.ndarray:
+    """Rescale each row to sum 1; an all-zero row becomes uniform 1/cols.
+    Stacks and out as in normalize_columns_l1."""
+    return _normalize_l1(a, -1, out)
+
+
+def _normalize_l1(a, axis: int, out) -> np.ndarray:
     a = np.asarray(a, dtype=np.float64)
-    sums = a.sum(axis=1, keepdims=True)
+    sums = a.sum(axis=axis, keepdims=True)
     positive = sums > 0.0
     if positive.all():
-        return a / sums
-    return np.where(positive, a / np.where(positive, sums, 1.0), 1.0 / a.shape[1])
+        return np.divide(a, sums, out=out)
+    result = np.divide(a, np.where(positive, sums, 1.0), out=out)
+    np.copyto(result, 1.0 / a.shape[axis], where=~positive)
+    return result

@@ -11,7 +11,7 @@ from mrtl.engine import (
     ProblemData,
     SharedFactors,
     TargetFactors,
-    _v_products,
+    _Stack,
 )
 from mrtl.linalg import as_corpus, normalize_columns_l1, normalize_rows_l1
 
@@ -121,10 +121,13 @@ def num_den_per_term(name: str, data: ProblemData, p: int, f: TargetFactors,
     return num, den
 
 
-def v_products(data: ProblemData, factors) -> list:
-    """Each pair's (X_t V, V^T V), as fit carries them into a sweep and
-    update_shared_associations takes them."""
-    return [_v_products(data, p, f.V) for p, f in enumerate(factors)]
+def stepped(step, data: ProblemData, factors, shared: SharedFactors,
+            hp: Hyperparams) -> _Stack:
+    """The pairs after one in-place step, taken on a fresh stack of copies of
+    factors, so that factors keeps the values a result is compared with."""
+    stack = _Stack.of(data, factors)
+    step(data, stack, shared, hp)
+    return stack
 
 
 def _scores(XT, W) -> np.ndarray:

@@ -1,8 +1,9 @@
 """Passes taken in blocks against the one-piece computations they replace.
 
-The U steps run over row blocks, compact_corpus builds its CSC array from one
-mask, a fit carries each pair's X_t V and V^T V from sweep to sweep, and the
-objective's residual fallback runs over column blocks. Each must give what
+The U steps run over row blocks of the pair stack, compact_corpus builds its
+CSC array from one mask, a stack carries each pair's X_t V and V^T V from
+sweep to sweep, and the objective's residual fallback runs over column
+blocks. Each must give what
 the one-piece form gives, to the bit where the one-piece form is the kernel.
 """
 
@@ -11,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from conftest import num_den_per_term, one_hot, random_state, reconstructions
+from conftest import num_den_per_term, one_hot, random_state, reconstructions, stepped
 
 from mrtl.data import compact_corpus, normalize_input
 from mrtl.engine import (
@@ -98,16 +99,19 @@ def test_row_blocked_u_step_equals_the_one_piece_step(name, kind, k1, k2):
     hp = Hyperparams(k1=k1, k2=k2, lam=3.0)
     factors, shared = random_state(rng, data, hp)
     k = getattr(factors[0], name).shape[1]
+    # the stack's row blocks span the block of every pair
+    width = data.P * k
     if k:
-        pieces = blocks(data.M, k, ROW_BLOCK_BYTES)
+        pieces = blocks(data.M, width, ROW_BLOCK_BYTES)
         assert len(pieces) >= 4
-        assert pieces[-1].stop - pieces[-1].start > rows_per_block(k)
+        assert pieces[-1].stop - pieces[-1].start > rows_per_block(width)
+    stack = stepped(U_STEPS[name], data, factors, shared, hp)
     for p, f in enumerate(factors):
         products = _v_products(data, p, f.V)
         U = getattr(f, name)
         # the one-piece step: the kernel summed over all rows at once
         want = U * safe_ratio_sqrt(*_num_den(name, data, p, f, shared, hp.lam, products))
-        got = U_STEPS[name](data, p, f, shared, hp, products)
+        got = stack[p]
         assert getattr(got, name).shape == (data.M, k)
         assert np.array_equal(getattr(got, name), want)
         # and the per-term reference, up to the rounding of the folding
@@ -116,7 +120,7 @@ def test_row_blocked_u_step_equals_the_one_piece_step(name, kind, k1, k2):
         # the step takes no other block
         for other, a in vars(got).items():
             if other != name:
-                assert a is getattr(f, other)
+                assert np.array_equal(a, getattr(f, other))
 
 
 def corpora_with_edge_entries():
@@ -171,25 +175,28 @@ def carried_problem(rng, P=3, M=30):
 
 
 def test_carried_v_products_give_the_sweep_that_builds_its_own():
+    # a stack stepped in place by run_iteration, as fit steps its own, gives
+    # the sweep that copies its pairs into a fresh stack and builds their
+    # products from V, and carries the products of the new V
     rng = np.random.default_rng(43)
     data, v_init = carried_problem(rng)
     hp = Hyperparams(k1=2, k2=5, lam=2.0)
-    factors, shared = init_factors(data, hp, v_init)
-    ref_factors, ref_shared = factors, shared
-    products = [_v_products(data, p, f.V) for p, f in enumerate(factors)]
+    stack, shared = init_factors(data, hp, v_init)
+    ref_factors, ref_shared = list(stack), shared
     for _ in range(6):
-        factors, shared = run_iteration(data, factors, shared, hp, products)
+        # the reference copies the views before the stack moves
         ref_factors, ref_shared = run_iteration(data, ref_factors, ref_shared, hp)
+        factors, shared = run_iteration(data, stack, shared, hp)
         for f, ref in zip(factors, ref_factors):
             for name, a in vars(f).items():
                 assert np.array_equal(a, getattr(ref, name)), name
         for name, a in vars(shared).items():
             assert np.array_equal(a, getattr(ref_shared, name)), name
         # the carried products are those of the new V
-        for p, f in enumerate(factors):
-            for a, b in zip(products[p], _v_products(data, p, f.V)):
+        for p, f in enumerate(stack):
+            for a, b in zip((stack.XV[p], stack.G[p]), _v_products(data, p, f.V)):
                 assert np.array_equal(a, b)
-        assert objective(data, factors, shared, hp, products) == \
+        assert objective(data, stack, shared, hp) == \
             objective(data, ref_factors, ref_shared, hp)
 
 

@@ -1,15 +1,19 @@
 """Full fitting loop: monotonicity, determinism, stopping, prediction."""
 
+import copy
+import pickle
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from conftest import one_hot, random_problem, random_state
 from hypothesis import example, given, strategies as st
 
 import mrtl.engine
 from mrtl.engine import (
+    ROW_BLOCK_BYTES,
     Hyperparams,
     InvalidConfigError,
     NumericalDivergenceError,
@@ -22,7 +26,7 @@ from mrtl.engine import (
     run_iteration,
 )
 from mrtl.data import SynthSpec, generate_synthetic
-from mrtl.linalg import normalize_rows_l1
+from mrtl.linalg import blocks, normalize_rows_l1
 
 
 def test_init_factors_deterministic():
@@ -38,6 +42,21 @@ def test_init_factors_deterministic():
         assert np.array_equal(a.V, b.V)
     assert np.array_equal(s1.Theta_common, s2.Theta_common)
     assert np.array_equal(s1.Theta_specific, s2.Theta_specific)
+
+
+def test_init_factors_copies_to_independent_pairs():
+    # a copy or pickle of the stack is a plain list of the pairs' factors,
+    # whose arrays no sweep of the stack can reach
+    rng = np.random.default_rng(0)
+    data, v_init = random_problem(rng)
+    hp = Hyperparams(k1=2, k2=4, seed=7)
+    factors, shared = init_factors(data, hp, v_init)
+    for copied in (copy.deepcopy(factors), pickle.loads(pickle.dumps(factors))):
+        assert type(copied) is list and len(copied) == data.P
+        run_iteration(data, factors, shared, hp)
+        for f, g in zip(copied, init_factors(data, hp, v_init)[0]):
+            for name, a in vars(f).items():
+                assert np.array_equal(a, getattr(g, name)), name
 
 
 def test_init_factors_column_sums_one():
@@ -226,6 +245,34 @@ def test_fit_holds_one_copy_of_each_pair():
     assert peak <= (P + 3) * unit, f"peak {peak / unit:.2f} pair-factor sets"
 
 
+def corpus_bytes(X):
+    parts = (X.data, X.indices, X.indptr) if sp.issparse(X) else (X,)
+    return b"".join(a.tobytes() for a in parts)
+
+
+@pytest.mark.parametrize("kind", ["dense", "csc"])
+def test_fit_steps_only_its_own_stack(kind):
+    # the sweeps write into fit's own stack alone: a first fit, and a second
+    # on the same data and v_init as mrtl sweep makes them, leave v_init,
+    # every corpus and the first fit's factors as they were
+    data, v_init = random_problem(np.random.default_rng(18), M=12, n_t=(5, 4, 6))
+    if kind == "csc":
+        data = replace(data, X_s=sp.csc_array(data.X_s),
+                       targets=tuple(sp.csc_array(X) for X in data.targets))
+    corpora = [corpus_bytes(X) for X in (data.X_s, data.Y_s, *data.targets)]
+    v_before = [v.copy() for v in v_init]
+    first, _, _ = fit(data, Hyperparams(k1=2, k2=5, maxiter=3), v_init)
+    first_before = [[a.copy() for a in vars(f).values()] for f in first]
+    for v, was in zip(v_init, v_before):
+        assert v.tobytes() == was.tobytes()
+    fit(data, Hyperparams(k1=3, k2=5, maxiter=3), v_init)
+    for v, was in zip(v_init, v_before):
+        assert v.tobytes() == was.tobytes()
+    assert [corpus_bytes(X) for X in (data.X_s, data.Y_s, *data.targets)] == corpora
+    for f, arrays in zip(first, first_before):
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(vars(f).values(), arrays))
+
+
 def test_run_iteration_takes_any_iterable_and_leaves_it_unchanged():
     rng = np.random.default_rng(14)
     data, v_init = random_problem(rng, M=12, n_t=(5, 4, 6))
@@ -274,7 +321,8 @@ PAIR_STEPS = ("update_u_target", "update_u_source", "update_u_common",
 
 def test_sweep_calls_each_step_through_its_module_name(monkeypatch):
     # a wrapper installed on mrtl.engine, as a tracer installs one, sees
-    # every pair step once per pair and the shared step once per sweep
+    # each pair step once per sweep, taking every pair at once, and then
+    # the shared step
     calls = []
 
     def counted(name):
@@ -289,7 +337,7 @@ def test_sweep_calls_each_step_through_its_module_name(monkeypatch):
         monkeypatch.setattr(mrtl.engine, name, counted(name))
     data, v_init = random_problem(np.random.default_rng(12), M=10, n_t=(5, 4, 6))
     fit(data, Hyperparams(k1=2, k2=4, maxiter=3), v_init)
-    sweep = [*PAIR_STEPS * data.P, "update_shared_associations"]
+    sweep = [*PAIR_STEPS, "update_shared_associations"]
     assert calls == sweep * 3
 
 
@@ -329,6 +377,36 @@ def test_pair_sweep_does_not_depend_on_pair_order():
         for name, a in vars(got_shared).items():
             b = getattr(want_shared, name)
             assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), name
+
+
+def test_stacked_sweep_gives_each_pair_its_solo_sweep():
+    # one sweep over the stack of P pairs gives each pair, bit for bit, the
+    # factors of a sweep over that pair alone from the same shared snapshot;
+    # byte-identical outputs rest on it. The widest case spans several row
+    # blocks of the stack, and fewer of each pair alone
+    rng = np.random.default_rng(17)
+    cases = [(int(rng.integers(5, 40)), int(rng.integers(1, 5))) for _ in range(24)]
+    for trial, (M, P) in enumerate([*cases, (3000, 4)]):
+        wide = M == 3000
+        c = int(rng.integers(2, 4))
+        data, _ = random_problem(rng, M=M, c=c,
+                                 n_t=tuple(int(n) for n in rng.integers(2, 12, P)))
+        if trial % 2:
+            data = replace(data, X_s=sp.csc_array(data.X_s),
+                           targets=tuple(sp.csc_array(X) for X in data.targets))
+        k2 = 12 if wide else int(rng.integers(1, min(M, 12) + 1))
+        k1 = k2 if trial % 3 == 0 else int(rng.integers(1, k2 + 1))
+        hp = Hyperparams(k1=k1, k2=k2, lam=float(rng.choice([0.0, 0.5, 10.0])))
+        if wide:
+            stacked, solo = (len(blocks(M, w, ROW_BLOCK_BYTES)) for w in (P * k2, k2))
+            assert stacked > solo > 1
+        factors, shared = random_state(rng, data, hp)
+        got, got_shared = run_iteration(data, factors, shared, hp)
+        for p, f in enumerate(factors):
+            solo = replace(data, targets=(data.targets[p],))
+            (want,), _ = run_iteration(solo, [f], shared, hp)
+            for name, a in vars(got[p]).items():
+                assert np.array_equal(a, getattr(want, name)), (trial, p, name)
 
 
 def test_lambda_zero_decouples_pairs():

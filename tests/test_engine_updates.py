@@ -10,8 +10,8 @@ from conftest import (
     random_problem,
     random_state,
     reconstructions,
+    stepped,
     tiny_hp,
-    v_products,
 )
 
 from mrtl.engine import (
@@ -21,6 +21,7 @@ from mrtl.engine import (
     ProblemData,
     SharedFactors,
     TargetFactors,
+    _Stack,
     init_factors,
     normalize_all,
     objective,
@@ -187,8 +188,7 @@ def test_update_u_target_fixed_point():
     rng = np.random.default_rng(5)
     data, factors, shared = exact_problem(rng)
     hp = tiny_hp(lam=4.0)
-    new = update_u_target(data, 0, factors[0], shared, hp,
-                          _v_products(data, 0, factors[0].V))
+    new = stepped(update_u_target, data, factors, shared, hp)[0]
     assert np.max(np.abs(new.U_target - factors[0].U_target)) <= 1e-12
 
 
@@ -199,7 +199,7 @@ def test_update_u_target_scalar_sqrt2():
         Theta_common=np.array([[0.0, 0.0]]), Theta_specific=np.array([[1.0, 0.0]])
     )
     hp = Hyperparams(k1=1, k2=2, lam=0.0)
-    new = update_u_target(data, 0, f, shared, hp, _v_products(data, 0, f.V))
+    new = stepped(update_u_target, data, [f], shared, hp)[0]
     assert new.U_target[0, 0] == pytest.approx(np.sqrt(2.0), abs=1e-15)
 
 
@@ -216,7 +216,7 @@ def test_update_u_target_formula_oracle():
         rec_sh @ f.V @ shared.Theta_specific.T
     )
     want = f.U_target * np.sqrt(num / np.maximum(den, EPSILON))
-    got = update_u_target(data, 0, f, shared, hp, _v_products(data, 0, f.V))
+    got = stepped(update_u_target, data, factors, shared, hp)[0]
     assert np.allclose(got.U_target, want, rtol=1e-12, atol=0)
 
 
@@ -226,8 +226,7 @@ def test_update_u_target_formula_oracle():
 def test_update_u_source_fixed_point():
     rng = np.random.default_rng(7)
     data, factors, shared = exact_problem(rng)
-    new = update_u_source(data, 0, factors[0], shared, tiny_hp(),
-                          _v_products(data, 0, factors[0].V))
+    new = stepped(update_u_source, data, factors, shared, tiny_hp())[0]
     assert np.max(np.abs(new.U_source - factors[0].U_source)) <= 1e-12
 
 
@@ -237,8 +236,7 @@ def test_update_u_source_scalar_times_two():
     shared = SharedFactors(
         Theta_common=np.array([[0.0, 0.0]]), Theta_specific=np.array([[1.0, 0.0]])
     )
-    new = update_u_source(data, 0, f, shared, Hyperparams(k1=1, k2=2),
-                          _v_products(data, 0, f.V))
+    new = stepped(update_u_source, data, [f], shared, Hyperparams(k1=1, k2=2))[0]
     assert new.U_source[0, 0] == pytest.approx(2.0, abs=1e-15)
 
 
@@ -248,8 +246,7 @@ def test_update_u_source_scalar_times_two():
 def test_update_u_common_fixed_point():
     rng = np.random.default_rng(8)
     data, factors, shared = exact_problem(rng)
-    new = update_u_common(data, 0, factors[0], shared, tiny_hp(lam=2.0),
-                          _v_products(data, 0, factors[0].V))
+    new = stepped(update_u_common, data, factors, shared, tiny_hp(lam=2.0))[0]
     assert np.max(np.abs(new.U_common - factors[0].U_common)) <= 1e-12
 
 
@@ -264,7 +261,7 @@ def test_update_u_common_lambda_zero_oracle():
     num = X_t @ f.V @ f.Theta_common.T + data.X_s @ data.Y_s @ f.Theta_common.T
     den = rec_t @ f.V @ f.Theta_common.T + rec_s @ data.Y_s @ f.Theta_common.T
     want = f.U_common * np.sqrt(num / np.maximum(den, EPSILON))
-    got = update_u_common(data, 0, f, shared, hp, _v_products(data, 0, f.V))
+    got = stepped(update_u_common, data, factors, shared, hp)[0]
     assert np.allclose(got.U_common, want, rtol=1e-12, atol=0)
 
 
@@ -274,8 +271,7 @@ def test_update_u_common_lambda_zero_oracle():
 def test_update_v_fixed_point():
     rng = np.random.default_rng(10)
     data, factors, shared = exact_problem(rng)
-    new = update_v(data, 0, factors[0], shared, tiny_hp(lam=5.0),
-                   _v_products(data, 0, factors[0].V))
+    new = stepped(update_v, data, factors, shared, tiny_hp(lam=5.0))[0]
     assert np.max(np.abs(new.V - factors[0].V)) <= 1e-12
 
 
@@ -286,7 +282,7 @@ def test_update_v_scalar_sqrt3():
         Theta_common=np.array([[1.0, 0.0]]), Theta_specific=np.array([[0.0, 0.0]])
     )
     hp = Hyperparams(k1=1, k2=2, lam=1.0)
-    new = update_v(data, 0, f, shared, hp, _v_products(data, 0, f.V))
+    new = stepped(update_v, data, [f], shared, hp)[0]
     assert new.V[0, 0] == pytest.approx(np.sqrt(3.0), abs=1e-15)
 
 
@@ -297,8 +293,11 @@ def test_normalize_all_idempotent():
     rng = np.random.default_rng(13)
     data, v_init = random_problem(rng)
     factors, _ = random_state(rng, data, tiny_hp())
-    once = normalize_all(factors[0])
-    assert max_change(normalize_all(once), once) <= 1e-15
+    once = _Stack.of(data, factors)
+    normalize_all(once)
+    twice = _Stack.of(data, once)
+    normalize_all(twice)
+    assert max_change(twice[0], once[0]) <= 1e-15
 
 
 def test_normalize_all_hand_and_degenerate_row():
@@ -311,7 +310,11 @@ def test_normalize_all_hand_and_degenerate_row():
         Theta_target=np.array([[1.0, 1.0]]),
         Theta_source=np.array([[1.0, 1.0]]),
     )
-    out = normalize_all(f)
+    data = ProblemData(X_s=np.ones((2, 1)), Y_s=np.array([[1.0, 0.0]]),
+                       targets=(np.ones((2, 2)),))
+    stack = _Stack.of(data, [f])
+    normalize_all(stack)
+    out = stack[0]
     assert np.array_equal(out.U_common, [[0.5], [0.5]])
     assert np.array_equal(out.V[0], [0.5, 0.5])
     assert np.allclose(out.V[1], [0.75, 0.25], rtol=0, atol=1e-15)
@@ -325,8 +328,7 @@ def test_normalize_all_hand_and_degenerate_row():
 def test_update_pair_associations_fixed_point():
     rng = np.random.default_rng(14)
     data, factors, shared = exact_problem(rng)
-    new = update_pair_associations(data, 0, factors[0], shared, tiny_hp(),
-                                   _v_products(data, 0, factors[0].V))
+    new = stepped(update_pair_associations, data, factors, shared, tiny_hp())[0]
     assert np.max(np.abs(new.Theta_common - factors[0].Theta_common)) <= 1e-12
     assert np.max(np.abs(new.Theta_target - factors[0].Theta_target)) <= 1e-12
     assert np.max(np.abs(new.Theta_source - factors[0].Theta_source)) <= 1e-12
@@ -338,8 +340,8 @@ def test_update_pair_associations_scalar_times_two():
     shared = SharedFactors(
         Theta_common=np.array([[0.0, 0.0]]), Theta_specific=np.array([[1.0, 0.0]])
     )
-    new = update_pair_associations(data, 0, f, shared, Hyperparams(k1=1, k2=2),
-                                   _v_products(data, 0, f.V))
+    new = stepped(update_pair_associations, data, [f], shared,
+                  Hyperparams(k1=1, k2=2))[0]
     # numerator 4, denominator 1 on the live target entry
     assert new.Theta_target[0, 0] == pytest.approx(2.0, abs=1e-15)
     assert new.Theta_common[0, 0] == 0.0
@@ -352,8 +354,7 @@ def test_update_pair_associations_scalar_times_two():
 def test_update_shared_fixed_point_single_pair():
     rng = np.random.default_rng(15)
     data, factors, shared = exact_problem(rng, n_t=(5,))
-    new = update_shared_associations(data, factors, shared, tiny_hp(),
-                                     v_products(data, factors))
+    new = update_shared_associations(data, _Stack.of(data, factors), shared, tiny_hp())
     assert np.max(np.abs(new.Theta_common - shared.Theta_common)) <= 1e-12
     assert np.max(np.abs(new.Theta_specific - shared.Theta_specific)) <= 1e-12
 
@@ -368,10 +369,8 @@ def test_update_shared_two_identical_targets_match_single():
         targets=(data1.targets[0], data1.targets[0].copy()),
     )
     factors2 = [factors1[0], factors1[0]]
-    single = update_shared_associations(data1, factors1, shared, hp,
-                                        v_products(data1, factors1))
-    double = update_shared_associations(data2, factors2, shared, hp,
-                                        v_products(data2, factors2))
+    single = update_shared_associations(data1, _Stack.of(data1, factors1), shared, hp)
+    double = update_shared_associations(data2, _Stack.of(data2, factors2), shared, hp)
     # doubled sums cancel exactly in the ratio
     assert np.array_equal(single.Theta_common, double.Theta_common)
     assert np.array_equal(single.Theta_specific, double.Theta_specific)

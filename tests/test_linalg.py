@@ -84,3 +84,29 @@ def test_normalize_preserves_column_order():
     out = normalize_columns_l1(A)
     for j in range(4):
         assert np.array_equal(np.argsort(A[:, j]), np.argsort(out[:, j]))
+
+
+@pytest.mark.parametrize("normalize, axis", [
+    (normalize_columns_l1, -2), (normalize_rows_l1, -1),
+], ids=["columns", "rows"])
+def test_stacked_normalize_takes_each_matrix_alone(normalize, axis):
+    # sums run over the matrix axes, never over the stack, and an all-zero
+    # line becomes uniform over its own matrix's lines, not 1/P
+    rng = np.random.default_rng(9)
+    P, rows, cols = 3, 7, 4
+    stack = rng.random((P, rows, cols))
+    if axis == -2:
+        stack[1, :, 2] = 0.0
+    else:
+        stack[1, 5, :] = 0.0
+    before = stack.copy()
+    want = [normalize(a) for a in before]
+    got = normalize(stack)
+    assert np.array_equal(stack, before)
+    in_place = stack.copy()
+    assert normalize(in_place, out=in_place) is in_place
+    for p in range(P):
+        assert np.array_equal(got[p], want[p])
+        assert np.array_equal(in_place[p], want[p])
+    uniform = got[1, :, 2] if axis == -2 else got[1, 5, :]
+    assert np.array_equal(uniform, np.full(uniform.shape, 1.0 / before.shape[axis]))
