@@ -98,7 +98,6 @@ class LogRegModel:
     """Weights of a one-vs-rest logistic regression, bias in the last row."""
 
     weights: np.ndarray  # (M + 1) x c
-    n_classes: int
 
 
 def logreg_train(X, Y, l2: float = 1e-3, steps: int = 500,
@@ -196,7 +195,7 @@ def logreg_train(X, Y, l2: float = 1e-3, steps: int = 500,
     # cancel exactly, as the weights they stand for do, whatever order a
     # product sums in.
     weights = X @ np.maximum(A, 0.0) - X @ np.maximum(-A, 0.0)
-    return LogRegModel(weights=np.vstack([weights, b]), n_classes=c)
+    return LogRegModel(weights=np.vstack([weights, b]))
 
 
 def logreg_predict_proba(model: LogRegModel, X) -> np.ndarray:

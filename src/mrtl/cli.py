@@ -51,6 +51,11 @@ EXIT_PARSE = 3
 EXIT_NUMERIC = 4
 
 
+class InputMismatchError(ValueError):
+    """Two input files that parse but do not fit together; exits 3, like a
+    parse error, and names both files."""
+
+
 # the numbered outputs, one per target: train's predictions_<k>.txt, synth's
 # target_<k>.txt and truth_<k>.txt
 _NUMBERED = re.compile(r"(\w+)_[1-9][0-9]*\.txt")
@@ -140,11 +145,12 @@ def _manifest(args, **extra) -> str:
 def _load_problem(args) -> tuple:
     """Read, validate and normalize all corpora; resolve truth labels.
 
-    Each corpus is held as compact_corpus stores it (sparse when it is
-    mostly zeros) from right after it is parsed, so at most one dense copy
-    exists at a time. Returns (ProblemData, truth) where truth is one label
-    array per target (from --truth files, or from labeled target corpora) or
-    None when any target lacks labels.
+    Each file is checked against the source as soon as it is read, and a
+    mismatch names it. Each corpus is held as compact_corpus stores it
+    (sparse when it is mostly zeros) from right after it is parsed, so at
+    most one dense copy exists at a time. Returns (ProblemData, truth) where
+    truth is one label array per target (from --truth files, or from labeled
+    target corpora) or None when any target lacks labels.
     """
     paths = [args.source] + list(args.targets) + list(args.truths or [])
     _check_readable(paths)
@@ -158,36 +164,42 @@ def _load_problem(args) -> tuple:
         raise InvalidConfigError(
             f"source corpus {args.source} must be fully labeled"
         )
-    c = Y_s.shape[1]
+    M, c = X_s.shape[0], Y_s.shape[1]
+    if c < 2:
+        raise CorpusFormatError(
+            1, f"source {args.source} has {c} class, need at least 2")
     X_s = normalize_input(compact_corpus(X_s))
     targets = []
     truth = []
     for p, path in enumerate(args.targets):
         X_t, Y_t = load_corpus(path)
+        if X_t.shape[0] != M:
+            raise CorpusFormatError(
+                1, f"target {path} has {X_t.shape[0]} features but the source "
+                   f"has {M}"
+            )
         if Y_t is not None and Y_t.shape[1] != c:
             raise CorpusFormatError(
                 1, f"labeled target {path} has {Y_t.shape[1]} classes but the "
                    f"source has {c}"
             )
         targets.append(normalize_input(compact_corpus(X_t)))
+        n = X_t.shape[1]
         del X_t  # freed before the next file is parsed
         if args.truths:
             truth.append(_read_labels(args.truths[p], c=c))
+            if truth[p].shape[0] != n:
+                raise InputMismatchError(
+                    f"{truth[p].shape[0]} truth labels in {args.truths[p]} vs "
+                    f"{n} instances in {path}"
+                )
         elif Y_t is not None:
             truth.append(np.argmax(Y_t, axis=1) + 1)
         else:
             truth.append(None)
     if any(t is None for t in truth):
         truth = None
-    data = ProblemData(X_s=X_s, Y_s=Y_s, targets=tuple(targets))
-    if truth is not None:
-        for p, t in enumerate(truth):
-            if t.shape[0] != data.targets[p].shape[1]:
-                raise InvalidConfigError(
-                    f"truth for target {p + 1} has {t.shape[0]} labels for "
-                    f"{data.targets[p].shape[1]} instances"
-                )
-    return data, truth
+    return ProblemData(X_s=X_s, Y_s=Y_s, targets=tuple(targets)), truth
 
 
 def _hyperparams(args, k1: int | None = None) -> Hyperparams:
@@ -213,16 +225,21 @@ def _hyperparams(args, k1: int | None = None) -> Hyperparams:
     )
 
 
-def _trace_csv(rows, acc_count: int) -> str:
+def _accuracies(preds, truth) -> list:
+    """Each target's predicted labels scored against its true ones."""
+    return [accuracy(pred, t) for pred, t in zip(preds, truth)]
+
+
+def _trace_csv(rows, accs) -> str:
+    """accs holds each row's per-target accuracies, or nothing."""
     header = "iter,objective,log10_objective"
-    if acc_count:
-        header += "," + ",".join(f"acc_{i + 1}" for i in range(acc_count))
+    if accs:
+        header += "," + ",".join(f"acc_{i + 1}" for i in range(len(accs[0])))
     lines = [header]
-    for r in rows:
+    for r, row_accs in zip(rows, accs or [()] * len(rows)):
         log10 = math.log10(r.objective) if r.objective > 0 else float("-inf")
         cells = [str(r.iteration), repr(float(r.objective)), repr(float(log10))]
-        if acc_count:
-            cells.extend(repr(float(a)) for a in r.per_target_accuracy)
+        cells.extend(repr(a) for a in row_accs)
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
@@ -236,7 +253,7 @@ def _metrics_text(baseline: str, rows, preds, truth) -> str:
     if rows:
         lines.append(f"final_objective={float(rows[-1].objective)!r}")
     if truth is not None:
-        accs = [accuracy(pred, t) for pred, t in zip(preds, truth)]
+        accs = _accuracies(preds, truth)
         for i, a in enumerate(accs):
             lines.append(f"accuracy_{i + 1}={a!r}")
         lines.append(f"average_accuracy={float(np.mean(accs))!r}")
@@ -251,11 +268,23 @@ def _logreg_init(data, collect_loss=None):
 def cmd_train(args) -> int:
     hp = _hyperparams(args)
     data, truth = _load_problem(args)
+    accs = []  # per MRTL iteration when truth is known: trace.csv's acc_p
     if args.baseline == "mrtl":
         _, v_init = _logreg_init(data)
-        factors, _, rows = fit(data, hp, v_init, truth=truth)
+
+        def score(record, factors):
+            accs.append(_accuracies(map(predict, factors), truth))
+
+        factors, _, rows = fit(data, hp, v_init, None if truth is None else score)
         preds = [predict(f) for f in factors]
     elif args.baseline == "nmf":
+        for path, X_t in zip(args.targets, data.targets):
+            if min(X_t.shape) < data.c:
+                raise InvalidConfigError(
+                    f"--baseline nmf needs at least c = {data.c} instances and "
+                    f"features per target, but target {path} has "
+                    f"{X_t.shape[1]} instances and {X_t.shape[0]} features"
+                )
         preds = []
         per_target_err = []
         for X_t in data.targets:
@@ -279,8 +308,7 @@ def cmd_train(args) -> int:
             TraceRecord(iteration=i, objective=float(v))))
         preds = [np.argmax(v, axis=1) + 1 for v in v_init]
 
-    acc_count = data.P if (truth is not None and args.baseline == "mrtl") else 0
-    files = [("trace.csv", _trace_csv(rows, acc_count))]
+    files = [("trace.csv", _trace_csv(rows, accs))]
     files += [(f"predictions_{p + 1}.txt", _predictions_text(labels))
               for p, labels in enumerate(preds)]
     files += [("metrics.txt", _metrics_text(args.baseline, rows, preds, truth)),
@@ -321,12 +349,10 @@ def cmd_eval(args) -> int:
     pred = _read_labels(args.predictions)
     true = _read_labels(args.truth)
     if pred.shape[0] != true.shape[0]:
-        print(
-            f"error: {pred.shape[0]} predictions in {args.predictions} vs "
-            f"{true.shape[0]} truth labels in {args.truth}",
-            file=sys.stderr,
+        raise InputMismatchError(
+            f"{pred.shape[0]} predictions in {args.predictions} vs "
+            f"{true.shape[0]} truth labels in {args.truth}"
         )
-        return EXIT_PARSE
     print(f"{100.0 * accuracy(pred, true):.2f}")
     return EXIT_OK
 
@@ -369,7 +395,7 @@ def cmd_sweep(args) -> int:
     lines = ["value," + ",".join(f"acc_{p + 1}" for p in range(data.P)) + ",avg_acc"]
     for v, hp in zip(values, settings):
         factors, _, _ = fit(data, hp, v_init)
-        accs = [accuracy(predict(f), t) for f, t in zip(factors, truth)]
+        accs = _accuracies(map(predict, factors), truth)
         cells = [repr(float(v))]
         cells.extend(repr(float(a)) for a in accs)
         cells.append(repr(float(np.mean(accs))))
@@ -467,7 +493,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CorpusFormatError as exc:
+    except (CorpusFormatError, InputMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except NumericalDivergenceError as exc:

@@ -306,12 +306,11 @@ class SharedFactors:
 
 @dataclass(frozen=True)
 class TraceRecord:
-    """One fitting iteration: objective after the shared update, plus
-    per-target accuracy when true labels were supplied."""
+    """One fitting iteration: its 1-based number and the objective after
+    the shared update."""
 
     iteration: int
     objective: float
-    per_target_accuracy: tuple | None = None
 
 
 def init_factors(data: ProblemData, hp: Hyperparams, v_init) -> tuple:
@@ -589,7 +588,7 @@ def run_iteration(data: ProblemData, factors, shared: SharedFactors,
     return list(stack), update_shared_associations(data, stack, shared, hp)
 
 
-def fit(data: ProblemData, hp: Hyperparams, v_init, truth=None) -> tuple:
+def fit(data: ProblemData, hp: Hyperparams, v_init, on_iteration=None) -> tuple:
     """Run the alternating updates and return (factors, shared, trace).
 
     v_init supplies one row-stochastic n_p x c matrix per target (typically
@@ -597,23 +596,16 @@ def fit(data: ProblemData, hp: Hyperparams, v_init, truth=None) -> tuple:
     stops early once the relative objective change drops below
     hp.convergence_tol when that is positive. One TraceRecord is appended
     per completed iteration, with the objective measured after the shared
-    update; when truth (one integer label array per target) is given each
-    record also carries per-target accuracy. Raises NumericalDivergenceError
-    naming the iteration if any factor entry becomes non-finite. Identical
-    inputs and seed reproduce the run exactly. The factors are drawn
-    straight into fit's own stack, which every sweep steps in place, and
-    come back as each pair's TargetFactors, views into it.
+    update; then, when given, on_iteration(record, factors) is called with
+    that record and the pairs' TargetFactors, live views of fit's stack
+    that the listener must not modify. Raises NumericalDivergenceError
+    naming the iteration if any factor entry becomes non-finite, before
+    that iteration's record or call. Identical inputs and seed reproduce
+    the run exactly. The factors are drawn straight into fit's own stack,
+    which every sweep steps in place, and come back as each pair's
+    TargetFactors, views into it.
     """
     stack, shared = init_factors(data, hp, v_init)
-    if truth is not None:
-        truth = [np.asarray(t).ravel() for t in truth]
-        if len(truth) != data.P:
-            raise InvalidConfigError(
-                f"truth has {len(truth)} label arrays for {data.P} targets")
-        for p, (t, X_t) in enumerate(zip(truth, data.targets)):
-            if t.shape[0] != X_t.shape[1]:
-                raise InvalidConfigError(
-                    f"truth[{p}] has {t.shape[0]} labels for {X_t.shape[1]} instances")
     trace = []
     prev_obj = None
     for iteration in range(1, hp.maxiter + 1):
@@ -623,12 +615,9 @@ def fit(data: ProblemData, hp: Hyperparams, v_init, truth=None) -> tuple:
                   *vars(shared).values())
         if not (np.isfinite(obj) and all(np.isfinite(a).all() for a in arrays)):
             raise NumericalDivergenceError(iteration)
-        accs = None
-        if truth is not None:
-            accs = tuple(float(np.mean(predict(f) == t)) for f, t in zip(stack, truth))
-        trace.append(
-            TraceRecord(iteration=iteration, objective=obj, per_target_accuracy=accs)
-        )
+        trace.append(TraceRecord(iteration=iteration, objective=obj))
+        if on_iteration is not None:
+            on_iteration(trace[-1], stack)
         if hp.convergence_tol > 0 and prev_obj is not None:
             scale = max(abs(prev_obj), np.finfo(np.float64).tiny)
             if abs(prev_obj - obj) / scale < hp.convergence_tol:

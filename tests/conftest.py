@@ -183,7 +183,7 @@ def logreg_train_primal(X, Y, l2: float = 1e-3, steps: int = 500,
         W, cur, probs = W_new, new, new_probs
         if on_step is not None:
             on_step(step, cur)
-    return LogRegModel(weights=W, n_classes=c)
+    return LogRegModel(weights=W)
 
 
 def one_hot(labels, c):

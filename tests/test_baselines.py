@@ -112,7 +112,7 @@ def test_logreg_proba_rows_stochastic_and_positive():
 
 
 def test_logreg_zero_weight_model_uniform():
-    model = LogRegModel(weights=np.zeros((5, 3)), n_classes=3)
+    model = LogRegModel(weights=np.zeros((5, 3)))
     proba = logreg_predict_proba(model, np.random.default_rng(5).random((4, 7)))
     assert np.allclose(proba, 1.0 / 3.0, rtol=0, atol=1e-14)
 

@@ -164,6 +164,44 @@ def test_train_labeled_target_class_count_mismatch_exits_3(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_truth_shorter_than_its_target_exits_3(tmp_path, capsys, command):
+    src = synth(tmp_path / "data")
+    truth = tmp_path / "truth_short.txt"
+    truth.write_text("1\n2\n1\n2\n1\n")
+    args = (train_args(src, tmp_path / "run") if command == "train"
+            else sweep_args(src, tmp_path / "run", "--sweep-lambda", "1"))
+    args[args.index(str(src / "truth_1.txt"))] = str(truth)
+    assert cli.main(args) == 3
+    assert (f"error: 5 truth labels in {truth} vs 12 instances in "
+            f"{src / 'target_1.txt'}" in capsys.readouterr().err)
+    assert not (tmp_path / "run").exists()
+
+
+def test_target_feature_count_mismatch_exits_3(tmp_path, capsys):
+    src = synth(tmp_path / "data")
+    target = tmp_path / "target_m40.txt"
+    target.write_text("40 2 2\n0 1:1.0\n0 40:1.0\n")
+    args = train_args(src, tmp_path / "run")
+    args[args.index(str(src / "target_2.txt"))] = str(target)
+    assert cli.main(args) == 3
+    assert (f"line 1: target {target} has 40 features but the source has 30"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "run").exists()
+
+
+def test_source_with_one_class_exits_3(tmp_path, capsys):
+    src = synth(tmp_path / "data")
+    source = tmp_path / "source_c1.txt"
+    source.write_text("30 2 1\n1 1:1.0\n1 2:1.0\n")
+    args = train_args(src, tmp_path / "run")
+    args[args.index(str(src / "source.txt"))] = str(source)
+    assert cli.main(args) == 3
+    assert (f"line 1: source {source} has 1 class, need at least 2"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "run").exists()
+
+
 def test_train_without_truth_has_no_accuracy(tmp_path):
     src = synth(tmp_path / "data")
     out = tmp_path / "run"
@@ -354,6 +392,26 @@ def test_train_nmf_and_logreg_baselines(tmp_path):
         assert read(out / "trace.csv").splitlines()[0] == (
             "iter,objective,log10_objective"
         )
+
+
+def test_nmf_baseline_names_a_target_too_small_to_factor(tmp_path, capsys):
+    src = synth(tmp_path / "data")
+    target = tmp_path / "target_n1.txt"
+    target.write_text("30 1 2\n0 1:1.0\n")
+    rc = cli.main([
+        "train", "--baseline", "nmf",
+        "--source", str(src / "source.txt"),
+        "--target", str(src / "target_1.txt"),
+        "--target", str(target),
+        "--k1", "2", "--k2", "4", "--maxiter", "3",
+        "--out", str(tmp_path / "run"),
+    ])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert (f"--baseline nmf needs at least c = 2 instances and features per "
+            f"target, but target {target} has 1 instances and 30 features" in err)
+    assert "k must be" not in err
+    assert not (tmp_path / "run").exists()
 
 
 def test_eval_formats(tmp_path, capsys):

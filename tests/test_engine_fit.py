@@ -177,25 +177,51 @@ def test_fit_convergence_tol_stops_early():
     assert abs(prev - last) / abs(prev) < 1e-3
 
 
-def test_fit_records_accuracy_with_truth():
-    rng = np.random.default_rng(9)
-    data, v_init = random_problem(rng, n_t=(5, 4))
-    truth = [rng.integers(1, 3, size=5), rng.integers(1, 3, size=4)]
-    _, _, trace = fit(data, Hyperparams(k1=2, k2=4, maxiter=2), v_init, truth=truth)
-    for r in trace:
-        assert r.per_target_accuracy is not None
-        assert len(r.per_target_accuracy) == 2
-        assert all(0.0 <= a <= 1.0 for a in r.per_target_accuracy)
+def listener():
+    """(calls, on_iteration): each call appends its record and the labels
+    that predict gives on the factors it was passed, at the time of the call."""
+    calls = []
+    return calls, lambda record, factors: calls.append(
+        (record, [predict(f) for f in factors]))
 
 
-def test_fit_rejects_bad_truth():
-    rng = np.random.default_rng(10)
-    data, v_init = random_problem(rng, n_t=(5, 4))
-    hp = Hyperparams(k1=2, k2=4, maxiter=1)
-    with pytest.raises(InvalidConfigError):
-        fit(data, hp, v_init, truth=[np.ones(5)])
-    with pytest.raises(InvalidConfigError):
-        fit(data, hp, v_init, truth=[np.ones(5), np.ones(99)])
+@pytest.mark.parametrize("maxiter, tol", [(6, 0.0), (200, 1e-3)])
+def test_fit_calls_the_listener_once_per_recorded_iteration(maxiter, tol):
+    rng = np.random.default_rng(8)
+    data, v_init = random_problem(rng, M=15)
+    calls, on_iteration = listener()
+    factors, _, trace = fit(
+        data, Hyperparams(k1=2, k2=5, maxiter=maxiter, convergence_tol=tol),
+        v_init, on_iteration)
+    assert (len(trace) == 6) if tol == 0 else (2 <= len(trace) < 200)
+    # in order, with the very record appended to the trace, the early stop's
+    # last record included
+    assert len(calls) == len(trace)
+    assert all(record is r for (record, _), r in zip(calls, trace))
+    assert [r.iteration for r in trace] == list(range(1, len(trace) + 1))
+    last_labels = calls[-1][1]
+    assert len(last_labels) == data.P
+    for labels, f in zip(last_labels, factors):
+        assert np.array_equal(labels, predict(f))
+
+
+@pytest.mark.parametrize("kind", ["dense", "csc"])
+def test_fit_with_a_listener_equals_the_fit_without_one(kind):
+    data, v_init = random_problem(np.random.default_rng(9), M=12, n_t=(5, 4, 6))
+    if kind == "csc":
+        data = replace(data, X_s=sp.csc_array(data.X_s),
+                       targets=tuple(sp.csc_array(X) for X in data.targets))
+    hp = Hyperparams(k1=2, k2=5, maxiter=5, seed=4)
+    unheard = fit(data, hp, v_init)
+    calls, on_iteration = listener()
+    heard = fit(data, hp, v_init, on_iteration)
+    assert len(calls) == 5
+    for f, g in zip(unheard[0], heard[0], strict=True):
+        assert all(a.tobytes() == b.tobytes()
+                   for a, b in zip(vars(f).values(), vars(g).values(), strict=True))
+    assert all(a.tobytes() == b.tobytes()
+               for a, b in zip(vars(unheard[1]).values(), vars(heard[1]).values()))
+    assert unheard[2] == heard[2]
 
 
 def test_problem_data_rejects_corpora_with_no_instances():
@@ -226,6 +252,21 @@ def test_fit_raises_on_divergence_with_iteration():
         fit(data, Hyperparams(k1=1, k2=2, maxiter=5), v_init)
     assert err.value.iteration == 1
     assert "iteration 1" in str(err.value)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_diverging_fit_never_calls_the_listener():
+    # the problem of test_fit_raises_on_divergence_with_iteration
+    data = ProblemData(
+        X_s=np.array([[np.inf, 1.0], [1.0, 1.0]]),
+        Y_s=one_hot([1, 2], 2),
+        targets=(np.full((2, 2), 0.5),),
+    )
+    calls, on_iteration = listener()
+    with pytest.raises(NumericalDivergenceError):
+        fit(data, Hyperparams(k1=1, k2=2, maxiter=5), [np.full((2, 2), 0.5)],
+            on_iteration)
+    assert calls == []
 
 
 def test_fit_holds_one_copy_of_each_pair():
