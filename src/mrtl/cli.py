@@ -161,9 +161,10 @@ def _load_problem(args) -> tuple:
 
     X_s, Y_s = load_corpus(args.source)
     if Y_s is None:
-        raise InvalidConfigError(
-            f"source corpus {args.source} must be fully labeled"
-        )
+        # the first record is line 2: parse_corpus allows no blank line before it
+        raise CorpusFormatError(
+            2, f"source {args.source} is unlabeled (label 0), but the source "
+               f"must be labeled")
     M, c = X_s.shape[0], Y_s.shape[1]
     if c < 2:
         raise CorpusFormatError(

@@ -47,18 +47,19 @@ every denominator is floored at linalg.EPSILON (1e-12). No pair reads
 another pair's factors within a sweep, so each step takes all P pairs at
 once on one stack (_Stack) of (P, rows, cols) blocks, with X_t V and V^T V
 stacked as (P, M, c) and (P, c, c): one batched matmul pass per term, the
-new block written into the stack in place. _terms reads blocks through .mT
-and [..., rows, :], so the same code serves one pair's 2-d blocks and the
-stack; only V, whose n_p differs between targets, is stepped per target. A
-U block's rows are independent: row i of its num and den reads row i of
-the M x c products (XV, XY, B_t, B_g, B_s) alone, so _pair_step takes a U
-step one block of rows (ROW_BLOCK_BYTES of the stacked U) at a time, and
-its temporaries stay in cache. XV and G change only with V; the stack
-rebuilds them right after V is normalized. run_iteration calls the public
-update_* steps by their module names, once per sweep each, then the L1
-normalization (cluster matrices by column, V by row), then the shared step.
-fit draws its factors straight into its own stack, so beyond the P pairs a
-step holds its M x c products and one row block's arrays.
+new block written into the stack in place. _terms reads only the stack. Of
+V's step it forms the association products of every pair at once, R =
+B_t + lam B_g and H = B_t^T B_t + lam B_g^T B_g; only X_t^T R and V H, whose
+n_p differs between targets, are taken per target. A U block's rows are
+independent: row i of its num and den reads row i of the M x c products
+(XV, XY, B_t, B_g, B_s) alone, so _pair_step takes a U step one block of
+rows (ROW_BLOCK_BYTES of the stacked U) at a time, and its temporaries stay
+in cache. XV and G change only with V; the stack rebuilds them right after
+V is normalized. run_iteration calls the public update_* steps by their
+module names, once per sweep each, then the L1 normalization (cluster
+matrices by column, V by row), then the shared step. fit draws its factors
+straight into its own stack, so beyond the P pairs a step holds its M x c
+products and one row block's arrays.
 
 The objective is factored the same way: a term is
 w * (||X||^2 - 2 <X W, B> + <B^T B, W^T W>), where ||X||^2 is computed once
@@ -252,6 +253,12 @@ class TargetFactors:
     Theta_source: np.ndarray
 
 
+def _check_shape(what: str, a, shape: tuple) -> None:
+    """InvalidConfigError naming what unless a has shape shape."""
+    if np.shape(a) != shape:
+        raise InvalidConfigError(f"{what} has shape {np.shape(a)}, expected {shape}")
+
+
 # the TargetFactors blocks a _Stack holds stacked over pairs
 STACKED = ("U_common", "U_target", "U_source",
            "Theta_common", "Theta_target", "Theta_source")
@@ -276,19 +283,32 @@ class _Stack(tuple):
     @classmethod
     def of(cls, data: ProblemData, factors) -> "_Stack":
         """A fresh stack of copies of factors, an iterable of exactly the P
-        pairs' TargetFactors, taken once."""
+        pairs' TargetFactors, taken once. Every block's shape must agree with
+        data (M, c and each target's n_p) and with pair 1's cluster counts;
+        InvalidConfigError names the first block that does not."""
         factors = list(factors)
         if len(factors) != data.P:
             raise InvalidConfigError(
                 f"factors holds {len(factors)} pairs for {data.P} targets")
+        k1, ks = (np.shape(a)[1] if np.ndim(a) == 2 else name
+                  for a, name in ((factors[0].U_common, "k1"),
+                                  (factors[0].U_target, "k2 - k1")))
+        for p, (f, X_t) in enumerate(zip(factors, data.targets)):
+            want = {"U_common": (data.M, k1), "U_target": (data.M, ks),
+                    "U_source": (data.M, ks), "V": (X_t.shape[1], data.c),
+                    "Theta_common": (k1, data.c), "Theta_target": (ks, data.c),
+                    "Theta_source": (ks, data.c)}
+            for name, shape in want.items():
+                _check_shape(f"pair {p + 1}'s {name}", getattr(f, name), shape)
         stacked = {name: np.stack([getattr(f, name) for f in factors], dtype=np.float64)
                    for name in STACKED}
         return cls(data, stacked, [np.array(f.V, dtype=np.float64) for f in factors])
 
     def renew_v_products(self, data: ProblemData) -> None:
-        """Rebuild XV and G from the current V."""
+        """Rebuild XV and G from the current V: what every step but those of
+        V and the source-only blocks reads of V."""
         for p, V in enumerate(self.V):
-            self.XV[p], self.G[p] = _v_products(data, p, V)
+            self.XV[p], self.G[p] = data.targets[p] @ V, V.T @ V
 
     def __reduce__(self):
         # a copy or a pickle is the plain list of the pairs' TargetFactors
@@ -302,6 +322,17 @@ class SharedFactors:
 
     Theta_common: np.ndarray
     Theta_specific: np.ndarray
+
+
+def _as_stack(data: ProblemData, factors, shared: SharedFactors) -> _Stack:
+    """The way into objective and run_iteration: factors itself if it is a
+    stack, else _Stack.of(data, factors). shared's blocks must agree with
+    the stack's cluster counts and with c."""
+    stack = factors if isinstance(factors, _Stack) else _Stack.of(data, factors)
+    k1, ks = stack.U_common.shape[-1], stack.U_target.shape[-1]
+    _check_shape("shared Theta_common", shared.Theta_common, (k1, data.c))
+    _check_shape("shared Theta_specific", shared.Theta_specific, (ks, data.c))
+    return stack
 
 
 @dataclass(frozen=True)
@@ -378,43 +409,41 @@ def objective(data: ProblemData, factors, shared: SharedFactors,
     """Joint squared reconstruction error over all pairs: the sum over p of
     the target, source and lam-weighted shared terms. Each is taken in
     factored form unless cancellation would cost it its accuracy (see
-    residual_sq). The pairs of a stack read the X_t V and V^T V it carries;
-    any others' are built here. U_c Theta_c is built once per pair.
+    residual_sq). factors is a stack, whose X_t V and V^T V are read, or any
+    other iterable of the P pairs, copied into a fresh stack as
+    run_iteration copies one. B_t, B_s and B_g are formed for every pair at
+    once; only residual_sq is taken pair by pair.
     """
+    stack = _as_stack(data, factors, shared)
+    UcTc = stack.U_common @ stack.Theta_common
+    B_t = UcTc + stack.U_target @ stack.Theta_target
+    B_s = UcTc + stack.U_source @ stack.Theta_source
+    B_g = stack.U_common @ shared.Theta_common + stack.U_target @ shared.Theta_specific
     X_s, xx_s = data.X_s, data.sq_norms[0]
     total = 0.0
-    for p, f in enumerate(factors):
-        X_t, xx_t, V = data.targets[p], data.sq_norms[p + 1], f.V
-        XV, G = ((factors.XV[p], factors.G[p]) if isinstance(factors, _Stack)
-                 else _v_products(data, p, V))
-        UcTc = f.U_common @ f.Theta_common
-        B_g = f.U_common @ shared.Theta_common + f.U_target @ shared.Theta_specific
-        total += residual_sq(X_t, xx_t, UcTc + f.U_target @ f.Theta_target, V, XV, G)
-        total += residual_sq(X_s, xx_s, UcTc + f.U_source @ f.Theta_source,
-                             data.Y_s, data.XY_s, data.YY_s)
-        total += hp.lam * residual_sq(X_t, xx_t, B_g, V, XV, G)
+    for p, (X_t, V, XV, G) in enumerate(zip(data.targets, stack.V, stack.XV, stack.G)):
+        xx_t = data.sq_norms[p + 1]
+        total += residual_sq(X_t, xx_t, B_t[p], V, XV, G)
+        total += residual_sq(X_s, xx_s, B_s[p], data.Y_s, data.XY_s, data.YY_s)
+        total += hp.lam * residual_sq(X_t, xx_t, B_g[p], V, XV, G)
     return total
 
 
-def _v_products(data: ProblemData, p: int, V) -> tuple:
-    """(X_t V, V^T V) for target p's assignment V: what every step but those
-    of V and the source-only blocks reads of V."""
-    return data.targets[p] @ V, V.T @ V
-
-
-def _terms(name: str, data: ProblemData, p, f, shared: SharedFactors,
-           lam: float, products: tuple) -> tuple:
-    """Block name's step numerator and denominator, each a list of terms
-    (L, R) standing for the sum of the products L @ R: the block's row of
-    the module docstring's folded table. name is a TargetFactors field or
-    "shared." + a SharedFactors field; lam weights the shared term, and only
-    what the terms read is built. f is one pair's TargetFactors or a stack,
-    and products its (X_t V, V^T V) likewise; V's terms are target p's, from
-    one pair's f. A U block's L are (..., M, c) and its R (..., c, k), so
-    row i of a sum reads row i of each L alone."""
-    (XV, G), XY, YY = products, data.XY_s, data.YY_s
-    Uc, Ut, Us = f.U_common, f.U_target, f.U_source
-    Tc, Tt, Ts = f.Theta_common, f.Theta_target, f.Theta_source
+def _terms(name: str, data: ProblemData, stack: _Stack, shared: SharedFactors,
+           lam: float) -> tuple:
+    """Block name's step numerator and denominator for every pair of the
+    stack, each a list of terms (L, R) standing for the sum of the products
+    L @ R: the block's row of the module docstring's folded table. name is a
+    field in STACKED or "shared." + a SharedFactors field; lam weights the
+    shared term, and only what the terms read is built. A U block's L are
+    (P, M, c) and its R (P, c, k), so row i of a sum reads row i of each L
+    alone. V's row is instead (R, H): R = B_t + lam B_g (P x M x c) and
+    H = B_t^T B_t + lam B_g^T B_g (P x c x c), the right factors of its one
+    numerator term X_t^T R and one denominator term V H, whose left factors
+    differ in n_p between targets."""
+    XV, G, XY, YY = stack.XV, stack.G, data.XY_s, data.YY_s
+    Uc, Ut, Us = stack.U_common, stack.U_target, stack.U_source
+    Tc, Tt, Ts = stack.Theta_common, stack.Theta_target, stack.Theta_source
     Sc, Ss = shared.Theta_common, shared.Theta_specific
     if name == "U_target":
         return ([(XV, (Tt + lam * Ss).mT)],
@@ -429,8 +458,7 @@ def _terms(name: str, data: ProblemData, p, f, shared: SharedFactors,
                  (UcTc + Us @ Ts, YY @ Tc.mT)])
     if name == "V":
         B_t, B_g = Uc @ Tc + Ut @ Tt, Uc @ Sc + Ut @ Ss
-        return ([(data.targets[p].T, B_t + lam * B_g)],
-                [(f.V, B_t.T @ B_t + lam * (B_g.T @ B_g))])
+        return B_t + lam * B_g, B_t.mT @ B_t + lam * (B_g.mT @ B_g)
     if name == "Theta_source":
         return [(Us.mT, XY)], [(Us.mT, (Uc @ Tc + Us @ Ts) @ YY)]
     if name == "Theta_target":
@@ -446,26 +474,14 @@ def _terms(name: str, data: ProblemData, p, f, shared: SharedFactors,
     raise ValueError(f"no factor block named {name!r}")
 
 
-def _rows_sum(terms, rows=...) -> np.ndarray:
+def _rows_sum(terms, rows=slice(None)) -> np.ndarray:
     """The sum of L @ R over terms, in their order, over rows rows (a slice
-    of each L's second-to-last axis), or over all rows for ..., the default.
-    All rows take each L whole: slicing would copy a sparse L (V's
-    numerator reads X_t^T)."""
-    if rows is not ...:
-        terms = [(L[..., rows, :], R) for L, R in terms]
+    of each L's second-to-last axis), all rows by default."""
     (L, R), *rest = terms
-    total = L @ R
+    total = L[..., rows, :] @ R
     for L, R in rest:
-        total += L @ R
+        total += L[..., rows, :] @ R
     return total
-
-
-def _num_den(name: str, data: ProblemData, p, f, shared: SharedFactors,
-             lam: float, products: tuple) -> tuple:
-    """Numerator and denominator of the multiplicative step on one block:
-    its _terms summed over all rows. num - den is minus half the gradient."""
-    num, den = _terms(name, data, p, f, shared, lam, products)
-    return _rows_sum(num), _rows_sum(den)
 
 
 # A U step is taken over blocks of rows of about this many bytes of the
@@ -483,7 +499,7 @@ ROW_BLOCK_BYTES = 128 * 1024
 def _pair_step(name: str, data, stack: _Stack, shared: SharedFactors, hp) -> None:
     """The multiplicative step on block name of every pair, written into the
     stack: a U block one row block at a time, a Theta block in one piece."""
-    num, den = _terms(name, data, None, stack, shared, hp.lam, (stack.XV, stack.G))
+    num, den = _terms(name, data, stack, shared, hp.lam)
     x = getattr(stack, name)
     P, M, k = x.shape
     pieces = (blocks(M, P * k, ROW_BLOCK_BYTES) if name.startswith("U_")
@@ -511,11 +527,12 @@ def update_u_common(data, stack: _Stack, shared: SharedFactors, hp) -> None:
 
 
 def update_v(data, stack: _Stack, shared: SharedFactors, hp) -> None:
-    """Multiplicative step on each target's soft class assignment V, one
+    """Multiplicative step on each target's soft class assignment V: the
+    association products of every pair at once, then X_t^T R and V H one
     target at a time, since n_p differs between targets."""
-    for p, f in enumerate(stack):
-        num, den = _num_den("V", data, p, f, shared, hp.lam, (stack.XV[p], stack.G[p]))
-        np.multiply(f.V, safe_ratio_sqrt(num, den), out=f.V)
+    R, H = _terms("V", data, stack, shared, hp.lam)
+    for p, V in enumerate(stack.V):
+        np.multiply(V, safe_ratio_sqrt(data.targets[p].T @ R[p], V @ H[p]), out=V)
 
 
 def update_pair_associations(data, stack: _Stack, shared: SharedFactors, hp) -> None:
@@ -540,8 +557,8 @@ def update_shared_associations(data, stack: _Stack, shared: SharedFactors,
     for field in ("Theta_common", "Theta_specific"):
         # lam weighs the one term that holds the block, so it cancels from
         # the ratio; unit weight keeps the rule defined at lam = 0
-        num, den = _num_den("shared." + field, data, None, stack, shared, 1.0,
-                            (stack.XV, stack.G))
+        num, den = (_rows_sum(terms)
+                    for terms in _terms("shared." + field, data, stack, shared, 1.0))
         step = safe_ratio_sqrt(sum(num[1:], num[0]), sum(den[1:], den[0]))
         # the new block is written into the step factor
         shared = replace(shared, **{field: np.multiply(getattr(shared, field), step,
@@ -568,8 +585,9 @@ def run_iteration(data: ProblemData, factors, shared: SharedFactors,
     factors is the P pairs' factors in pair order: a stack, as init_factors
     returns one, which the sweep steps in place, or any other iterable of
     exactly P TargetFactors, taken once and copied into a fresh stack, so
-    never modified. Returns (the stack's pairs as a list of TargetFactors
-    views, the new SharedFactors).
+    never modified (_as_stack, which checks the shapes). Returns (the stack
+    it stepped, the new SharedFactors), so factors, shared =
+    run_iteration(...) chains on one stack.
 
     Each step takes every pair at once: U_target, U_source, U_common, the
     pair associations, V, then normalization, then the shared associations.
@@ -577,7 +595,7 @@ def run_iteration(data: ProblemData, factors, shared: SharedFactors,
     factors and see the iteration-start shared snapshot, so each pair's new
     factors are those of a sweep over that pair alone.
     """
-    stack = factors if isinstance(factors, _Stack) else _Stack.of(data, factors)
+    stack = _as_stack(data, factors, shared)
     # each step is looked up by its module name at every call, so a wrapper
     # installed on mrtl.engine sees it
     for step in (update_u_target, update_u_source, update_u_common,
@@ -585,7 +603,7 @@ def run_iteration(data: ProblemData, factors, shared: SharedFactors,
         step(data, stack, shared, hp)
     normalize_all(stack)
     stack.renew_v_products(data)
-    return list(stack), update_shared_associations(data, stack, shared, hp)
+    return stack, update_shared_associations(data, stack, shared, hp)
 
 
 def fit(data: ProblemData, hp: Hyperparams, v_init, on_iteration=None) -> tuple:
@@ -602,8 +620,9 @@ def fit(data: ProblemData, hp: Hyperparams, v_init, on_iteration=None) -> tuple:
     naming the iteration if any factor entry becomes non-finite, before
     that iteration's record or call. Identical inputs and seed reproduce
     the run exactly. The factors are drawn straight into fit's own stack,
-    which every sweep steps in place, and come back as each pair's
-    TargetFactors, views into it.
+    which every sweep steps in place and which fit returns: a tuple of each
+    pair's TargetFactors, views into it, whose copy or pickle is a plain
+    list.
     """
     stack, shared = init_factors(data, hp, v_init)
     trace = []
@@ -623,7 +642,7 @@ def fit(data: ProblemData, hp: Hyperparams, v_init, on_iteration=None) -> tuple:
             if abs(prev_obj - obj) / scale < hp.convergence_tol:
                 break
         prev_obj = obj
-    return list(stack), shared, trace
+    return stack, shared, trace
 
 
 def predict(f: TargetFactors) -> np.ndarray:

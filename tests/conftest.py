@@ -1,10 +1,12 @@
 """Shared builders for engine-level tests."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import settings
 
+from mrtl import engine
 from mrtl.baselines import LogRegModel, expit
 from mrtl.engine import (
     Hyperparams,
@@ -99,7 +101,7 @@ def num_den_per_term(name: str, data: ProblemData, p: int, f: TargetFactors,
         W:       num = w X^T B              den = w W (B^T B)
 
     Every term builds its own B and X @ W; the reference for the folded
-    engine._num_den.
+    table of engine._terms (num_den below).
     """
     b = _blocks(data, f, shared)
     num = den = 0.0
@@ -119,6 +121,20 @@ def num_den_per_term(name: str, data: ProblemData, p: int, f: TargetFactors,
             n, d = U.T @ (X @ W), (U.T @ B) @ (W.T @ W)
         num, den = num + w * n, den + w * d
     return num, den
+
+
+def num_den(name: str, data: ProblemData, p: int, f: TargetFactors,
+            shared: SharedFactors, lam: float) -> tuple:
+    """Pair p's numerator and denominator of the step on block name, from
+    the engine's folded table: engine._terms over a one-pair stack of a copy
+    of f, summed over all rows, and for V its X_t^T R and V H."""
+    solo = replace(data, targets=(data.targets[p],))
+    stack = _Stack.of(solo, [f])
+    terms = engine._terms(name, solo, stack, shared, lam)
+    if name == "V":
+        R, H = terms
+        return solo.targets[0].T @ R[0], stack.V[0] @ H[0]
+    return tuple(engine._rows_sum(t)[0] for t in terms)
 
 
 def stepped(step, data: ProblemData, factors, shared: SharedFactors,

@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import exact_problem, random_problem, random_state
+from conftest import exact_problem, num_den, random_problem, random_state
 
 import mrtl.cli as cli
 from mrtl.baselines import logreg_predict_proba, logreg_train, nmf_fit
@@ -16,8 +16,6 @@ from mrtl.data import SynthSpec, generate_synthetic, parse_corpus, serialize_cor
 from mrtl.engine import (
     Hyperparams,
     ProblemData,
-    _num_den,
-    _v_products,
     fit,
     init_factors,
     objective,
@@ -140,8 +138,7 @@ def test_criterion_3_gradient_oracle():
         )
         factors, shared = random_state(rng, data, hp)
         f = factors[0]
-        num, den = _num_den("U_target", data, 0, f, shared, hp.lam,
-                             _v_products(data, 0, f.V))
+        num, den = num_den("U_target", data, 0, f, shared, hp.lam)
         analytic = 2.0 * (den - num)
         h = 1e-6
         fd = np.zeros_like(f.U_target)
@@ -189,8 +186,7 @@ def test_criterion_4_fixed_point_and_kkt():
     assert len(trace) < 5000, "fit did not reach convergence_tol=1e-8"
     kkt = 0.0
     for p, f in enumerate(factors2):
-        num, den = _num_den("U_target", data2, p, f, shared2, hp2.lam,
-                             _v_products(data2, p, f.V))
+        num, den = num_den("U_target", data2, p, f, shared2, hp2.lam)
         kkt = max(kkt, np.max(np.abs(2.0 * (den - num) * f.U_target)))
     ok = drift < 1e-9 and kkt <= 1e-3 * obj0
     report(4, "fixed point and KKT residual", ok,

@@ -12,7 +12,14 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from conftest import num_den_per_term, one_hot, random_state, reconstructions, stepped
+from conftest import (
+    num_den,
+    num_den_per_term,
+    one_hot,
+    random_state,
+    reconstructions,
+    stepped,
+)
 
 from mrtl.data import compact_corpus, normalize_input
 from mrtl.engine import (
@@ -21,8 +28,6 @@ from mrtl.engine import (
     ProblemData,
     SharedFactors,
     TargetFactors,
-    _num_den,
-    _v_products,
     fit,
     init_factors,
     objective,
@@ -107,10 +112,9 @@ def test_row_blocked_u_step_equals_the_one_piece_step(name, kind, k1, k2):
         assert pieces[-1].stop - pieces[-1].start > rows_per_block(width)
     stack = stepped(U_STEPS[name], data, factors, shared, hp)
     for p, f in enumerate(factors):
-        products = _v_products(data, p, f.V)
         U = getattr(f, name)
         # the one-piece step: the kernel summed over all rows at once
-        want = U * safe_ratio_sqrt(*_num_den(name, data, p, f, shared, hp.lam, products))
+        want = U * safe_ratio_sqrt(*num_den(name, data, p, f, shared, hp.lam))
         got = stack[p]
         assert getattr(got, name).shape == (data.M, k)
         assert np.array_equal(getattr(got, name), want)
@@ -184,8 +188,9 @@ def test_carried_v_products_give_the_sweep_that_builds_its_own():
     stack, shared = init_factors(data, hp, v_init)
     ref_factors, ref_shared = list(stack), shared
     for _ in range(6):
-        # the reference copies the views before the stack moves
-        ref_factors, ref_shared = run_iteration(data, ref_factors, ref_shared, hp)
+        # the reference copies its pairs into a fresh stack at every sweep,
+        # the first time before the stack moves
+        ref_factors, ref_shared = run_iteration(data, list(ref_factors), ref_shared, hp)
         factors, shared = run_iteration(data, stack, shared, hp)
         for f, ref in zip(factors, ref_factors):
             for name, a in vars(f).items():
@@ -193,11 +198,11 @@ def test_carried_v_products_give_the_sweep_that_builds_its_own():
         for name, a in vars(shared).items():
             assert np.array_equal(a, getattr(ref_shared, name)), name
         # the carried products are those of the new V
-        for p, f in enumerate(stack):
-            for a, b in zip((stack.XV[p], stack.G[p]), _v_products(data, p, f.V)):
-                assert np.array_equal(a, b)
+        for X_t, V, XV, G in zip(data.targets, stack.V, stack.XV, stack.G):
+            assert np.array_equal(XV, X_t @ V)
+            assert np.array_equal(G, V.T @ V)
         assert objective(data, stack, shared, hp) == \
-            objective(data, ref_factors, ref_shared, hp)
+            objective(data, list(ref_factors), ref_shared, hp)
 
 
 def test_fit_equals_the_sweep_without_carried_products():
@@ -207,8 +212,9 @@ def test_fit_equals_the_sweep_without_carried_products():
     got, got_shared, trace = fit(data, hp, v_init)
     factors, shared = init_factors(data, hp, v_init)
     for record in trace:
-        factors, shared = run_iteration(data, factors, shared, hp)
-        assert record.objective == objective(data, factors, shared, hp)
+        # a list is copied into a fresh stack, whose products are built from V
+        factors, shared = run_iteration(data, list(factors), shared, hp)
+        assert record.objective == objective(data, list(factors), shared, hp)
     for f, ref in zip(got, factors):
         for name, a in vars(f).items():
             assert np.array_equal(a, getattr(ref, name)), name

@@ -202,6 +202,20 @@ def test_source_with_one_class_exits_3(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_unlabeled_source_exits_3(tmp_path, capsys, command):
+    src = synth(tmp_path / "data")
+    source = tmp_path / "source_unlabeled.txt"
+    source.write_text("30 2 2\n0 1:1.0\n0 2:1.0\n")
+    args = (train_args(src, tmp_path / "run") if command == "train"
+            else sweep_args(src, tmp_path / "run", "--sweep-lambda", "1"))
+    args[args.index(str(src / "source.txt"))] = str(source)
+    assert cli.main(args) == 3
+    assert (f"error: line 2: source {source} is unlabeled (label 0), but the "
+            f"source must be labeled" in capsys.readouterr().err)
+    assert not (tmp_path / "run").exists()
+
+
 def test_train_without_truth_has_no_accuracy(tmp_path):
     src = synth(tmp_path / "data")
     out = tmp_path / "run"

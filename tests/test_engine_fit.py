@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -319,7 +320,8 @@ def test_run_iteration_takes_any_iterable_and_leaves_it_unchanged():
     data, v_init = random_problem(rng, M=12, n_t=(5, 4, 6))
     hp = Hyperparams(k1=2, k2=5, lam=1.0)
     factors, shared = init_factors(data, hp, v_init)
-    factors, shared = run_iteration(data, factors, shared, hp)
+    stack, shared = run_iteration(data, factors, shared, hp)
+    factors = list(stack)
     given = list(factors)
     copies = [[a.copy() for a in vars(f).values()] for f in factors]
 
@@ -335,6 +337,72 @@ def test_run_iteration_takes_any_iterable_and_leaves_it_unchanged():
     assert np.array_equal(from_list[1].Theta_common, from_generator[1].Theta_common)
     assert np.array_equal(from_list[1].Theta_specific,
                           from_generator[1].Theta_specific)
+
+
+@pytest.mark.parametrize("kind", ["dense", "csc"])
+def test_run_iteration_returns_the_stack_it_stepped(kind):
+    # factors, shared = run_iteration(...) steps init's stack in place: the
+    # very stack, with the very arrays, comes back, and the chained sweeps
+    # with their objectives are fit's, bit for bit
+    data, v_init = random_problem(np.random.default_rng(18), M=12, n_t=(5, 4, 6))
+    if kind == "csc":
+        data = replace(data, X_s=sp.csc_array(data.X_s),
+                       targets=tuple(sp.csc_array(X) for X in data.targets))
+    hp = Hyperparams(k1=2, k2=5, lam=1.0, maxiter=5)
+    want, want_shared, trace = fit(data, hp, v_init)
+    stack, shared = init_factors(data, hp, v_init)
+    arrays, V, pairs = dict(vars(stack)), list(stack.V), list(stack)
+    factors = stack
+    for record in trace:
+        factors, shared = run_iteration(data, factors, shared, hp)
+        assert factors is stack
+        assert all(a is arrays[name] for name, a in vars(stack).items())
+        assert all(a is b for a, b in zip(stack.V, V))
+        assert all(f is g for f, g in zip(stack, pairs))
+        assert objective(data, factors, shared, hp) == record.objective
+    assert len(trace) == hp.maxiter
+    for f, g in zip(factors, want):
+        for name, a in vars(f).items():
+            assert np.array_equal(a, getattr(g, name)), name
+    for name, a in vars(shared).items():
+        assert np.array_equal(a, getattr(want_shared, name)), name
+
+
+@pytest.mark.parametrize("entry", [objective, run_iteration],
+                         ids=["objective", "run_iteration"])
+def test_blocks_of_the_wrong_shape_are_named(entry):
+    # every block must agree with data, with pair 1 and with shared, also
+    # when a stack comes with shared; each fault used to end in a numpy
+    # broadcast or matmul error
+    rng = np.random.default_rng(19)
+    data, v_init = random_problem(rng, M=10, n_t=(5, 4))
+    hp = Hyperparams(k1=2, k2=5)
+    factors, shared = random_state(rng, data, hp)
+    stack, _ = init_factors(data, hp, v_init)
+    f1, f2 = factors
+    cases = [
+        ([f1, replace(f2, U_common=f2.U_common[:-1])], shared,
+         "pair 2's U_common has shape (9, 2), expected (10, 2)"),
+        ([replace(f1, V=f1.V[:-1]), f2], shared,
+         "pair 1's V has shape (4, 2), expected (5, 2)"),
+        ([f1, replace(f2, V=np.ones((5, 2)))], shared,
+         "pair 2's V has shape (5, 2), expected (4, 2)"),
+        ([f1, replace(f2, U_target=f2.U_target[:, :2])], shared,
+         "pair 2's U_target has shape (10, 2), expected (10, 3)"),
+        ([f1, replace(f2, Theta_source=np.ones((3, 3)))], shared,
+         "pair 2's Theta_source has shape (3, 3), expected (3, 2)"),
+        ([replace(f1, U_common=f1.U_common[:, 0]), f2], shared,
+         "pair 1's U_common has shape (10,), expected (10, 'k1')"),
+        (factors, replace(shared, Theta_specific=shared.Theta_specific[:2]),
+         "shared Theta_specific has shape (2, 2), expected (3, 2)"),
+        (factors, replace(shared, Theta_common=np.ones((3, 2))),
+         "shared Theta_common has shape (3, 2), expected (2, 2)"),
+        (stack, replace(shared, Theta_specific=np.ones((3, 3))),
+         "shared Theta_specific has shape (3, 3), expected (3, 2)"),
+    ]
+    for given, given_shared, message in cases:
+        with pytest.raises(InvalidConfigError, match=re.escape(message)):
+            entry(data, given, given_shared, hp)
 
 
 @pytest.mark.parametrize("P, M", [(4, 2000), (3, 4000)])

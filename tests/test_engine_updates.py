@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from conftest import (
     exact_problem,
+    num_den,
     objective_grad_u_target,
     random_problem,
     random_state,
@@ -16,8 +17,6 @@ from conftest import (
 
 from mrtl.engine import (
     Hyperparams,
-    _num_den,
-    _v_products,
     ProblemData,
     SharedFactors,
     TargetFactors,
@@ -476,8 +475,7 @@ def test_kernel_gradient_matches_finite_differences(block, lam):
         x = getattr(shared, field)
         analytic = sum(
             2.0 * (den - num)
-            for num, den in (_num_den(block, data, p, f, shared, hp.lam,
-                                      _v_products(data, p, f.V))
+            for num, den in (num_den(block, data, p, f, shared, hp.lam)
                              for p, f in enumerate(factors))
         )
 
@@ -486,8 +484,7 @@ def test_kernel_gradient_matches_finite_differences(block, lam):
     else:
         f = factors[0]
         x = getattr(f, block)
-        num, den = _num_den(block, data, 0, f, shared, hp.lam,
-                             _v_products(data, 0, f.V))
+        num, den = num_den(block, data, 0, f, shared, hp.lam)
         analytic = 2.0 * (den - num)
 
         def objective_at(value):
