@@ -204,20 +204,10 @@ def _load_problem(args) -> tuple:
 
 
 def _hyperparams(args, k1: int | None = None) -> Hyperparams:
-    """Validated settings from the run flags.
-
-    train and the lambda sweep take k1 from --k1 and need at least one
-    domain-specific cluster (k1 < k2); the k1 sweep passes the k1 of its
-    base settings, for which k1 == k2 is allowed.
-    """
-    if k1 is None:
-        if args.k1 >= args.k2:
-            raise InvalidConfigError(
-                f"k1 must be smaller than k2, got k1={args.k1}, k2={args.k2}"
-            )
-        k1 = args.k1
+    """Validated settings from the run flags, with k1 from --k1 unless
+    given: the k1 sweep's base passes --k1 clamped to --k2."""
     return Hyperparams(
-        k1=k1,
+        k1=args.k1 if k1 is None else k1,
         k2=args.k2,
         lam=args.lam,
         maxiter=args.maxiter,
@@ -483,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     axis.add_argument("--sweep-lambda", metavar="V1,V2,...",
                       help="comma-separated lambda values")
     axis.add_argument("--sweep-k1", metavar="V1,V2,...",
-                      help="comma-separated k1 values (k1 = k2 allowed)")
+                      help="comma-separated k1 values, each at most --k2")
     p_sweep.set_defaults(func=cmd_sweep)
 
     return parser

@@ -57,15 +57,16 @@ def parse_corpus(lines) -> tuple:
     and float() accept, so neither accepts the lone surrogate load_corpus
     makes of a byte that is not UTF-8. Lines are read one at a time; their
     entries are queued and converted in blocks of about BLOCK_BYTES, so the
-    text held at once is one block, not the file. A block of plain tokens is
-    read in numpy passes (as exact int64 index and mantissa pairs where it
-    can), any other entry by entry. Raises CorpusFormatError naming the first
-    offending line in file order (a queued entry's fault is raised in place of
-    a later line's or of an error lines raises) for a malformed header or one
-    announcing matrices too large to allocate, a malformed token, a feature
-    index out of [1, M], indices not strictly increasing, a negative or
-    non-finite value, a label outside [0, c], mixed labeled/unlabeled
-    records, or a record count unlike the header's n.
+    text held at once is one block, not the file. A block takes one of two
+    routes: plain decimals in Clinger's fast path are read in numpy passes,
+    as exact int64 index and mantissa pairs, and any other block entry by
+    entry. Raises CorpusFormatError naming the first offending line in file
+    order (a queued entry's fault is raised in place of a later line's or of
+    an error lines raises) for a malformed header or one announcing
+    matrices too large to allocate, a malformed token, a feature index out
+    of [1, M], indices not strictly increasing, a negative or non-finite
+    value, a label outside [0, c], mixed labeled/unlabeled records, or a
+    record count unlike the header's n.
     """
     it = iter(lines)
     try:
@@ -191,16 +192,15 @@ def _entry(tok: str, M: int, prev: int, lineno: int) -> tuple:
 BLOCK_BYTES = 256 * 1024
 
 # The kind of each byte of a block: 0 for a digit, and for any other byte
-# an event of the token check, _OTHER for one that no grammar lets through
+# an event of the token check, _OTHER for one that _PLAIN refuses
 _SPACE, _COLON, _DOT, _EXP, _SIGN, _OTHER = range(1, 7)
 _WHITESPACE = b" \t\n\v\f\r\x1c\x1d\x1e\x1f"  # what str.split() splits on in ASCII
 _KINDS = bytes(next(
     (kind for kind, chars in enumerate(
         (b"0123456789", _WHITESPACE, b":", b".", b"eE", b"+-")) if b in chars),
     _OTHER) for b in range(256))
-# what fromstring reads: whitespace and colons become spaces, its separator,
-# and for the int64 read e and E too, with dots deleted
-_FLOAT_TEXT = bytes.maketrans(b":" + _WHITESPACE, b" " * (1 + len(_WHITESPACE)))
+# what the int64 read reads: whitespace, colons, e and E become spaces,
+# fromstring's separator, and dots are deleted
 _INT_TEXT = bytes.maketrans(b":eE" + _WHITESPACE, b" " * (3 + len(_WHITESPACE)))
 _MAX_DIGITS = 18  # an int64 holds every number of up to 18 digits
 
@@ -215,11 +215,9 @@ def _grammar(allowed: dict) -> bytes:
     return bytes(code in codes for code in range(256))
 
 
-# a token: a space run, 1 to 18 index digits, a colon and a nonempty value
-_TOKEN = _grammar({**{a + b: "012" for a in ":.e+" for b in " .e+"},
-                   "  ": "0", " :": "1", ": ": "12"})
-# a token whose value is digits[.digits][e[sign]digits], with up to 18
-# digits after the e and before it (there a count checked at the dot)
+# a token of a space run, 1 to 18 index digits, a colon and a value
+# digits[.digits][e[sign]digits], with up to 18 digits after the e and
+# before it (there a count checked at the dot)
 _PLAIN = _grammar({"  ": "0", " :": "1", ": ": "1", ":e": "1", ":.": "01",
                    ". ": "01", ".e": "01", "e+": "0", "e ": "1", "+ ": "1"})
 # Clinger's fast path ("How to Read Floating Point Numbers Accurately", PLDI
@@ -259,9 +257,9 @@ def _convert_block(X, data: bytes, starts, cols) -> bool:
     starts at byte starts[r] and goes to column cols[r]. Each byte but a
     digit is an event, coded 32 * the previous event's kind + 4 * its kind
     + its class of digits since (none, 1 to 18, more); a translate of the
-    codes checks them against a grammar. _PLAIN tokens are read by
-    _exact_entries where it can, other _TOKEN ones as float64; a failed
-    read or check leaves the block to _entry.
+    codes checks them against the _PLAIN grammar. A block of _PLAIN tokens
+    is read by _exact_entries; any other token, or a failed read or check,
+    leaves the block to _entry.
     """
     M = X.shape[0]
     kind = np.frombuffer(data.translate(_KINDS), dtype=np.uint8)
@@ -271,15 +269,12 @@ def _convert_block(X, data: bytes, starts, cols) -> bool:
     gap = np.diff(at, prepend=np.int32(-1)) - 1
     code = (np.insert(kind[:-1], 0, _SPACE) * np.uint8(32) + kind * np.uint8(4)
             + (gap > 0).view(np.uint8) + (gap > _MAX_DIGITS).view(np.uint8))
+    if 0 in code.tobytes().translate(_PLAIN):
+        return False
     colon = np.flatnonzero(kind == _COLON)
-    plain = 0 not in code.tobytes().translate(_PLAIN)
-    entries = _exact_entries(data, kind, gap, colon) if plain else None
+    entries = _exact_entries(data, kind, gap, colon)
     if entries is None:
-        pairs = None if 0 in code.tobytes().translate(_TOKEN) else _read_values(
-            data.translate(_FLOAT_TEXT), 2 * colon.size, np.float64)
-        if pairs is None:
-            return False
-        entries = pairs[0::2].astype(np.int64), pairs[1::2]
+        return False
     idx, val = entries
     rec = np.searchsorted(starts, at[colon], side="right") - 1
     prev = np.concatenate(([0], np.where(rec[1:] == rec[:-1], idx[:-1], 0)))
@@ -298,7 +293,7 @@ def _exact_entries(data: bytes, kind, gap, colon):
     end = colon + 1 + dot  # the event after the digits before any e
     frac, exp = gap[end] * dot, kind[end] == _EXP
     ints = _read_values(data.translate(_INT_TEXT, b"."),
-                        2 * colon.size + np.count_nonzero(exp), np.int64)
+                        2 * colon.size + np.count_nonzero(exp))
     if ints is None:
         return None
     first = 2 * np.arange(colon.size) + np.cumsum(exp) - exp
@@ -311,16 +306,16 @@ def _exact_entries(data: bytes, kind, gap, colon):
     return idx, np.where(q < 0, m / power, m * power)
 
 
-def _read_values(text: bytes, count: int, dtype):
-    """The count numbers in text, between spaces, as dtype, or None unless
-    fromstring reads that many: a float as float() reads it, an int64 of up
-    to 18 digits as int() does, and any other number stops it short of the
-    space (unmatched data) or, if empty, leaves the count short."""
+def _read_values(text: bytes, count: int):
+    """The count numbers in text, between spaces, as int64, or None unless
+    fromstring reads that many: a number of up to 18 digits as int() reads
+    it, and any other number stops it short of the space (unmatched data)
+    or, if empty, leaves the count short."""
     with warnings.catch_warnings():
         # numpy before 2.3 warns on unmatched data where later ones raise
         warnings.simplefilter("error", DeprecationWarning)
         try:
-            values = np.fromstring(text, dtype=dtype, sep=" ")
+            values = np.fromstring(text, dtype=np.int64, sep=" ")
         except (DeprecationWarning, ValueError):
             return None
     return values if values.size == count else None

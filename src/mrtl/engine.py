@@ -268,16 +268,18 @@ class _Stack(tuple):
     """The P pairs' TargetFactors, in pair order, as views into blocks that
     a sweep steps in place: the stack's attribute for each field in STACKED
     is one (P, rows, cols) array of every pair's block, V is the list of the
-    P n_p x c assignments (n_p differs between targets), and XV (P x M x c)
-    and G (P x c x c) are each pair's X_t V and V^T V for its current V."""
+    P n_p x c assignments (n_p differs between targets), XV (P x M x c) and
+    G (P x c x c) are each pair's X_t V and V^T V for its current V, and
+    data is the ProblemData whose corpora they were built from."""
 
     def __new__(cls, data: ProblemData, stacked: dict, V: list):
         stack = super().__new__(cls, (
             TargetFactors(V=v, **{name: a[p] for name, a in stacked.items()})
             for p, v in enumerate(V)))
-        vars(stack).update(stacked, V=V, XV=np.empty((data.P, data.M, data.c)),
+        vars(stack).update(stacked, V=V, data=data,
+                           XV=np.empty((data.P, data.M, data.c)),
                            G=np.empty((data.P, data.c, data.c)))
-        stack.renew_v_products(data)
+        stack.renew_v_products()
         return stack
 
     @classmethod
@@ -304,11 +306,11 @@ class _Stack(tuple):
                    for name in STACKED}
         return cls(data, stacked, [np.array(f.V, dtype=np.float64) for f in factors])
 
-    def renew_v_products(self, data: ProblemData) -> None:
+    def renew_v_products(self) -> None:
         """Rebuild XV and G from the current V: what every step but those of
         V and the source-only blocks reads of V."""
         for p, V in enumerate(self.V):
-            self.XV[p], self.G[p] = data.targets[p] @ V, V.T @ V
+            self.XV[p], self.G[p] = self.data.targets[p] @ V, V.T @ V
 
     def __reduce__(self):
         # a copy or a pickle is the plain list of the pairs' TargetFactors
@@ -326,9 +328,10 @@ class SharedFactors:
 
 def _as_stack(data: ProblemData, factors, shared: SharedFactors) -> _Stack:
     """The way into objective and run_iteration: factors itself if it is a
-    stack, else _Stack.of(data, factors). shared's blocks must agree with
-    the stack's cluster counts and with c."""
-    stack = factors if isinstance(factors, _Stack) else _Stack.of(data, factors)
+    stack built for data, else _Stack.of(data, factors), a checked copy.
+    shared's blocks must agree with the stack's cluster counts and with c."""
+    stack = (factors if isinstance(factors, _Stack) and factors.data is data
+             else _Stack.of(data, factors))
     k1, ks = stack.U_common.shape[-1], stack.U_target.shape[-1]
     _check_shape("shared Theta_common", shared.Theta_common, (k1, data.c))
     _check_shape("shared Theta_specific", shared.Theta_specific, (ks, data.c))
@@ -409,10 +412,10 @@ def objective(data: ProblemData, factors, shared: SharedFactors,
     """Joint squared reconstruction error over all pairs: the sum over p of
     the target, source and lam-weighted shared terms. Each is taken in
     factored form unless cancellation would cost it its accuracy (see
-    residual_sq). factors is a stack, whose X_t V and V^T V are read, or any
-    other iterable of the P pairs, copied into a fresh stack as
-    run_iteration copies one. B_t, B_s and B_g are formed for every pair at
-    once; only residual_sq is taken pair by pair.
+    residual_sq). factors is a stack built for data, whose X_t V and V^T V
+    are read, or any other iterable of the P pairs, copied into a fresh
+    stack as run_iteration copies one. B_t, B_s and B_g are formed for
+    every pair at once; only residual_sq is taken pair by pair.
     """
     stack = _as_stack(data, factors, shared)
     UcTc = stack.U_common @ stack.Theta_common
@@ -582,10 +585,11 @@ def run_iteration(data: ProblemData, factors, shared: SharedFactors,
                   hp: Hyperparams) -> tuple:
     """One full sweep over all factors; the loop body of fit.
 
-    factors is the P pairs' factors in pair order: a stack, as init_factors
-    returns one, which the sweep steps in place, or any other iterable of
-    exactly P TargetFactors, taken once and copied into a fresh stack, so
-    never modified (_as_stack, which checks the shapes). Returns (the stack
+    factors is the P pairs' factors in pair order: a stack built for data,
+    as init_factors returns one, which the sweep steps in place, or any
+    other iterable of exactly P TargetFactors, a stack built for another
+    problem included, taken once and copied into a fresh stack, so never
+    modified (_as_stack, which checks the shapes). Returns (the stack
     it stepped, the new SharedFactors), so factors, shared =
     run_iteration(...) chains on one stack.
 
@@ -602,7 +606,7 @@ def run_iteration(data: ProblemData, factors, shared: SharedFactors,
                  update_pair_associations, update_v):
         step(data, stack, shared, hp)
     normalize_all(stack)
-    stack.renew_v_products(data)
+    stack.renew_v_products()
     return stack, update_shared_associations(data, stack, shared, hp)
 
 

@@ -231,13 +231,17 @@ def test_train_without_truth_has_no_accuracy(tmp_path):
     assert "accuracy_1=" not in read(out / "metrics.txt")
 
 
-def test_train_k1_not_below_k2_exits_2(tmp_path, capsys):
+def test_train_k1_may_equal_but_not_exceed_k2(tmp_path, capsys):
+    # Hyperparams holds the one k1 rule: k1 == k2, no domain-specific
+    # cluster, runs; later flag occurrences win, so these run with k2 = 4
     src = synth(tmp_path / "data")
-    # later flag occurrences win, so this runs with k1 == k2 == 4
-    rc = cli.main(train_args(src, tmp_path / "run", extra=["--k1", "4"]))
+    assert cli.main(train_args(src, tmp_path / "equal", extra=["--k1", "4"])) == 0
+    assert (tmp_path / "equal" / "predictions_2.txt").exists()
+    capsys.readouterr()
+    rc = cli.main(train_args(src, tmp_path / "above", extra=["--k1", "5"]))
     assert rc == 2
-    err = capsys.readouterr().err
-    assert "k1=4" in err and "k2=4" in err
+    assert "k1 must not exceed k2, got k1=5, k2=4" in capsys.readouterr().err
+    assert not (tmp_path / "above").exists()
 
 
 def test_train_unreadable_input_exits_2(tmp_path, capsys):

@@ -217,13 +217,14 @@ def test_odd_tokens_match_scalar_reference(text):
     assert_same_as_scalar(text)
 
 
-PLAIN = "1:5 2:+.5 3:1E-5 4:5. 5:-0 6:0.25e+3 007:-1e-400"
+PLAIN = "1:5 2:1E-5 3:5. 4:0.25e+3"
+SIGNED = "5:+.5 6:-0 007:-1e-400"
 RARE = "8:1_0 +9:2 10:\u0663"
 
 
 def test_plain_tokens_are_read_in_bulk(monkeypatch):
     # odd but plain spellings never reach the scalar rule; a block holding
-    # any other token goes through it whole
+    # a signed value or any other token goes through it whole
     seen = []
     entry = mrtl.data._entry
 
@@ -232,7 +233,8 @@ def test_plain_tokens_are_read_in_bulk(monkeypatch):
         return entry(tok, *args)
 
     monkeypatch.setattr(mrtl.data, "_entry", spy)
-    for tokens, scalar in [(PLAIN, []), (f"{PLAIN} {RARE}", f"{PLAIN} {RARE}".split())]:
+    for tokens, scalar in [(PLAIN, []), *((f"{PLAIN} {odd}", f"{PLAIN} {odd}".split())
+                                          for odd in (SIGNED, RARE))]:
         seen.clear()
         text = f"20 1 2\n1 {tokens}\n"
         assert outcome(parse_corpus, text.splitlines()) == outcome(
@@ -254,7 +256,7 @@ def test_faulty_token_of_plain_bytes_is_named(last):
 
 @pytest.fixture
 def reads(monkeypatch):
-    """(tokens _entry reads, dtypes _read_values reads) from here on."""
+    """(tokens _entry reads, one INT per int64 read) from here on."""
     tokens, dtypes = [], []
     entry, read_values = mrtl.data._entry, mrtl.data._read_values
 
@@ -262,73 +264,82 @@ def reads(monkeypatch):
         tokens.append(tok)
         return entry(tok, *args)
 
-    def spy_read(text, count, dtype):
-        dtypes.append(dtype)
-        return read_values(text, count, dtype)
+    def spy_read(text, count):
+        dtypes.append(INT)
+        return read_values(text, count)
 
     monkeypatch.setattr(mrtl.data, "_entry", spy_entry)
     monkeypatch.setattr(mrtl.data, "_read_values", spy_read)
     return tokens, dtypes
 
 
-INT, FLOAT = np.int64, np.float64
+# the routes a block takes, in order: the int64 read, then the per-entry rule
+INT, ENTRY = np.int64, "entry"
 
 
 @pytest.mark.parametrize("values, dtypes", [
     # m at and past 2**53; 18 and 19 digits before the e
     ("9007199254740992", [INT]),
-    ("9007199254740993", [INT, FLOAT]),
+    ("9007199254740993", [INT, ENTRY]),
     ("0.00000000000000005 000000000000000007", [INT]),
-    ("0.000000000000000005", [INT, FLOAT]),
-    ("123456789012345678", [INT, FLOAT]),
-    ("1234567890123456789", [FLOAT]),
+    ("0.000000000000000005", [INT, ENTRY]),
+    ("123456789012345678", [INT, ENTRY]),
+    ("1234567890123456789", [ENTRY]),
     # q = +-22 and +-23, the digits after the dot counted
     ("1e22 1e-22 1.5e23 1.5e-21 7e+22", [INT]),
-    ("1e23", [INT, FLOAT]),
-    ("1e-23", [INT, FLOAT]),
-    ("1.5e24", [INT, FLOAT]),
-    ("1.5e-22", [INT, FLOAT]),
+    ("1e23", [INT, ENTRY]),
+    ("1e-23", [INT, ENTRY]),
+    ("1.5e24", [INT, ENTRY]),
+    ("1.5e-22", [INT, ENTRY]),
     # an exponent that a 32-bit q would wrap to -5, and ones past 18 digits
-    ("1e-4294967301", [INT, FLOAT]),
-    ("1e0000000000000000000005", [FLOAT]),
-    ("1e-99999999999999999999", [FLOAT]),
-    ("1e99999999999999999999", [FLOAT]),
+    ("1e-4294967301", [INT, ENTRY]),
+    ("1e0000000000000000000005", [ENTRY]),
+    ("1e-99999999999999999999", [ENTRY]),
+    ("1e99999999999999999999", [ENTRY]),
     ("5. .5 1.e5 0.e0 00.50", [INT]),
-    ("4.9e-324", [INT, FLOAT]),
-    ("-0", [FLOAT]),  # its sign bit kept
-    ("0.25 9007199254740993 3e-5", [INT, FLOAT]),
-    ("0.25 -0 3e-5 +.5", [FLOAT]),
+    ("4.9e-324", [INT, ENTRY]),
+    ("-0", [ENTRY]),  # its sign bit kept
+    ("0.25 9007199254740993 3e-5", [INT, ENTRY]),
+    ("0.25 -0 3e-5 +.5", [ENTRY]),
 ])
 def test_exact_route_edges_match_scalar_reference(values, dtypes, reads):
-    # every spelling is read in bulk, by the int64 read alone where m and q
-    # allow; _entry only names a fault
+    # a block is read by the int64 read alone where every m and q allow,
+    # and otherwise entry by entry, the rule that also names a fault
     tokens, read = reads
     entries = " ".join(f"{j}:{v}" for j, v in enumerate(values.split(), 1))
     text = f"6 1 2\n1 {entries}\n".splitlines()
     expected = outcome(scalar_parse, text)
     tokens.clear()
     assert outcome(parse_corpus, text) == expected
-    assert read == dtypes
-    assert tokens == (entries.split() if isinstance(expected[0], int) else [])
+    assert read == [route for route in dtypes if route is INT]
+    assert tokens == (entries.split() if ENTRY in dtypes else [])
 
 
 def test_written_corpora_take_the_int64_read(reads):
-    # what serialize_corpus writes at magnitudes 1e-9 to 1e9, and a dense
-    # normalized .12g record set like the benchmark's, never need the
-    # float64 read: losing that route would cost every such block
+    # what serialize_corpus writes at magnitudes 1e-9 to 1e9, and the
+    # benchmark's spellings, a dense normalized .12g record set and .0f word
+    # counts, are read by the int64 read alone: entry by entry, each such
+    # block would cost about three and a half times as much
     tokens, read = reads
     rng = np.random.default_rng(3)
     X = 10.0 ** rng.uniform(-9, 9, size=(300, 40))
     X[rng.random(X.shape) < 0.3] = 0.0
     dense = rng.random((1000, 24))
     dense /= dense.sum(axis=0)
-    lines = ["1000 24 2"] + [" ".join(["0"] + [
-        f"{j + 1}:{v:.12g}" for j, v in enumerate(col.tolist())]) for col in dense.T]
-    for text in [serialize_corpus(X, 2, np.arange(40) % 2 + 1), "\n".join(lines)]:
+    counts = rng.multinomial(100, np.full(2000, 1 / 2000), size=30).T
+
+    def records(X, fmt):
+        return "\n".join([f"{X.shape[0]} {X.shape[1]} 2"] + [" ".join(["0"] + [
+            f"{j + 1}:{v:{fmt}}" for j, v in enumerate(col.tolist()) if v])
+            for col in X.T])
+
+    texts = [serialize_corpus(X, 2, np.arange(40) % 2 + 1),
+             records(counts, ".0f"), records(dense, ".12g")]
+    for text in texts:
         read.clear()
         parsed = parse_corpus(text.splitlines())[0]
         assert parsed.tobytes() == scalar_parse(text.splitlines())[0].tobytes()
-        assert read and set(read) == {INT} and tokens == []
+        assert read and tokens == []
     assert len(read) > 1  # the dense records span blocks
 
 
@@ -368,8 +379,8 @@ def fromstring_before_2_3(text, dtype=float, sep=" "):
 ])
 def test_numpy_that_warns_on_unmatched_data_parses_alike(last, monkeypatch):
     # a faulty last value leaves such a numpy short of nothing but the
-    # warning; both reads run under it, though only the float64 read can
-    # meet unmatched data once the tokens passed the grammar
+    # warning; the int64 read runs under it, though the grammar leaves it
+    # no unmatched data to meet
     text = f"20 2 2\n1 1:5 2:0.25 4:3e-5\n2 7:1 {last}\n".splitlines()
     expected = outcome(scalar_parse, text)
     monkeypatch.setattr(mrtl.data.np, "fromstring", fromstring_before_2_3)
@@ -377,10 +388,9 @@ def test_numpy_that_warns_on_unmatched_data_parses_alike(last, monkeypatch):
         # as outside a test run, where a DeprecationWarning raises no error
         warnings.simplefilter("ignore", DeprecationWarning)
         assert outcome(parse_corpus, text) == expected
-    for dtype in (INT, FLOAT):
-        with pytest.warns(DeprecationWarning):
-            read = mrtl.data.np.fromstring(b"1 2 5+ ", dtype=dtype, sep=" ")
-        assert read.tolist() == [1, 2, 5] and read.dtype == dtype
+    with pytest.warns(DeprecationWarning):
+        read = mrtl.data.np.fromstring(b"1 2 5+ ", dtype=INT, sep=" ")
+    assert read.tolist() == [1, 2, 5] and read.dtype == INT
 
 
 def multi_block_corpus():
@@ -505,12 +515,12 @@ def test_load_corpus_memory_stays_near_the_dense_matrix(tmp_path):
 READ_VALUES = mrtl.data._read_values
 
 
-def negated_values(text, count, dtype):
-    values = READ_VALUES(text, count, dtype)
+def negated_values(text, count):
+    values = READ_VALUES(text, count)
     return None if values is None else -values
 
 
-@pytest.mark.parametrize("read", [lambda text, count, dtype: None, negated_values])
+@pytest.mark.parametrize("read", [lambda text, count: None, negated_values])
 def test_block_read_by_scalar_rule_where_numpy_reads_values_otherwise(read, monkeypatch):
     # should numpy ever read the plain values differently, whether it reads
     # none or ones a bulk check flags though _entry finds them valid, the
@@ -524,10 +534,10 @@ def test_block_read_by_scalar_rule_where_numpy_reads_values_otherwise(read, monk
     assert expected[1][0] == 5
 
 
-@pytest.mark.parametrize("read", [lambda text, count, dtype: None, negated_values])
+@pytest.mark.parametrize("read", [lambda text, count: None, negated_values])
 def test_float_read_faults_also_reach_the_scalar_rule(read, monkeypatch):
     # the same faults where a "+" before every value leaves each block to
-    # the float64 read
+    # the scalar rule, which never calls the int64 read
     header, records, _ = multi_block_corpus()
     records = [record.replace(":", ":+") for record in records]
     good = "\n".join([header] + records) + "\n"
@@ -543,17 +553,18 @@ def test_float_read_faults_also_reach_the_scalar_rule(read, monkeypatch):
     "123456789012345678", "999999999999999999", "000000000000000300",
 ])
 def test_indices_of_many_digits_are_read_in_bulk(index, monkeypatch):
-    # every index of up to 18 digits is read whole, by the int64 read and
-    # by the float64 read that a "+" before the value calls for, whatever
-    # the dtype rules of the numpy release: 300 must not wrap as in a byte
+    # every index of up to 18 digits is read whole by the int64 read,
+    # whatever the dtype rules of the numpy release: 300 must not wrap as in
+    # a byte; a "+" before the value sends the block entry by entry
     M = 100_000
     for value in ["2", "+2"]:
         text = f"{M} 1 2\n1 5:1 {index}:{value}\n".splitlines()
         expected = outcome(scalar_parse, text)
         with monkeypatch.context() as patch:
             if int(index) <= M:
-                patch.setattr(mrtl.data, "_entry", None)  # all of it in bulk
                 assert expected[0][8 * (int(index) - 1):][:8] == np.float64(2).tobytes()
+                if value == "2":
+                    patch.setattr(mrtl.data, "_entry", None)  # all of it in bulk
             assert outcome(parse_corpus, text) == expected
 
 

@@ -405,6 +405,42 @@ def test_blocks_of_the_wrong_shape_are_named(entry):
             entry(data, given, given_shared, hp)
 
 
+def result_bytes(out):
+    """objective's value, or the bytes of run_iteration's pairs and shared."""
+    if isinstance(out, float):
+        return out
+    stack, shared = out
+    return [a.tobytes() for f in stack for a in vars(f).values()] + [
+        a.tobytes() for a in vars(shared).values()]
+
+
+@pytest.mark.parametrize("entry", [objective, run_iteration],
+                         ids=["objective", "run_iteration"])
+@pytest.mark.parametrize("n_t, message", [
+    ((5, 4, 6), "factors holds 2 pairs for 3 targets"),
+    ((7, 4), "pair 1's V has shape (5, 2), expected (7, 2)"),
+    ((5, 4), None),
+], ids=["pair-count", "n_p", "other-corpora"])
+def test_stack_built_for_other_data_is_checked_and_copied(entry, n_t, message):
+    # a stack is taken as it is only with the ProblemData it was built for;
+    # with any other it is checked and copied like the list of its pairs, so
+    # no target is left out and X_t V is built from the corpora given
+    rng = np.random.default_rng(20)
+    data, v_init = random_problem(rng, M=10, n_t=(5, 4))
+    hp = Hyperparams(k1=2, k2=5, lam=1.0)
+    stack, shared = init_factors(data, hp, v_init)
+    other, _ = random_problem(rng, M=10, n_t=n_t)
+    if message is not None:
+        with pytest.raises(InvalidConfigError, match=re.escape(message)):
+            entry(other, stack, shared, hp)
+        return
+    before = [a.copy() for f in stack for a in vars(f).values()]
+    want = result_bytes(entry(other, list(stack), shared, hp))
+    assert result_bytes(entry(other, stack, shared, hp)) == want
+    assert all(np.array_equal(a, b)
+               for a, b in zip((a for f in stack for a in vars(f).values()), before))
+
+
 @pytest.mark.parametrize("P, M", [(4, 2000), (3, 4000)])
 def test_fit_peak_is_the_pairs_and_one_step(P, M):
     # one pair-factor set is the U blocks of one pair; beyond the P live
