@@ -92,6 +92,9 @@ def nmf_predict_labels(H) -> np.ndarray:
 GRAM_MAX_RATIO_DENSE = 1
 GRAM_MAX_RATIO_CSC = 4
 
+# the step size logreg_train starts from, before any halving
+LOGREG_STEP_SIZE = 0.1
+
 
 @dataclass(frozen=True)
 class LogRegModel:
@@ -101,16 +104,17 @@ class LogRegModel:
 
 
 def logreg_train(X, Y, l2: float = 1e-3, steps: int = 500,
-                 lr: float = 0.1, on_step=None) -> LogRegModel:
+                 on_step=None) -> LogRegModel:
     """Fit c independent binary logistic regressions by full-batch descent.
 
     X is M x n with instances as columns, dense or scipy sparse, and Y the
     n x c one-hot label matrix. Weights start at zero (deterministic). The
     loss is the mean per-instance cross entropy summed over classes plus
-    (l2 / 2) * ||W||^2 excluding the bias row. Whenever a step would
-    increase the loss the step size is halved and the step retried, and the
-    halved size is kept for later steps, so the loss sequence never
-    increases; training stops early if the step size underflows.
+    (l2 / 2) * ||W||^2 excluding the bias row. The step size starts at
+    LOGREG_STEP_SIZE. Whenever a step would increase the loss the step size
+    is halved and the step retried, and the halved size is kept for later
+    steps, so the loss sequence never increases; training stops early if
+    the step size underflows.
     on_step(i, loss) receives the loss after each accepted step.
 
     The descent runs on dual coefficients. The weights start at zero and
@@ -145,8 +149,6 @@ def logreg_train(X, Y, l2: float = 1e-3, steps: int = 500,
         raise InvalidConfigError(
             f"steps must be an integer of at least 1, got {steps!r}"
         )
-    if not 0 < lr < np.inf:
-        raise InvalidConfigError(f"lr must be finite and positive, got {lr}")
 
     # a CSC corpus transposes to a CSR array over the same arrays, no copy
     XT = X.T
@@ -167,7 +169,7 @@ def logreg_train(X, Y, l2: float = 1e-3, steps: int = 500,
     A, KA, b = np.zeros((n, c)), np.zeros((n, c)), np.zeros(c)
     # the accepted step's forward pass is the next gradient's
     cur, probs = loss_of(A, b, KA)
-    step_size = lr
+    step_size = LOGREG_STEP_SIZE
     for step in range(1, steps + 1):
         residual = probs - Y
         bias_grad = residual.sum(axis=0) / n

@@ -15,7 +15,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -125,7 +125,10 @@ def _read_labels(path: str, c: int | None = None) -> np.ndarray:
 # parsed flags the manifest leaves out: the subcommand comes first on its own
 # line, and sweep writes its parsed sweep_axis and sweep_values instead
 _NOT_IN_MANIFEST = {"command", "func", "sweep_k1", "sweep_lambda"}
-_MANIFEST_KEYS = {"lam": "lambda", "truths": "truth"}
+# the dests whose flag is spelled otherwise (a setting's dest is its field's name)
+_MANIFEST_KEYS = {"lam": "lambda", "truths": "truth", "convergence_tol": "tol",
+                  "M": "features", "c": "classes", "P": "num_targets",
+                  "n_s": "n_source", "n_t": "n_target"}
 
 
 def _manifest(args, **extra) -> str:
@@ -203,17 +206,9 @@ def _load_problem(args) -> tuple:
     return ProblemData(X_s=X_s, Y_s=Y_s, targets=tuple(targets)), truth
 
 
-def _hyperparams(args, k1: int | None = None) -> Hyperparams:
-    """Validated settings from the run flags, with k1 from --k1 unless
-    given: the k1 sweep's base passes --k1 clamped to --k2."""
-    return Hyperparams(
-        k1=args.k1 if k1 is None else k1,
-        k2=args.k2,
-        lam=args.lam,
-        maxiter=args.maxiter,
-        seed=args.seed,
-        convergence_tol=args.tol,
-    )
+def _settings(cls, args, **given):
+    """A Hyperparams or SynthSpec from the flag of each field's name, or given."""
+    return cls(**{f.name: getattr(args, f.name) for f in fields(cls)} | given)
 
 
 def _accuracies(preds, truth) -> list:
@@ -257,7 +252,7 @@ def _logreg_init(data, collect_loss=None):
 
 
 def cmd_train(args) -> int:
-    hp = _hyperparams(args)
+    hp = _settings(Hyperparams, args)
     data, truth = _load_problem(args)
     accs = []  # per MRTL iteration when truth is known: trace.csv's acc_p
     if args.baseline == "mrtl":
@@ -309,18 +304,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    spec = SynthSpec(
-        M=args.features,
-        c=args.classes,
-        P=args.num_targets,
-        n_s=args.n_source,
-        n_t=args.n_target,
-        k1=args.k1,
-        k2=args.k2,
-        noise=args.noise,
-        domain_shift=args.domain_shift,
-        seed=args.seed,
-    )
+    spec = _settings(SynthSpec, args)
     data, truth = generate_synthetic(spec)
 
     def files():  # one serialized corpus at a time
@@ -349,32 +333,26 @@ def cmd_eval(args) -> int:
 
 
 def _parse_sweep_values(text: str, kind: str):
-    tokens = [t.strip() for t in text.split(",") if t.strip()]
-    if not tokens:
-        raise InvalidConfigError(f"empty {kind} sweep list")
+    """Each comma-separated item by int() (k1) or float(); none may be empty."""
+    convert = int if kind == "k1" else float
     try:
-        if kind == "k1":
-            return [int(t) for t in tokens]
-        return [float(t) for t in tokens]
+        return [convert(t) for t in text.split(",")]
     except ValueError:
-        raise InvalidConfigError(
-            f"malformed {kind} sweep list {text!r}"
-        ) from None
+        raise InvalidConfigError(f"malformed {kind} sweep list {text!r}") from None
 
 
 def cmd_sweep(args) -> int:
     if args.sweep_k1 is not None:
         axis, values = "k1", _parse_sweep_values(args.sweep_k1, "k1")
-        base = _hyperparams(args, k1=min(args.k1, args.k2))
+        base = _settings(Hyperparams, args, k1=min(args.k1, args.k2))
     else:
         axis, values = "lambda", _parse_sweep_values(args.sweep_lambda, "lambda")
-        base = _hyperparams(args)
+        base = _settings(Hyperparams, args)
     # every swept setting is built, and so checked, before any corpus is read
     settings = []
     for v in values:
         try:
-            settings.append(replace(base, lam=float(v)) if axis == "lambda"
-                            else replace(base, k1=int(v)))
+            settings.append(replace(base, **{"lam" if axis == "lambda" else "k1": v}))
         except InvalidConfigError as exc:
             raise InvalidConfigError(f"--sweep-{axis} value {v}: {exc}") from None
     data, truth = _load_problem(args)
@@ -406,18 +384,20 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--truth", dest="truths", action="append", metavar="PATH",
                    help="true target labels, one integer per line "
                         "(repeat per target, evaluation only)")
-    p.add_argument("--lambda", dest="lam", type=float, default=10.0,
-                   help="weight of the shared-association term (default 10)")
-    p.add_argument("--k1", type=int, default=10,
-                   help="common feature clusters (default 10)")
-    p.add_argument("--k2", type=int, default=50,
-                   help="total feature clusters per pair (default 50)")
-    p.add_argument("--maxiter", type=int, default=100,
-                   help="fitting iterations (default 100)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="random seed (default 0)")
-    p.add_argument("--tol", type=float, default=0.0,
-                   help="early stop on relative objective change (0 disables)")
+    p.add_argument("--lambda", dest="lam", type=float, default=Hyperparams.lam,
+                   help="weight of the shared-association term (default %(default)s)")
+    p.add_argument("--k1", type=int, default=Hyperparams.k1,
+                   help="common feature clusters (default %(default)s)")
+    p.add_argument("--k2", type=int, default=Hyperparams.k2,
+                   help="total feature clusters per pair (default %(default)s)")
+    p.add_argument("--maxiter", type=int, default=Hyperparams.maxiter,
+                   help="fitting iterations (default %(default)s)")
+    p.add_argument("--seed", type=int, default=Hyperparams.seed,
+                   help="random seed (default %(default)s)")
+    p.add_argument("--tol", dest="convergence_tol", metavar="TOL", type=float,
+                   default=Hyperparams.convergence_tol,
+                   help="early stop on relative objective change, 0 disables "
+                        "(default %(default)s)")
     p.add_argument("--out", required=True, metavar="DIR",
                    help="output directory")
 
@@ -439,26 +419,28 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.set_defaults(func=cmd_train)
 
     p_synth = sub.add_parser("synth", help="write a synthetic problem")
-    p_synth.add_argument("--features", type=int, default=200,
-                         help="vocabulary size (default 200)")
-    p_synth.add_argument("--classes", type=int, default=2,
-                         help="number of classes (default 2)")
-    p_synth.add_argument("--num-targets", type=int, default=3,
-                         help="number of target corpora (default 3)")
-    p_synth.add_argument("--n-source", type=int, default=200,
-                         help="source instances (default 200)")
-    p_synth.add_argument("--n-target", type=int, default=150,
-                         help="instances per target (default 150)")
-    p_synth.add_argument("--k1", type=int, default=10,
-                         help="true common clusters (default 10)")
-    p_synth.add_argument("--k2", type=int, default=50,
-                         help="true total clusters (default 50)")
-    p_synth.add_argument("--noise", type=float, default=0.0,
-                         help="relative noise level (default 0)")
-    p_synth.add_argument("--domain-shift", type=float, default=0.0,
-                         help="how far the specific clusters' class meaning "
-                              "rotates in the targets, in [0, 1] (default 0)")
-    p_synth.add_argument("--seed", type=int, default=0)
+    # SynthSpec has no defaults for the five sizes; these are the CLI's own
+    p_synth.add_argument("--features", dest="M", type=int, default=200,
+                         help="vocabulary size (default %(default)s)")
+    p_synth.add_argument("--classes", dest="c", type=int, default=2,
+                         help="number of classes (default %(default)s)")
+    p_synth.add_argument("--num-targets", dest="P", type=int, default=3,
+                         help="number of target corpora (default %(default)s)")
+    p_synth.add_argument("--n-source", dest="n_s", type=int, default=200,
+                         help="source instances (default %(default)s)")
+    p_synth.add_argument("--n-target", dest="n_t", type=int, default=150,
+                         help="instances per target (default %(default)s)")
+    p_synth.add_argument("--k1", type=int, default=SynthSpec.k1,
+                         help="true common clusters (default %(default)s)")
+    p_synth.add_argument("--k2", type=int, default=SynthSpec.k2,
+                         help="true total clusters (default %(default)s)")
+    p_synth.add_argument("--noise", type=float, default=SynthSpec.noise,
+                         help="relative noise level (default %(default)s)")
+    p_synth.add_argument("--domain-shift", type=float, default=SynthSpec.domain_shift,
+                         help="how far the specific clusters' class meaning rotates "
+                              "in the targets, in [0, 1] (default %(default)s)")
+    p_synth.add_argument("--seed", type=int, default=SynthSpec.seed,
+                         help="random seed (default %(default)s)")
     p_synth.add_argument("--out", required=True, metavar="DIR")
     p_synth.set_defaults(func=cmd_synth)
 

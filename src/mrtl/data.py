@@ -399,15 +399,23 @@ def compact_corpus(X):
 
 def normalize_input(X):
     """Column-L1 normalization: each instance becomes a distribution over
-    features; an all-zero instance becomes uniform. A scipy sparse corpus
-    comes back as a CSC array with the same values as the dense result."""
+    features; an all-zero instance becomes uniform, and one whose sum passes
+    the float64 range is divided by its largest value first. A scipy sparse
+    corpus comes back as a CSC array with the same values as the dense result."""
     if not sp.issparse(X):
         return normalize_columns_l1(X)
     X = as_corpus(X)
+    with np.errstate(over="ignore"):
+        sums = X.sum(axis=0)
     M, n = X.shape
-    sums = X.sum(axis=0)
+    counts = np.diff(X.indptr)
+    huge = sums == np.inf
+    if huge.any():
+        peaks = np.where(huge, X.max(axis=0).toarray(), 1.0)
+        X.data = X.data / np.repeat(peaks, counts)
+        sums = np.where(huge, X.sum(axis=0), sums)
     positive = sums > 0.0
-    X.data = X.data / np.repeat(np.where(positive, sums, 1.0), np.diff(X.indptr))
+    X.data = X.data / np.repeat(np.where(positive, sums, 1.0), counts)
     empty = np.flatnonzero(~positive)
     if empty.size:
         # an all-zero instance holds only zeros, so adding 1/M makes it uniform

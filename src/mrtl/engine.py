@@ -632,8 +632,10 @@ def fit(data: ProblemData, hp: Hyperparams, v_init, on_iteration=None) -> tuple:
     trace = []
     prev_obj = None
     for iteration in range(1, hp.maxiter + 1):
-        _, shared = run_iteration(data, stack, shared, hp)
-        obj = objective(data, stack, shared, hp)
+        # a step that overflows is reported once, by the check below
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, shared = run_iteration(data, stack, shared, hp)
+            obj = objective(data, stack, shared, hp)
         arrays = (*(getattr(stack, name) for name in STACKED), *stack.V,
                   *vars(shared).values())
         if not (np.isfinite(obj) and all(np.isfinite(a).all() for a in arrays)):

@@ -129,10 +129,15 @@ def normalize_rows_l1(a, out=None) -> np.ndarray:
 
 def _normalize_l1(a, axis: int, out) -> np.ndarray:
     a = np.asarray(a, dtype=np.float64)
-    sums = a.sum(axis=axis, keepdims=True)
-    positive = sums > 0.0
-    if positive.all():
+    with np.errstate(over="ignore"):  # an overflowing sum is taken again below
+        sums = a.sum(axis=axis, keepdims=True)
+    if 0.0 < sums.min(initial=np.inf) and sums.max(initial=0.0) < np.inf:
         return np.divide(a, sums, out=out)
+    huge = sums == np.inf
+    if huge.any():  # such a line, divided by its largest entry, sums in range
+        a = a / np.where(huge, a.max(axis=axis, keepdims=True), 1.0)
+        sums = np.where(huge, a.sum(axis=axis, keepdims=True), sums)
+    positive = sums > 0.0
     result = np.divide(a, np.where(positive, sums, 1.0), out=out)
     np.copyto(result, 1.0 / a.shape[axis], where=~positive)
     return result

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import mrtl.cli as cli
-from mrtl.engine import NumericalDivergenceError
+from mrtl.data import SynthSpec
+from mrtl.engine import Hyperparams, NumericalDivergenceError
 
 
 SMALL = [
@@ -398,6 +399,18 @@ def test_train_numeric_failure_exits_4(tmp_path, monkeypatch, capsys):
     assert "iteration 3" in capsys.readouterr().err
 
 
+def test_train_overflowing_lambda_exits_4_with_one_line(tmp_path, capsys):
+    # the overflow used to print four numpy RuntimeWarnings first; any
+    # warning now fails this test (filterwarnings = error)
+    src = synth(tmp_path / "data", extra=["--features", "20"])
+    capsys.readouterr()
+    out = tmp_path / "run"
+    assert cli.main(train_args(src, out, ["--lambda", "1e308"])) == 4
+    assert capsys.readouterr().err == (
+        "error: non-finite factor entries at iteration 1\n")
+    assert not out.exists()
+
+
 def test_train_nmf_and_logreg_baselines(tmp_path):
     src = synth(tmp_path / "data")
     for baseline in ("nmf", "logreg"):
@@ -531,11 +544,25 @@ def test_sweep_single_value_matches_train(tmp_path):
 
 
 def test_sweep_empty_list_exits_2(tmp_path, capsys):
+    # every item must parse: "1,,2" used to run two values and drop the third
     src = synth(tmp_path / "data")
-    rc = cli.main(sweep_args(src, tmp_path / "s", "--sweep-lambda", " , "))
-    assert rc == 2
-    rc = cli.main(sweep_args(src, tmp_path / "s", "--sweep-k1", "2,oops"))
-    assert rc == 2
+    for axis, values in [("--sweep-lambda", " , "), ("--sweep-k1", "2,oops"),
+                         ("--sweep-lambda", "1,,2"), ("--sweep-k1", "5,,10"),
+                         ("--sweep-lambda", "1,2,"), ("--sweep-lambda", "")]:
+        capsys.readouterr()
+        rc = cli.main(sweep_args(src, tmp_path / "s", axis, values))
+        assert rc == 2
+        assert "malformed" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
+
+def test_required_flags_alone_give_the_dataclass_defaults():
+    parser = cli.build_parser()
+    args = parser.parse_args(["train", "--source", "s", "--target", "t", "--out", "o"])
+    assert cli._settings(Hyperparams, args) == Hyperparams()
+    spec = cli._settings(SynthSpec, parser.parse_args(["synth", "--out", "o"]))
+    for name in ("k1", "k2", "noise", "domain_shift", "seed"):
+        assert getattr(spec, name) == getattr(SynthSpec, name)
 
 
 def test_sweep_without_truth_exits_2(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -203,6 +204,22 @@ def test_normalize_input_idempotent_and_stochastic():
     once = normalize_input(X)
     assert np.max(np.abs(once.sum(axis=0) - 1.0)) <= 1e-12
     assert np.max(np.abs(normalize_input(once) - once)) <= 1e-15
+
+
+@pytest.mark.parametrize("kind", ["dense", "csc"])
+def test_normalize_input_scales_a_sum_past_the_float64_range(kind):
+    # finite values whose sum overflows used to normalize to an all-zero
+    # column, with a numpy warning
+    X, _ = parse_text("3 3 2\n1 1:1e308 2:1e308\n2 1:1 2:3\n1\n")
+    if kind == "csc":
+        X = sp.csc_array(X)
+        before = X.data.copy()
+    got = normalize_input(X)
+    if kind == "csc":
+        assert np.array_equal(X.data, before)  # the input is left as it was
+        got = got.toarray()
+    assert np.array_equal(got[:, 0], [0.5, 0.5, 0.0])
+    assert np.array_equal(got[:, 1:], [[0.25, 1 / 3], [0.75, 1 / 3], [0.0, 1 / 3]])
 
 
 def test_accuracy_values():
