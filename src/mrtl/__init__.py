@@ -31,6 +31,7 @@ from .engine import (
     objective,
     predict,
 )
+from .linalg import SparseCorpus
 
 __version__ = "0.1.0"
 
@@ -42,6 +43,7 @@ __all__ = [
     "NumericalDivergenceError",
     "ProblemData",
     "SharedFactors",
+    "SparseCorpus",
     "SynthSpec",
     "TargetFactors",
     "TraceRecord",

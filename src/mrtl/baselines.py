@@ -10,10 +10,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .engine import InvalidConfigError, _is_int
-from .linalg import EPSILON, as_corpus, frobenius_sq, residual_sq, stored_entries
+from .linalg import (
+    EPSILON,
+    SparseCorpus,
+    as_corpus,
+    frobenius_sq,
+    residual_sq,
+    stored_entries,
+)
 
 
 def expit(x) -> np.ndarray:
@@ -31,12 +37,12 @@ def expit(x) -> np.ndarray:
 def nmf_fit(X, k: int, iters: int, seed: int, on_iteration=None) -> tuple:
     """Factor X (M x n, nonnegative) as W @ H by multiplicative updates.
 
-    X may be dense or scipy sparse. W is M x k and H is k x n, both
-    initialized uniformly on (0, 1] from the seed. Each iteration updates H
-    then W with the classic Frobenius rules, denominators floored at EPSILON,
-    so ||X - WH||^2 never increases. When given, on_iteration(i, err)
-    receives the squared error after iteration i, taken in factored form
-    (see residual_sq).
+    X may be dense or sparse (see linalg.as_corpus). W is M x k and H is
+    k x n, both initialized uniformly on (0, 1] from the seed. Each
+    iteration updates H then W with the classic Frobenius rules,
+    denominators floored at EPSILON, so ||X - WH||^2 never increases. When
+    given, on_iteration(i, err) receives the squared error after iteration
+    i, taken in factored form (see residual_sq).
     """
     X = as_corpus(X)
     if X.ndim != 2:
@@ -81,14 +87,15 @@ def nmf_predict_labels(H) -> np.ndarray:
 
 
 # logreg_train forms the Gram matrix K = X^T X (n x n) once when n^2 is at
-# most this many times the entries X stores (M*n dense, nnz for CSC);
+# most this many times the entries X stores (M*n dense, nnz sparse);
 # otherwise each product by K is taken in two passes over X, so K never
 # outgrows X by more than a constant factor. Timed over logreg_train's 500
 # steps at c = 2 on a 2-core host, the Gram form ran 1.3-2.1x faster on
-# dense X at n = M (M = 200, 500, 1000) but 0.62-1.14x at n = 2M; on CSC at
-# M = 8000 with 100 entries per instance it ran 1.9-2.8x faster at
-# n^2 / nnz = 1-5, 0.78x at 10 and 0.36x at 20. Per stored entry a CSC pass
-# costs several times a dense one.
+# dense X at n = M (M = 200, 500, 1000) but 0.62-1.14x at n = 2M; on a
+# SparseCorpus at M = 8000 with 100 entries per instance it ran 5.4-8.7x
+# faster at n^2 / nnz = 1-5, 2.4x at 10 and 1.5x at 20, so there the ratio
+# bounds K's memory more than its time. Per stored entry a sparse pass costs
+# several times a dense one.
 GRAM_MAX_RATIO_DENSE = 1
 GRAM_MAX_RATIO_CSC = 4
 
@@ -107,7 +114,7 @@ def logreg_train(X, Y, l2: float = 1e-3, steps: int = 500,
                  on_step=None) -> LogRegModel:
     """Fit c independent binary logistic regressions by full-batch descent.
 
-    X is M x n with instances as columns, dense or scipy sparse, and Y the
+    X is M x n with instances as columns, dense or sparse, and Y the
     n x c one-hot label matrix. Weights start at zero (deterministic). The
     loss is the mean per-instance cross entropy summed over classes plus
     (l2 / 2) * ||W||^2 excluding the bias row. The step size starts at
@@ -150,12 +157,11 @@ def logreg_train(X, Y, l2: float = 1e-3, steps: int = 500,
             f"steps must be an integer of at least 1, got {steps!r}"
         )
 
-    # a CSC corpus transposes to a CSR array over the same arrays, no copy
+    # a sparse corpus transposes to a view over the same arrays, no copy
     XT = X.T
-    ratio = GRAM_MAX_RATIO_CSC if sp.issparse(X) else GRAM_MAX_RATIO_DENSE
+    ratio = (GRAM_MAX_RATIO_CSC if isinstance(X, SparseCorpus)
+             else GRAM_MAX_RATIO_DENSE)
     K = XT @ X if n * n <= ratio * stored_entries(X).size else None
-    if sp.issparse(K):
-        K = K.toarray()
 
     def loss_of(A, b, KA):
         """(loss, unclipped probabilities) at coefficients A and bias b, with

@@ -15,7 +15,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import numpy as np
 
@@ -343,16 +343,16 @@ def _parse_sweep_values(text: str, kind: str):
 
 def cmd_sweep(args) -> int:
     if args.sweep_k1 is not None:
-        axis, values = "k1", _parse_sweep_values(args.sweep_k1, "k1")
-        base = _settings(Hyperparams, args, k1=min(args.k1, args.k2))
+        axis, field, values = "k1", "k1", _parse_sweep_values(args.sweep_k1, "k1")
     else:
-        axis, values = "lambda", _parse_sweep_values(args.sweep_lambda, "lambda")
-        base = _settings(Hyperparams, args)
-    # every swept setting is built, and so checked, before any corpus is read
+        axis, field = "lambda", "lam"
+        values = _parse_sweep_values(args.sweep_lambda, "lambda")
+    # every swept setting is built from its own value, and so checked, before
+    # any corpus is read; the flag it replaces is never checked
     settings = []
     for v in values:
         try:
-            settings.append(replace(base, **{"lam" if axis == "lambda" else "k1": v}))
+            settings.append(_settings(Hyperparams, args, **{field: v}))
         except InvalidConfigError as exc:
             raise InvalidConfigError(f"--sweep-{axis} value {v}: {exc}") from None
     data, truth = _load_problem(args)

@@ -13,16 +13,17 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .engine import Hyperparams, InvalidConfigError, ProblemData, _is_int
-from .linalg import as_corpus, normalize_columns_l1
+from .linalg import SparseCorpus, as_corpus, normalize_columns_l1
 
 # A loaded corpus with at most this share of nonzero entries is held as a
-# scipy sparse CSC array, and as a dense array otherwise. X @ W and X.T @ R,
+# linalg.SparseCorpus, and as a dense array otherwise. X @ W and X.T @ R,
 # the products the fit and the logistic regression spend their time in, take
-# 0.22, 0.56, 0.84 and 2.08 times their dense time in CSC at 10, 20, 30 and
-# 70% density (M=4000, n=500, c=2).
+# 0.6, 1.0, 1.9 and 3.5 times their dense time as a SparseCorpus at 5, 10, 20
+# and 30% density (M=4000, n=500, c=2, one BLAS thread). The share was set
+# where scipy.sparse's compiled kernels, about three times as fast per
+# entry, cross over with dense products.
 SPARSE_MAX_DENSITY = 0.25
 
 
@@ -374,14 +375,21 @@ def load_corpus(path) -> tuple:
             raise CorpusFormatError(exc.line, f"{exc.message} in {path}") from None
 
 
-def compact_corpus(X):
-    """A parsed M x n corpus as it is held from then on: a CSC array when at
-    most SPARSE_MAX_DENSITY of its entries are nonzero, X itself otherwise.
+def _index_dtype(M: int, n: int, nnz: int):
+    """scipy's index dtype for an M x n CSC array of nnz entries built from
+    a dense one: 32-bit whenever the counts fit."""
+    return np.int32 if max(M, n, nnz) <= np.iinfo(np.int32).max else np.int64
 
-    The CSC array is sp.csc_array(X) to the bit, index dtype included, but
-    built from one byte mask of the nonzero entries: their count, their
-    positions in column-major order (the order CSC stores them in) and the
-    values gathered there.
+
+def compact_corpus(X):
+    """A parsed M x n corpus as it is held from then on: a SparseCorpus when
+    at most SPARSE_MAX_DENSITY of its entries are nonzero, X itself
+    otherwise.
+
+    Its arrays are those of scipy's csc_array(X) to the bit, index dtype
+    included, built from one byte mask of the nonzero entries: their count,
+    their positions in column-major order (the order CSC stores them in) and
+    the values gathered there.
     """
     X = np.asarray(X, dtype=np.float64)
     nonzero = X != 0
@@ -391,40 +399,57 @@ def compact_corpus(X):
     M, n = X.shape
     at = np.flatnonzero(nonzero.T)
     cols, rows = np.divmod(at, M)
-    # scipy's choice for a dense input: 32-bit indices whenever they fit
-    index = np.int32 if max(M, n, nnz) <= np.iinfo(np.int32).max else np.int64
+    index = _index_dtype(M, n, nnz)
     indptr = np.searchsorted(at, np.arange(n + 1) * M).astype(index)
-    return sp.csc_array((X[rows, cols], rows.astype(index), indptr), shape=(M, n))
+    return SparseCorpus(X[rows, cols], rows.astype(index), indptr, (M, n))
+
+
+def _column_reduce(ufunc, data, indptr) -> np.ndarray:
+    """ufunc reduced over each column's stored values, 0 for an empty column.
+    This is scipy's _minor_reduce, whose reduceat adds by numpy's pairwise
+    rule, so the sums are scipy's to the bit."""
+    out = np.zeros(indptr.size - 1)
+    full = np.flatnonzero(np.diff(indptr))
+    out[full] = ufunc.reduceat(data, indptr[full])
+    return out
 
 
 def normalize_input(X):
     """Column-L1 normalization: each instance becomes a distribution over
     features; an all-zero instance becomes uniform, and one whose sum passes
-    the float64 range is divided by its largest value first. A scipy sparse
-    corpus comes back as a CSC array with the same values as the dense result."""
-    if not sp.issparse(X):
-        return normalize_columns_l1(X)
+    the float64 range is divided by its largest value first. A sparse corpus
+    (a SparseCorpus or a scipy sparse array) comes back as a SparseCorpus
+    with the same values as the dense result."""
     X = as_corpus(X)
-    with np.errstate(over="ignore"):
-        sums = X.sum(axis=0)
-    M, n = X.shape
+    if not isinstance(X, SparseCorpus):
+        return normalize_columns_l1(X)
     counts = np.diff(X.indptr)
+    data = X.data
+    with np.errstate(over="ignore"):  # an overflowing sum is taken again below
+        sums = _column_reduce(np.add, data, X.indptr)
     huge = sums == np.inf
     if huge.any():
-        peaks = np.where(huge, X.max(axis=0).toarray(), 1.0)
-        X.data = X.data / np.repeat(peaks, counts)
-        sums = np.where(huge, X.sum(axis=0), sums)
+        peaks = np.where(huge, _column_reduce(np.maximum, data, X.indptr), 1.0)
+        data = data / np.repeat(peaks, counts)
+        sums = np.where(huge, _column_reduce(np.add, data, X.indptr), sums)
     positive = sums > 0.0
-    X.data = X.data / np.repeat(np.where(positive, sums, 1.0), counts)
-    empty = np.flatnonzero(~positive)
-    if empty.size:
-        # an all-zero instance holds only zeros, so adding 1/M makes it uniform
-        X = X + sp.csc_array(
-            (np.full(M * empty.size, 1.0 / M),
-             (np.tile(np.arange(M), empty.size), np.repeat(empty, M))),
-            shape=(M, n),
-        )
-    return X
+    data = data / np.repeat(np.where(positive, sums, 1.0), counts)
+    if positive.all():
+        return SparseCorpus(data, X.indices, X.indptr, X.shape)
+    # an all-zero instance becomes the M entries 1/M, in place of any zeros
+    # it stored
+    M, n = X.shape
+    sizes = np.where(positive, counts, M)
+    fill = np.repeat(~positive, sizes)
+    kept = np.repeat(positive, counts)
+    index = _index_dtype(M, n, fill.size)
+    indices = np.empty(fill.size, dtype=index)
+    indices[~fill] = X.indices[kept]
+    indices[fill] = np.tile(np.arange(M), n - np.count_nonzero(positive))
+    new_data = np.full(fill.size, 1.0 / M)
+    new_data[~fill] = data[kept]
+    indptr = np.concatenate([[0], np.cumsum(sizes)]).astype(index)
+    return SparseCorpus(new_data, indices, indptr, (M, n))
 
 
 def accuracy(predicted, true_labels) -> float:

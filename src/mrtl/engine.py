@@ -71,7 +71,7 @@ the objective 0 on an exact reconstruction and within the monotonicity
 bounds the fit is held to.
 
 Since the corpora enter only through X @ W, X.T @ B and ||X||^2, each may
-be a dense array or a scipy sparse CSC array; the code is the same.
+be a dense array or a linalg.SparseCorpus; the code is the same.
 """
 
 from __future__ import annotations
@@ -79,6 +79,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+import numpy.random  # numpy loads it on first use; every fit draws from it
 
 from .linalg import (
     as_corpus,
@@ -161,8 +162,9 @@ class ProblemData:
 
     X_s is M x n_s, Y_s is the n_s x c one-hot label matrix, and each entry
     of targets is an M x n_p matrix over the same M features; every corpus
-    holds at least one instance. A corpus may be a dense array or a scipy
-    sparse array, which is held as CSC. All matrices must be nonnegative.
+    holds at least one instance. A corpus may be a dense array, a
+    linalg.SparseCorpus or a scipy sparse array, which is held as a
+    SparseCorpus. All matrices must be nonnegative.
     Callers normally pass column-normalized
     corpora (each instance a distribution over features). sq_norms holds
     ||X_s||^2 followed by each target's squared Frobenius norm, XY_s the

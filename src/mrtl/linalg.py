@@ -1,16 +1,18 @@
 """Matrix primitives shared by the factorization code.
 
-Factors are 2-d float64 numpy arrays; a corpus may also be a scipy sparse
-CSC array, which as_corpus, stored_entries, frobenius_sq and residual_sq
-accept. The multiplicative update rules only ever divide by denominators
-floored at EPSILON, so the helpers here are written to preserve
-nonnegativity and never emit NaN/Inf on nonnegative input.
+Factors are 2-d float64 numpy arrays; a corpus may also be a SparseCorpus,
+mrtl's compressed sparse column array, which as_corpus, stored_entries,
+frobenius_sq and residual_sq accept. The multiplicative update rules only
+ever divide by denominators floored at EPSILON, so the helpers here are
+written to preserve nonnegativity and never emit NaN/Inf on nonnegative
+input.
 """
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
-import scipy.sparse as sp
 
 # A factored squared error below this fraction of the magnitudes it is summed
 # from has lost too many digits to cancellation and is recomputed from the
@@ -29,18 +31,158 @@ RESIDUAL_BLOCK_BYTES = 1 << 20
 # Every piece of blocks() starts at a multiple of this many lines; see blocks.
 BLOCK_ALIGN = 64
 
+# SparseCorpus forms X^T X from at most about this many pairs of stored
+# entries at a time, so the pair arrays stay near 8 MiB on a dense corpus.
+GRAM_CHUNK_PAIRS = 1 << 18
+
+
+class SparseCorpus:
+    """An M x n corpus in compressed sparse column (CSC) form.
+
+    Column j holds the values data[indptr[j]:indptr[j + 1]] at the rows
+    indices[indptr[j]:indptr[j + 1]]. It offers what the factorization code
+    takes of a corpus: shape, ndim, nnz, toarray(), a dense block of columns
+    X[:, a:b], and the products X @ D, X.T @ D, D @ X and X.T @ X for a
+    dense 2-d D. Each product adds its terms in the order the kernels of
+    scipy.sparse add them (csc_matvecs, csr_matvecs and csr_matmat), so it
+    equals scipy's result to the bit on a CSC array with sorted indices.
+    """
+
+    __array_ufunc__ = None  # numpy defers D @ X to __rmatmul__
+    ndim = 2
+
+    def __init__(self, data, indices, indptr, shape):
+        self.data = np.asarray(data, dtype=np.float64)
+        self.indices = np.asarray(indices)
+        self.indptr = np.asarray(indptr)
+        self.shape = (int(shape[0]), int(shape[1]))
+        # the column of each stored entry
+        self.columns = np.repeat(np.arange(self.shape[1]), np.diff(self.indptr))
+
+    @property
+    def nnz(self) -> int:
+        return self.data.size
+
+    @property
+    def T(self):
+        return _Transposed(self)
+
+    def toarray(self) -> np.ndarray:
+        return self[:, :]
+
+    def __getitem__(self, key) -> np.ndarray:
+        """X[:, a:b]: the columns a..b - 1 as a dense M x (b - a) array."""
+        rows, cols = key
+        if (rows != slice(None) or not isinstance(cols, slice)
+                or cols.step not in (None, 1)):
+            raise IndexError("a SparseCorpus is indexed only as X[:, a:b]")
+        lo, hi, _ = cols.indices(self.shape[1])
+        at = slice(self.indptr[lo], self.indptr[hi])
+        out = np.zeros((self.shape[0], hi - lo))
+        np.add.at(out, (self.indices[at], self.columns[at] - lo), self.data[at])
+        return out
+
+    def __matmul__(self, D) -> np.ndarray:
+        # csc_matvecs: row i of the result adds data[e] * D[column e] over
+        # the entries e at row i, in storage order
+        return _products(self.indices, self.shape[0], self.data, D, self.columns,
+                         self.shape[1])
+
+    def __rmatmul__(self, D) -> np.ndarray:
+        # scipy takes D @ X as (X.T @ D.T).T, a transposed view
+        return (self.T @ np.asarray(D, dtype=np.float64).T).T
+
+    def _gram(self) -> np.ndarray:
+        """X.T @ X as a dense n x n array.
+
+        csr_matmat adds to entry (i, k) the term X[j, i] X[j, k] for each row
+        j of column i, in storage order, which sorted indices make row
+        order. So every pair of entries that share a row is taken, row after
+        row, and np.add.at adds each pair's term in that order.
+        """
+        M, n = self.shape
+        gram = np.zeros((n, n))
+        if self.nnz == 0:
+            return gram
+        order = np.argsort(self.indices, kind="stable")  # row by row
+        cols, vals = self.columns[order], self.data[order]
+        per_row = np.bincount(self.indices, minlength=M)
+        # Entry e pairs with every entry of its row, its own included, in row
+        # order. Its pairs are numbered starts[e] up to ends[e], and pair p
+        # joins it to entry p + shift[e]. A chunk (maybe empty) ends between
+        # two entries.
+        partners = np.repeat(per_row, per_row)
+        ends = np.cumsum(partners)
+        starts = ends - partners
+        shift = np.repeat(np.cumsum(per_row) - per_row, per_row) - starts
+        cuts = np.searchsorted(ends, np.arange(GRAM_CHUNK_PAIRS, ends[-1],
+                                               GRAM_CHUNK_PAIRS), side="right")
+        bounds = [0, *cuts, self.nnz]
+        for e0, e1 in zip(bounds[:-1], bounds[1:]):
+            count = partners[e0:e1]
+            first = np.repeat(np.arange(e0, e1), count)
+            second = np.repeat(shift[e0:e1], count) + np.arange(
+                starts[e0], starts[e0] + first.size)
+            np.add.at(gram.reshape(-1), cols[first] * n + cols[second],
+                      vals[first] * vals[second])
+        return gram
+
+
+class _Transposed:
+    """X.T for a SparseCorpus X, as a left factor: X.T @ D and X.T @ X."""
+
+    __array_ufunc__ = None
+
+    def __init__(self, X: SparseCorpus):
+        self.X = X
+        self.shape = X.shape[::-1]
+
+    def __matmul__(self, D) -> np.ndarray:
+        X = self.X
+        if D is X:
+            return X._gram()
+        # csr_matvecs over X's arrays read as CSR: row i of the result adds
+        # data[e] * D[row e] over column i's entries, in storage order
+        return _products(X.columns, X.shape[1], X.data, D, X.indices, X.shape[0])
+
+
+def _products(at, size: int, data, D, gather, inner: int) -> np.ndarray:
+    """The size x k array whose row r adds data[e] * D[gather[e]] over the
+    entries e with at[e] == r, in storage order, one bincount per column of
+    D; bincount adds in its input's order, starting from 0, as the scipy
+    kernels do."""
+    D = np.asarray(D, dtype=np.float64)
+    if D.ndim != 2 or D.shape[0] != inner:
+        raise ValueError(
+            f"matmul: a sparse corpus with {inner} columns to contract takes a "
+            f"2-d array of {inner} rows, got shape {D.shape}"
+        )
+    # k x nnz, each row contiguous; np.take gathers far faster than D[gather]
+    terms = np.take(D.T, gather, axis=1)
+    terms *= data
+    out = np.empty((size, D.shape[1]))
+    for v, weights in enumerate(terms):
+        out[:, v] = np.bincount(at, weights, minlength=size)
+    return out
+
 
 def as_corpus(a):
-    """a as float64: a scipy sparse input becomes a CSC array, anything else
-    a numpy array. Shapes are the caller's to check."""
-    if sp.issparse(a):
-        return sp.csc_array(a, dtype=np.float64)
+    """a as float64: a SparseCorpus as it is, a scipy sparse array converted
+    to one as a CSC array, anything else a numpy array. A scipy array can
+    exist only once scipy.sparse is loaded, so mrtl never imports it. Shapes
+    are the caller's to check."""
+    if isinstance(a, SparseCorpus):
+        return a
+    scipy_sparse = sys.modules.get("scipy.sparse")
+    if scipy_sparse is not None and scipy_sparse.issparse(a):
+        a = scipy_sparse.csc_array(a, dtype=np.float64)
+        return SparseCorpus(a.data, a.indices, a.indptr, a.shape)
     return np.asarray(a, dtype=np.float64)
 
 
 def stored_entries(a) -> np.ndarray:
-    """The entries a holds: a sparse array's stored values, or a itself."""
-    return a.data if sp.issparse(a) else a
+    """The entries a holds: a sparse corpus's stored values, or a itself."""
+    return a.data if isinstance(a, SparseCorpus) else a
 
 
 def safe_ratio_sqrt(num, den) -> np.ndarray:
@@ -58,7 +200,7 @@ def safe_ratio_sqrt(num, den) -> np.ndarray:
 
 def frobenius_sq(a) -> float:
     """Sum of squared entries, i.e. the squared Frobenius norm."""
-    a = a.data if sp.issparse(a) else np.asarray(a, dtype=np.float64)
+    a = np.asarray(stored_entries(a), dtype=np.float64)
     return float(np.sum(a * a))
 
 
@@ -85,10 +227,7 @@ def residual_sq(X, xx: float, B, W, XW, G) -> float:
         return value
     total = 0.0
     for cols in blocks(X.shape[1], X.shape[0], RESIDUAL_BLOCK_BYTES):
-        X_cols = X[:, cols]
-        if sp.issparse(X_cols):
-            X_cols = X_cols.toarray()
-        total += frobenius_sq(X_cols - B @ W[cols].T)
+        total += frobenius_sq(X[:, cols] - B @ W[cols].T)
     return total
 
 

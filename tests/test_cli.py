@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 import mrtl.cli as cli
-from mrtl.data import SynthSpec
+from mrtl.data import SynthSpec, compact_corpus, serialize_corpus
 from mrtl.engine import Hyperparams, NumericalDivergenceError
+from mrtl.linalg import SparseCorpus
 
 
 SMALL = [
@@ -528,6 +529,19 @@ def test_sweep_k1_allows_k1_equal_k2(tmp_path):
     assert [float(l.split(",")[0]) for l in lines[1:]] == [1.0, 2.0, 4.0]
 
 
+@pytest.mark.parametrize("axis, values, flags", [
+    ("--sweep-k1", "1,2", ["--k1", "0"]),
+    ("--sweep-lambda", "1,5", ["--lambda", "-1"]),
+])
+def test_sweep_never_checks_the_flag_it_replaces(tmp_path, axis, values, flags):
+    src = synth(tmp_path / "data")
+    out = tmp_path / "sweep"
+    assert cli.main(sweep_args(src, out, axis, values, flags)) == 0
+    lines = read(out / "sweep.csv").strip().splitlines()
+    assert [l.split(",")[0] for l in lines[1:]] == [
+        repr(float(v)) for v in values.split(",")]
+
+
 def test_sweep_single_value_matches_train(tmp_path):
     src = synth(tmp_path / "data")
     train_out = tmp_path / "train"
@@ -644,6 +658,35 @@ def test_import_leaves_scipy_special_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_import_and_a_sparse_train_load_no_scipy(tmp_path):
+    # mrtl holds a sparse corpus in its own SparseCorpus, so neither its
+    # start-up nor a sparse run pays for scipy's import, about 0.2 s
+    rng = np.random.default_rng(8)
+    M, c = 60, 2
+    for name, n in (("source", 12), ("target_1", 8), ("target_2", 8)):
+        labels = np.arange(n) % c + 1
+        X = np.zeros((M, n))
+        for i, y in enumerate(labels):  # 3 of 60 entries: held sparse
+            rows = rng.choice(M // c, size=3, replace=False) + (y - 1) * (M // c)
+            X[rows, i] = 2.0
+        assert isinstance(compact_corpus(X), SparseCorpus)
+        if name == "source":
+            (tmp_path / "source.txt").write_text(serialize_corpus(X, c, labels=labels))
+        else:
+            (tmp_path / f"{name}.txt").write_text(serialize_corpus(X, c))
+            (tmp_path / f"truth_{name[-1]}.txt").write_text(
+                "\n".join(map(str, labels)) + "\n")
+    code = ("import sys, mrtl.cli; rc = mrtl.cli.main(sys.argv[1:]); "
+            "print(rc, [m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *train_args(tmp_path, tmp_path / "run")],
+        capture_output=True, text=True,
+        cwd=os.path.dirname(os.path.dirname(cli.__file__)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"
 
 
 @pytest.mark.parametrize("axis, value, flag", [

@@ -27,7 +27,7 @@ from mrtl.engine import (
     run_iteration,
 )
 from mrtl.data import SynthSpec, generate_synthetic
-from mrtl.linalg import blocks, normalize_rows_l1
+from mrtl.linalg import SparseCorpus, blocks, normalize_rows_l1
 
 
 def test_init_factors_deterministic():
@@ -288,7 +288,7 @@ def test_fit_holds_one_copy_of_each_pair():
 
 
 def corpus_bytes(X):
-    parts = (X.data, X.indices, X.indptr) if sp.issparse(X) else (X,)
+    parts = (X.data, X.indices, X.indptr) if isinstance(X, SparseCorpus) else (X,)
     return b"".join(a.tobytes() for a in parts)
 
 

@@ -1,9 +1,15 @@
-"""Matrix primitives against hand values and naive oracles."""
+"""Matrix primitives against hand values and naive oracles, and the sparse
+corpus against scipy.sparse, bit for bit."""
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+import mrtl.linalg
+from mrtl.data import _column_reduce, normalize_input
 from mrtl.linalg import (
+    SparseCorpus,
+    as_corpus,
     frobenius_sq,
     normalize_columns_l1,
     normalize_rows_l1,
@@ -110,3 +116,92 @@ def test_stacked_normalize_takes_each_matrix_alone(normalize, axis):
         assert np.array_equal(in_place[p], want[p])
     uniform = got[1, :, 2] if axis == -2 else got[1, 5, :]
     assert np.array_equal(uniform, np.full(uniform.shape, 1.0 / before.shape[axis]))
+
+
+def scipy_cases():
+    """CSC arrays with empty columns, one-entry columns, dense columns and
+    entries over many magnitudes, with 32-bit and with 64-bit indices."""
+    rng = np.random.default_rng(23)
+    out = []
+    for M, n, density in [(40, 30, 0.1), (25, 60, 0.3), (12, 9, 1.0), (5, 4, 0.0)]:
+        A = rng.random((M, n)) * 10.0 ** rng.uniform(-8, 8, (M, n))
+        A *= rng.random((M, n)) < density
+        if n > 4:
+            A[:, 1] = 0.0  # an empty column
+            A[:, 2] = 0.0
+            A[M // 2, 2] = 7.0  # a one-entry column
+        S = sp.csc_array(A)
+        out.append(S)
+        wide = S.copy()
+        wide.indices = wide.indices.astype(np.int64)
+        wide.indptr = wide.indptr.astype(np.int64)
+        out.append(wide)
+    return out
+
+
+@pytest.mark.parametrize("chunk", [mrtl.linalg.GRAM_CHUNK_PAIRS, 5])
+@pytest.mark.parametrize("S", scipy_cases())
+def test_sparse_corpus_products_equal_scipys(S, chunk, monkeypatch):
+    # a chunk of 5 pairs splits every row of entries across chunks
+    monkeypatch.setattr(mrtl.linalg, "GRAM_CHUNK_PAIRS", chunk)
+    X = as_corpus(S)
+    assert isinstance(X, SparseCorpus) and X.indices.dtype == S.indices.dtype
+    M, n = S.shape
+    rng = np.random.default_rng(M * n)
+    for k in (1, 3):
+        D, E = rng.random((n, k)), rng.random((M, k))
+        assert np.array_equal(X @ D, S @ D)
+        assert np.array_equal(X @ D.T.copy().T, S @ D)  # F-ordered, as H.T
+        assert np.array_equal(X.T @ E, S.T @ E)
+        assert np.array_equal(E.T @ X, E.T @ S)
+    assert np.array_equal(X.T @ X, (S.T @ S).toarray())
+    assert np.array_equal(X.toarray(), S.toarray())
+    assert np.array_equal(X[:, 1:n - 1], S[:, 1:n - 1].toarray())
+    assert X.nnz == S.nnz and X.ndim == 2
+
+
+@pytest.mark.parametrize("S", scipy_cases())
+def test_column_sums_and_maxima_equal_scipys(S):
+    assert np.array_equal(_column_reduce(np.add, S.data, S.indptr), S.sum(axis=0))
+    assert np.array_equal(_column_reduce(np.maximum, S.data, S.indptr),
+                          S.max(axis=0).toarray())
+
+
+def scipy_normalize_input(S):
+    """normalize_input's sparse branch as it was written on scipy.sparse."""
+    X = sp.csc_array(S, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        sums = X.sum(axis=0)
+    M, n = X.shape
+    counts = np.diff(X.indptr)
+    huge = sums == np.inf
+    if huge.any():
+        peaks = np.where(huge, X.max(axis=0).toarray(), 1.0)
+        X.data = X.data / np.repeat(peaks, counts)
+        sums = np.where(huge, X.sum(axis=0), sums)
+    positive = sums > 0.0
+    X.data = X.data / np.repeat(np.where(positive, sums, 1.0), counts)
+    empty = np.flatnonzero(~positive)
+    if empty.size:
+        X = X + sp.csc_array(
+            (np.full(M * empty.size, 1.0 / M),
+             (np.tile(np.arange(M), empty.size), np.repeat(empty, M))),
+            shape=(M, n),
+        )
+    return X
+
+
+@pytest.mark.parametrize("S", scipy_cases())
+def test_normalize_input_equals_scipys(S):
+    A = S.toarray()
+    A[:2, 0] = 1e308  # the first column's sum passes the float64 range
+    index = S.indices.dtype
+    S = sp.csc_array(A)
+    S.indices, S.indptr = S.indices.astype(index), S.indptr.astype(index)
+    with np.errstate(over="ignore"):
+        sums, want = _column_reduce(np.add, S.data, S.indptr), S.sum(axis=0)
+    assert sums[0] == np.inf and np.array_equal(sums, want)
+    got, want = normalize_input(S), scipy_normalize_input(S)
+    assert isinstance(got, SparseCorpus)
+    for field in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(got, field), getattr(want, field)), field

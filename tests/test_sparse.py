@@ -2,8 +2,9 @@
 
 Every property draws a small random problem whose corpora are mostly zeros,
 one target carrying an all-zero document, and holds it twice: as dense
-arrays and as scipy sparse CSC arrays. The library must compute the same
-numbers from both, and the factored objective must equal the residual form.
+arrays and as sparse corpora built from scipy CSC arrays. The library must
+compute the same numbers from both, and the factored objective must equal
+the residual form.
 """
 
 import numpy as np
@@ -41,7 +42,7 @@ from mrtl.engine import (
     predict,
     run_iteration,
 )
-from mrtl.linalg import frobenius_sq, normalize_rows_l1
+from mrtl.linalg import SparseCorpus, frobenius_sq, normalize_rows_l1
 
 BLOCKS = (
     "U_common", "U_target", "U_source", "V",
@@ -99,7 +100,7 @@ def problems(draw):
 def test_sparse_inputs_are_held_as_csc_with_dense_values(problem):
     dense, csc, _, _, _ = problem
     for D, S in zip((dense.X_s, *dense.targets), (csc.X_s, *csc.targets)):
-        assert isinstance(S, sp.csc_array)
+        assert isinstance(S, SparseCorpus)
         assert rel(S.toarray(), D) <= RTOL
     # the all-zero document became uniform
     assert np.all(csc.targets[0].toarray()[:, -1] == 1.0 / csc.M)
@@ -185,7 +186,7 @@ def test_compact_corpus_switches_to_csc_at_a_quarter_nonzero():
     X = np.zeros((8, 4))
     X.flat[:8] = 1.0  # 8 of 32 entries: exactly a quarter
     held = compact_corpus(X)
-    assert isinstance(held, sp.csc_array)
+    assert isinstance(held, SparseCorpus)
     assert np.array_equal(held.toarray(), X)
     X.flat[8] = 1.0
     assert isinstance(compact_corpus(X), np.ndarray)
@@ -255,7 +256,7 @@ def test_cli_holds_a_sparse_corpus_as_csc(sparse_problem):
     args = cli.build_parser().parse_args(["train", *run_flags(src), "--out", "unused"])
     data, _ = cli._load_problem(args)
     for D, S in zip((dense.X_s, *dense.targets), (data.X_s, *data.targets)):
-        assert isinstance(S, sp.csc_array)
+        assert isinstance(S, SparseCorpus)
         assert np.count_nonzero(D) <= SPARSE_MAX_DENSITY * D.size
         assert rel(S.toarray(), D) <= RTOL
 
