@@ -375,43 +375,18 @@ def load_corpus(path) -> tuple:
             raise CorpusFormatError(exc.line, f"{exc.message} in {path}") from None
 
 
-def _index_dtype(M: int, n: int, nnz: int):
-    """scipy's index dtype for an M x n CSC array of nnz entries built from
-    a dense one: 32-bit whenever the counts fit."""
-    return np.int32 if max(M, n, nnz) <= np.iinfo(np.int32).max else np.int64
-
-
 def compact_corpus(X):
     """A parsed M x n corpus as it is held from then on: a SparseCorpus when
     at most SPARSE_MAX_DENSITY of its entries are nonzero, X itself
-    otherwise.
-
-    Its arrays are those of scipy's csc_array(X) to the bit, index dtype
-    included, built from one byte mask of the nonzero entries: their count,
-    their positions in column-major order (the order CSC stores them in) and
-    the values gathered there.
-    """
+    otherwise. One byte mask of the nonzero entries gives their count and
+    their positions in column-major order, CSC's order, so the values are
+    those of scipy's csc_array(X) to the bit, in the same order."""
     X = np.asarray(X, dtype=np.float64)
     nonzero = X != 0
-    nnz = np.count_nonzero(nonzero)
-    if nnz > SPARSE_MAX_DENSITY * X.size:
+    if np.count_nonzero(nonzero) > SPARSE_MAX_DENSITY * X.size:
         return X
-    M, n = X.shape
-    at = np.flatnonzero(nonzero.T)
-    cols, rows = np.divmod(at, M)
-    index = _index_dtype(M, n, nnz)
-    indptr = np.searchsorted(at, np.arange(n + 1) * M).astype(index)
-    return SparseCorpus(X[rows, cols], rows.astype(index), indptr, (M, n))
-
-
-def _column_reduce(ufunc, data, indptr) -> np.ndarray:
-    """ufunc reduced over each column's stored values, 0 for an empty column.
-    This is scipy's _minor_reduce, whose reduceat adds by numpy's pairwise
-    rule, so the sums are scipy's to the bit."""
-    out = np.zeros(indptr.size - 1)
-    full = np.flatnonzero(np.diff(indptr))
-    out[full] = ufunc.reduceat(data, indptr[full])
-    return out
+    cols, rows = np.divmod(np.flatnonzero(nonzero.T), X.shape[0])
+    return SparseCorpus.from_entries(rows, cols, X[rows, cols], X.shape)
 
 
 def normalize_input(X):
@@ -419,37 +394,9 @@ def normalize_input(X):
     features; an all-zero instance becomes uniform, and one whose sum passes
     the float64 range is divided by its largest value first. A sparse corpus
     (a SparseCorpus or a scipy sparse array) comes back as a SparseCorpus
-    with the same values as the dense result."""
+    with the same values as the dense result (SparseCorpus.normalized)."""
     X = as_corpus(X)
-    if not isinstance(X, SparseCorpus):
-        return normalize_columns_l1(X)
-    counts = np.diff(X.indptr)
-    data = X.data
-    with np.errstate(over="ignore"):  # an overflowing sum is taken again below
-        sums = _column_reduce(np.add, data, X.indptr)
-    huge = sums == np.inf
-    if huge.any():
-        peaks = np.where(huge, _column_reduce(np.maximum, data, X.indptr), 1.0)
-        data = data / np.repeat(peaks, counts)
-        sums = np.where(huge, _column_reduce(np.add, data, X.indptr), sums)
-    positive = sums > 0.0
-    data = data / np.repeat(np.where(positive, sums, 1.0), counts)
-    if positive.all():
-        return SparseCorpus(data, X.indices, X.indptr, X.shape)
-    # an all-zero instance becomes the M entries 1/M, in place of any zeros
-    # it stored
-    M, n = X.shape
-    sizes = np.where(positive, counts, M)
-    fill = np.repeat(~positive, sizes)
-    kept = np.repeat(positive, counts)
-    index = _index_dtype(M, n, fill.size)
-    indices = np.empty(fill.size, dtype=index)
-    indices[~fill] = X.indices[kept]
-    indices[fill] = np.tile(np.arange(M), n - np.count_nonzero(positive))
-    new_data = np.full(fill.size, 1.0 / M)
-    new_data[~fill] = data[kept]
-    indptr = np.concatenate([[0], np.cumsum(sizes)]).astype(index)
-    return SparseCorpus(new_data, indices, indptr, (M, n))
+    return X.normalized() if isinstance(X, SparseCorpus) else normalize_columns_l1(X)
 
 
 def accuracy(predicted, true_labels) -> float:

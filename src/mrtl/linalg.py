@@ -40,24 +40,43 @@ class SparseCorpus:
     """An M x n corpus in compressed sparse column (CSC) form.
 
     Column j holds the values data[indptr[j]:indptr[j + 1]] at the rows
-    indices[indptr[j]:indptr[j + 1]]. It offers what the factorization code
-    takes of a corpus: shape, ndim, nnz, toarray(), a dense block of columns
-    X[:, a:b], and the products X @ D, X.T @ D, D @ X and X.T @ X for a
-    dense 2-d D. Each product adds its terms in the order the kernels of
-    scipy.sparse add them (csc_matvecs, csr_matvecs and csr_matmat), so it
-    equals scipy's result to the bit on a CSC array with sorted indices.
+    indices[indptr[j]:indptr[j + 1]] (np.intp); only this module reads those
+    arrays. It offers what mrtl takes of a corpus: shape, ndim, nnz,
+    toarray(), normalized(), a dense block of columns X[:, a:b], and the
+    products X @ D, X.T @ D, D @ X and X.T @ X for a dense 2-d D. Each
+    product adds its terms in the order the kernels of scipy.sparse add them
+    (csc_matvecs, csr_matvecs and csr_matmat), so it equals scipy's result
+    to the bit on a CSC array with sorted indices.
     """
 
     __array_ufunc__ = None  # numpy defers D @ X to __rmatmul__
     ndim = 2
 
     def __init__(self, data, indices, indptr, shape):
+        M, n = self.shape = (int(shape[0]), int(shape[1]))
         self.data = np.asarray(data, dtype=np.float64)
-        self.indices = np.asarray(indices)
-        self.indptr = np.asarray(indptr)
-        self.shape = (int(shape[0]), int(shape[1]))
+        indices, indptr = np.asarray(indices), np.asarray(indptr)
+        if not (min(M, n) >= 0 and indices.dtype.kind in "iu"
+                and indptr.dtype.kind in "iu" and indptr.shape == (n + 1,)
+                and indptr[0] == 0 and np.all(indptr[1:] >= indptr[:-1])
+                and self.data.shape == indices.shape == (indptr[-1],)
+                and np.all((0 <= indices) & (indices < M))):
+            raise ValueError(f"not the CSC arrays of an {M} x {n} array: indptr "
+                             f"must rise from 0 to len(indices) == len(data) in "
+                             f"{n + 1} integers, and every index lie in [0, {M})")
+        self.indices = indices.astype(np.intp, copy=False)
+        self.indptr = indptr.astype(np.intp, copy=False)
         # the column of each stored entry
-        self.columns = np.repeat(np.arange(self.shape[1]), np.diff(self.indptr))
+        self.columns = np.repeat(np.arange(n), np.diff(self.indptr))
+
+    @classmethod
+    def from_entries(cls, rows, cols, values, shape) -> SparseCorpus:
+        """values[e] at (rows[e], cols[e]), with the entries given column by
+        column and by increasing row within a column."""
+        if np.any(np.diff(cols) < 0):
+            raise ValueError(f"the entries of a {shape[0]} x {shape[1]} corpus "
+                             "must come column by column")
+        return cls(values, rows, np.searchsorted(cols, np.arange(shape[1] + 1)), shape)
 
     @property
     def nnz(self) -> int:
@@ -69,6 +88,29 @@ class SparseCorpus:
 
     def toarray(self) -> np.ndarray:
         return self[:, :]
+
+    def normalized(self) -> SparseCorpus:
+        """Each column scaled to sum 1, as normalize_columns_l1 scales a
+        dense one: a column whose sum passes the float64 range is divided by
+        its largest value first, and an all-zero column becomes the M
+        entries 1/M, in place of any zeros it stored."""
+        data, at, col = self.data, self.indptr, self.columns
+        with np.errstate(over="ignore"):  # an overflowing sum is taken again below
+            sums = _column_reduce(np.add, data, at)
+        huge = sums == np.inf
+        if huge.any():
+            data = data / np.where(huge, _column_reduce(np.maximum, data, at), 1.0)[col]
+            sums = np.where(huge, _column_reduce(np.add, data, at), sums)
+        positive = sums > 0.0
+        data = data / np.where(positive, sums, 1.0)[col]
+        if positive.all():
+            return SparseCorpus(data, self.indices, at, self.shape)
+        M, kept, empty = self.shape[0], positive[col], np.flatnonzero(~positive)
+        cols = np.concatenate([col[kept], np.repeat(empty, M)])
+        order = np.argsort(cols, kind="stable")  # keeps each column's rows in order
+        rows = np.concatenate([self.indices[kept], np.tile(np.arange(M), empty.size)])
+        values = np.concatenate([data[kept], np.full(M * empty.size, 1.0 / M)])
+        return self.from_entries(rows[order], cols[order], values[order], self.shape)
 
     def __getitem__(self, key) -> np.ndarray:
         """X[:, a:b]: the columns a..b - 1 as a dense M x (b - a) array."""
@@ -144,6 +186,16 @@ class _Transposed:
         # csr_matvecs over X's arrays read as CSR: row i of the result adds
         # data[e] * D[row e] over column i's entries, in storage order
         return _products(X.columns, X.shape[1], X.data, D, X.indices, X.shape[0])
+
+
+def _column_reduce(ufunc, data, indptr) -> np.ndarray:
+    """ufunc reduced over each column's stored values, 0 for an empty column.
+    This is scipy's _minor_reduce, whose reduceat adds by numpy's pairwise
+    rule, so the sums are scipy's to the bit."""
+    out = np.zeros(indptr.size - 1)
+    full = np.flatnonzero(np.diff(indptr))
+    out[full] = ufunc.reduceat(data, indptr[full])
+    return out
 
 
 def _products(at, size: int, data, D, gather, inner: int) -> np.ndarray:

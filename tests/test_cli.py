@@ -1,11 +1,17 @@
 """Command-line surface: subcommands, formats, exit codes, determinism."""
 
+import contextlib
+import io
 import os
+import re
 import subprocess
 import sys
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import mrtl.cli as cli
 from mrtl.data import SynthSpec, compact_corpus, serialize_corpus
@@ -850,3 +856,153 @@ def test_write_outputs_renames_manifest_last_and_cleans_up_on_failure(
         cli._write_outputs(str(tmp_path), files())
     assert sorted(os.listdir(tmp_path)) == ["b.txt", "manifest.txt"]
     assert read(tmp_path / "b.txt") == "b"
+
+
+@st.composite
+def cli_problems(draw):
+    """M features, and a source and a target corpus, each a list of records,
+    each a list of (index, value text) entries with at least two increasing
+    indices."""
+    M = draw(st.integers(2, 5))
+
+    def corpus(n_min, n_max):
+        return [[(i, str(draw(st.integers(1, 9))))
+                 for i in sorted(draw(st.sets(st.integers(1, M), min_size=2)))]
+                for _ in range(draw(st.integers(n_min, n_max)))]
+
+    return M, corpus(2, 5), corpus(1, 4)
+
+
+CORPORA = ("source.txt", "target_1.txt")
+# a value the format takes, and any other
+LEGAL_VALUES = ("1e308", "5e-324", "0", "-0")
+VALUES = ("nan", "inf", "-inf", "-1", "1e309", *LEGAL_VALUES)
+INDEX_FAULTS = ("empty", "repeated", "out-of-order", "zero", "past-M")
+LINE_FAULTS = ("drop", "repeat", "blank", "two-fields", "four-fields", "zero-M",
+               "float-n", "n+1", "M+1", "c=1", "huge", "not-utf8")
+FLAG_VALUES = ("0", "-1", "nan", "inf", "1e308", str(10**30), "")
+SWEEP_LISTS = ("", ",", "1,,2", "1,", "nan", "0", "-1", "1e308", str(10**30))
+cli_faults = st.one_of(
+    # every value of one record
+    st.tuples(st.just("value"), st.sampled_from(CORPORA), st.integers(0, 9),
+              st.sampled_from(VALUES)),
+    st.tuples(st.just("index"), st.sampled_from(CORPORA), st.integers(0, 9),
+              st.sampled_from(INDEX_FAULTS)),
+    # a record or the header (a byte that is not UTF-8 lands at position r)
+    st.tuples(st.just("line"), st.sampled_from(CORPORA), st.integers(0, 30),
+              st.sampled_from(LINE_FAULTS)),
+    st.tuples(st.just("flag"),
+              st.sampled_from(("--lambda", "--k1", "--k2", "--maxiter", "--seed",
+                               "--tol")),
+              st.sampled_from(FLAG_VALUES)),
+    st.tuples(st.just("flag"), st.sampled_from(("--sweep-lambda", "--sweep-k1")),
+              st.sampled_from(SWEEP_LISTS)),
+)
+# a problem on which --lambda 1e308 overflows in the first iteration
+BASE_PROBLEM = (4, [[(1, "1"), (2, "1")]] * 3, [[(1, "1"), (2, "1")]])
+
+
+def faulty_files(problem, fault) -> dict:
+    """The bytes of source.txt, target_1.txt and truth_1.txt after a fault
+    of a file, or with none."""
+    M, *corpora = problem
+    kind, at, r, what = fault or (None,) * 4
+    files = {}
+    for name, records in zip(CORPORA, corpora):
+        records = [list(entries) for entries in records]
+        header = [M, len(records), 2]
+        labels = [0 if name != "source.txt" else j % 2 + 1 for j in range(len(records))]
+        entries = records[r % len(records)] if kind in ("value", "index") else None
+        if at == name and kind == "value":
+            entries[:] = [(i, what) for i, _ in entries]
+        elif at == name and kind == "index":
+            if what == "repeated":
+                entries.append(entries[-1])
+            elif what == "out-of-order":
+                entries.reverse()
+            else:
+                entries[0] = ({"empty": "", "zero": 0, "past-M": M + 1}[what],
+                              entries[0][1])
+        lines = [f"{label} " + " ".join(f"{i}:{v}" for i, v in record)
+                 for label, record in zip(labels, records)]
+        if at == name and kind == "line":
+            if what == "drop":
+                lines.pop()
+            elif what in ("repeat", "blank"):
+                lines.insert(1, lines[0] if what == "repeat" else "")
+            elif what == "two-fields":
+                header = header[:2]
+            elif what == "four-fields":
+                header.append(1)
+            elif what == "huge":  # too large to allocate: 8e24 bytes
+                header[:2] = [10**12, 10**12]
+            elif what != "not-utf8":
+                index, value = {"zero-M": (0, 0), "float-n": (1, "1.5"),
+                                "n+1": (1, header[1] + 1), "M+1": (0, M + 1),
+                                "c=1": (2, 1)}[what]
+                header[index] = value
+        text = "\n".join([" ".join(map(str, header)), *lines, ""]).encode()
+        if at == name and what == "not-utf8":
+            text = text[:r % len(text)] + b"\xff" + text[r % len(text):]
+        files[name] = text
+    n_t = len(corpora[1])
+    files["truth_1.txt"] = "".join(f"{j % 2 + 1}\n" for j in range(n_t)).encode()
+    return files
+
+
+@settings(max_examples=60, deadline=None)
+@given(cli_problems(), cli_faults)
+@example(BASE_PROBLEM, ("flag", "--lambda", "1e308"))
+@example(BASE_PROBLEM, ("value", "source.txt", 0, "1e308"))  # 1 1:1e308 2:1e308
+@example(BASE_PROBLEM, ("flag", "--sweep-lambda", "1,,2"))
+def test_every_fault_ends_in_a_documented_exit(problem, fault):
+    # One fault in a small valid run of train, or of sweep for a sweep list,
+    # ends in a documented exit code. A failure prints one error: line that
+    # names the flag (argparse's refusals come after its usage lines), the
+    # file and line, or the iteration of a numeric failure, raises no
+    # warning and leaves no --out directory. --tol 1e308 stops every fit at
+    # its second iteration, so that a huge --maxiter ends too.
+    kind, at, *_ = fault
+    with tempfile.TemporaryDirectory() as tmp:
+        files = faulty_files(problem, None if kind == "flag" else fault)
+        for name, text in files.items():
+            with open(os.path.join(tmp, name), "wb") as fh:
+                fh.write(text)
+        paths = {name: os.path.join(tmp, name) for name in
+                 ("source.txt", "target_1.txt", "truth_1.txt", "out")}
+        flags = {"--k1": "1", "--k2": "2", "--maxiter": "2", "--tol": "1e308"}
+        command = "train"
+        if kind == "flag":
+            flags[at] = fault[2]
+            command = "sweep" if at.startswith("--sweep") else "train"
+        argv = [command, "--source", paths["source.txt"],
+                "--target", paths["target_1.txt"], "--truth", paths["truth_1.txt"],
+                "--out", paths["out"], *(x for pair in flags.items() for x in pair)]
+        err = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+            warnings.simplefilter("error")
+            try:
+                rc = cli.main(argv)
+            except SystemExit as exc:  # argparse refusing a flag value
+                rc = exc.code
+        assert rc in (0, 2, 3, 4)
+        lines = err.getvalue().splitlines()
+        if rc == 0:
+            assert lines == [] and os.path.isdir(paths["out"])
+            assert kind != "value" or fault[3] in LEGAL_VALUES
+            if command == "sweep":  # one row per listed value, none dropped
+                with open(os.path.join(paths["out"], "sweep.csv")) as fh:
+                    assert len(fh.readlines()) == 1 + len(fault[2].split(","))
+            return
+        assert not os.path.exists(paths["out"])
+        assert [line for line in lines if "error:" in line] == lines[-1:]
+        line = lines[-1]
+        assert len(lines) == 1 or line.startswith(f"mrtl {command}: error: argument ")
+        if rc == 4:
+            assert re.fullmatch(r"error: non-finite factor entries at iteration \d+",
+                                line)
+        elif kind == "flag":
+            assert rc == 2 and at.split("-")[-1] in line
+        else:
+            assert rc == 3 and re.search(r"line \d+", line)
+            assert any(paths[name] in line for name in CORPORA)

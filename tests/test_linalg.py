@@ -1,14 +1,17 @@
 """Matrix primitives against hand values and naive oracles, and the sparse
 corpus against scipy.sparse, bit for bit."""
 
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 import mrtl.linalg
-from mrtl.data import _column_reduce, normalize_input
+from mrtl.data import normalize_input
 from mrtl.linalg import (
     SparseCorpus,
+    _column_reduce,
     as_corpus,
     frobenius_sq,
     normalize_columns_l1,
@@ -145,7 +148,7 @@ def test_sparse_corpus_products_equal_scipys(S, chunk, monkeypatch):
     # a chunk of 5 pairs splits every row of entries across chunks
     monkeypatch.setattr(mrtl.linalg, "GRAM_CHUNK_PAIRS", chunk)
     X = as_corpus(S)
-    assert isinstance(X, SparseCorpus) and X.indices.dtype == S.indices.dtype
+    assert isinstance(X, SparseCorpus) and X.indices.dtype == np.intp
     M, n = S.shape
     rng = np.random.default_rng(M * n)
     for k in (1, 3):
@@ -205,3 +208,57 @@ def test_normalize_input_equals_scipys(S):
     assert isinstance(got, SparseCorpus)
     for field in ("data", "indices", "indptr"):
         assert np.array_equal(getattr(got, field), getattr(want, field)), field
+
+
+@pytest.mark.parametrize("data, indices, indptr", [
+    ([1.0, 2.0], [0, 1], [0, 2]),  # indptr one short
+    ([1.0, 2.0], [0, 1], [0, 1, 2, 2]),  # indptr one long
+    ([1.0, 2.0], [0, 7], [0, 1, 2]),  # an index past M
+    ([1.0, 2.0], [-1, 0], [0, 1, 2]),  # a negative index
+    ([1.0, 2.0, 3.0], [0, 1], [0, 1, 2]),  # data longer than indptr[-1]
+    ([1.0, 2.0], [0, 1, 2], [0, 1, 2]),  # indices longer than indptr[-1]
+    ([1.0, 2.0], [0, 1], [1, 1, 2]),  # indptr not starting at 0
+    ([1.0, 2.0], [0, 1], [0, 2, 1]),  # indptr decreasing
+    ([1.0, 2.0], [0.0, 1.0], [0, 1, 2]),  # float indices
+    ([1.0, 2.0], [0, 1], [0.0, 1.0, 2.0]),  # float indptr
+    ([[1.0, 2.0]], [[0, 1]], [0, 1, 2]),  # 2-d data and indices
+], ids=["indptr-short", "indptr-long", "index-past-M", "index-negative",
+        "data-long", "indices-long", "indptr-start", "indptr-falls",
+        "float-indices", "float-indptr", "2-d"])
+def test_sparse_corpus_refuses_arrays_of_another_shape(data, indices, indptr):
+    with pytest.raises(ValueError, match="of an 3 x 2 array"):
+        SparseCorpus(data, indices, indptr, (3, 2))
+
+
+def test_from_entries_refuses_entries_out_of_column_order():
+    with pytest.raises(ValueError, match="3 x 2 corpus must come column by column"):
+        SparseCorpus.from_entries([0, 1], [1, 0], [1.0, 2.0], (3, 2))
+    with pytest.raises(ValueError, match="of an 3 x 2 array"):  # a column past n
+        SparseCorpus.from_entries([0, 1], [0, 2], [1.0, 2.0], (3, 2))
+    X = SparseCorpus.from_entries([2, 0, 1], [0, 2, 2], [1.0, 2.0, 3.0], (3, 3))
+    assert np.array_equal(X.toarray(), [[0, 0, 2], [0, 0, 3], [1, 0, 0]])
+    assert X.indices.dtype == X.indptr.dtype == np.intp
+
+
+@pytest.mark.parametrize("product, shape, rows, seen", [
+    (lambda X, D: X @ D, (4, 1), 3, (4, 1)),
+    (lambda X, D: X @ D, (3,), 3, (3,)),
+    (lambda X, D: X.T @ D, (3, 2), 4, (3, 2)),
+    (lambda X, D: X.T @ D, (1, 4, 1), 4, (1, 4, 1)),
+    (lambda X, D: D @ X, (2, 3), 4, (3, 2)),  # taken as X.T @ D.T
+], ids=["X@D-rows", "X@D-1d", "XT@D-rows", "XT@D-3d", "D@X-columns"])
+def test_sparse_products_refuse_a_factor_of_another_shape(product, shape, rows, seen):
+    X = SparseCorpus([1.0, 2.0], [0, 2], [0, 1, 2, 2], (4, 3))
+    with pytest.raises(ValueError, match=re.escape(
+            f"takes a 2-d array of {rows} rows, got shape {seen}")):
+        product(X, np.ones(shape))
+
+
+@pytest.mark.parametrize("key", [
+    (slice(None), 1), (slice(0, 2), slice(None)), (slice(None), slice(0, 3, 2)),
+    (slice(None), [0, 1]), (0, slice(None)),
+])
+def test_sparse_corpus_takes_only_column_slices(key):
+    X = SparseCorpus([1.0, 2.0], [0, 2], [0, 1, 2, 2], (4, 3))
+    with pytest.raises(IndexError, match=r"only as X\[:, a:b\]"):
+        X[key]
