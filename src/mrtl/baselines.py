@@ -11,7 +11,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import InvalidConfigError, _is_int
+from .engine import (
+    InvalidConfigError,
+    _is_int,
+    check_count,
+    check_finite_nonnegative,
+)
 from .linalg import (
     EPSILON,
     SparseCorpus,
@@ -52,12 +57,8 @@ def nmf_fit(X, k: int, iters: int, seed: int, on_iteration=None) -> tuple:
     M, n = X.shape
     if not _is_int(k) or not 1 <= k <= min(M, n):
         raise InvalidConfigError(
-            f"k must be an integer in [1, min(M, n)] = [1, {min(M, n)}], got {k!r}"
-        )
-    if not _is_int(iters) or iters < 1:
-        raise InvalidConfigError(
-            f"iters must be an integer of at least 1, got {iters!r}"
-        )
+            f"k must be an integer in [1, min(M, n)] = [1, {min(M, n)}], got {k!r}")
+    check_count(iters, "iters")
     if not _is_int(seed) or seed < 0:
         raise InvalidConfigError(f"seed must be a nonnegative integer, got {seed!r}")
 
@@ -115,9 +116,10 @@ def logreg_train(X, Y, l2: float = 1e-3, steps: int = 500,
     """Fit c independent binary logistic regressions by full-batch descent.
 
     X is M x n with instances as columns, dense or sparse, and Y the
-    n x c one-hot label matrix. Weights start at zero (deterministic). The
-    loss is the mean per-instance cross entropy summed over classes plus
-    (l2 / 2) * ||W||^2 excluding the bias row. The step size starts at
+    n x c one-hot label matrix, of which an entry other than 0 or 1 is
+    refused. Weights start at zero (deterministic). The loss is the mean
+    per-instance cross entropy summed over classes plus (l2 / 2) * ||W||^2
+    excluding the bias row. The step size starts at
     LOGREG_STEP_SIZE. Whenever a step would increase the loss the step size
     is halved and the step retried, and the halved size is kept for later
     steps, so the loss sequence never increases; training stops early if
@@ -146,16 +148,13 @@ def logreg_train(X, Y, l2: float = 1e-3, steps: int = 500,
     if n < 1:
         raise InvalidConfigError("cannot train on an empty corpus")
     if Y.shape[0] != n:
-        raise InvalidConfigError(
-            f"Y has {Y.shape[0]} rows but X has {n} instances"
-        )
+        raise InvalidConfigError(f"Y has {Y.shape[0]} rows but X has {n} instances")
+    ones = Y == 1.0
+    if not np.all(ones | (Y == 0.0)):
+        raise InvalidConfigError("Y must hold only 0 and 1 entries")
     c = Y.shape[1]
-    if not 0 <= l2 < np.inf:
-        raise InvalidConfigError(f"l2 must be finite and nonnegative, got {l2}")
-    if not _is_int(steps) or steps < 1:
-        raise InvalidConfigError(
-            f"steps must be an integer of at least 1, got {steps!r}"
-        )
+    check_finite_nonnegative(l2, "l2")
+    check_count(steps, "steps")
 
     # a sparse corpus transposes to a view over the same arrays, no copy
     XT = X.T
@@ -168,7 +167,8 @@ def logreg_train(X, Y, l2: float = 1e-3, steps: int = 500,
         KA = K @ A: one forward pass."""
         probs = expit(KA + b)
         clipped = np.clip(probs, 1e-15, 1.0 - 1e-15)
-        nll = -(Y * np.log(clipped) + (1.0 - Y) * np.log(1.0 - clipped)).sum() / n
+        # one log per entry: of p where the label is 1, of 1 - p where it is 0
+        nll = -np.log(np.where(ones, clipped, 1.0 - clipped)).sum() / n
         # the bias is not penalized
         return nll + 0.5 * l2 * float(np.vdot(A, KA)), probs
 
@@ -217,9 +217,7 @@ def logreg_predict_proba(model: LogRegModel, X) -> np.ndarray:
         raise InvalidConfigError("X must be a 2-d matrix")
     M = model.weights.shape[0] - 1
     if X.shape[0] != M:
-        raise InvalidConfigError(
-            f"model expects {M} features, got {X.shape[0]}"
-        )
+        raise InvalidConfigError(f"model expects {M} features, got {X.shape[0]}")
     W = model.weights
     scores = expit(X.T @ W[:-1] + W[-1])
     scores = np.maximum(scores, 1e-300)  # keep rows strictly positive

@@ -2,9 +2,11 @@
 
 Exit codes: 0 success, 2 configuration error (bad flags, unreadable paths,
 invalid hyperparameters), 3 parse error in an input file, 4 numeric failure
-while fitting. Each command computes everything it writes before it writes
-anything; then every file goes to a temporary name and all are renamed into
-place, manifest.txt last. So a run writes all of its files or replaces none.
+while fitting. Every refusal, argparse's included, is one error: line that
+names the flag typed, the file and line, or the iteration. Each command
+computes everything it writes before it writes anything; then every file
+goes to a temporary name and all are renamed into place, manifest.txt last.
+So a run writes all of its files or replaces none.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import os
 import re
 import sys
 from dataclasses import fields
+from typing import get_type_hints
 
 import numpy as np
 
@@ -114,8 +117,7 @@ def _read_labels(path: str, c: int | None = None) -> np.ndarray:
             if label < 1 or (c is not None and label > c):
                 upper = "c" if c is None else c
                 raise CorpusFormatError(
-                    lineno, f"label {label} outside [1, {upper}] in {path}"
-                )
+                    lineno, f"label {label} outside [1, {upper}] in {path}")
             labels.append(label)
     if not labels:
         raise CorpusFormatError(1, f"no labels in {path}")
@@ -125,10 +127,15 @@ def _read_labels(path: str, c: int | None = None) -> np.ndarray:
 # parsed flags the manifest leaves out: the subcommand comes first on its own
 # line, and sweep writes its parsed sweep_axis and sweep_values instead
 _NOT_IN_MANIFEST = {"command", "func", "sweep_k1", "sweep_lambda"}
-# the dests whose flag is spelled otherwise (a setting's dest is its field's name)
+# the dests whose flag is spelled otherwise (a setting's dest is its field's
+# name); the flag is the key with "-" for "_"
 _MANIFEST_KEYS = {"lam": "lambda", "truths": "truth", "convergence_tol": "tol",
                   "M": "features", "c": "classes", "P": "num_targets",
                   "n_s": "n_source", "n_t": "n_target"}
+
+
+def _flag(dest: str) -> str:
+    return "--" + _MANIFEST_KEYS.get(dest, dest).replace("_", "-")
 
 
 def _manifest(args, **extra) -> str:
@@ -159,8 +166,7 @@ def _load_problem(args) -> tuple:
     _check_readable(paths)
     if args.truths and len(args.truths) != len(args.targets):
         raise InvalidConfigError(
-            f"{len(args.truths)} --truth files for {len(args.targets)} targets"
-        )
+            f"{len(args.truths)} --truth files for {len(args.targets)} targets")
 
     X_s, Y_s = load_corpus(args.source)
     if Y_s is None:
@@ -180,13 +186,11 @@ def _load_problem(args) -> tuple:
         if X_t.shape[0] != M:
             raise CorpusFormatError(
                 1, f"target {path} has {X_t.shape[0]} features but the source "
-                   f"has {M}"
-            )
+                   f"has {M}")
         if Y_t is not None and Y_t.shape[1] != c:
             raise CorpusFormatError(
                 1, f"labeled target {path} has {Y_t.shape[1]} classes but the "
-                   f"source has {c}"
-            )
+                   f"source has {c}")
         targets.append(normalize_input(compact_corpus(X_t)))
         n = X_t.shape[1]
         del X_t  # freed before the next file is parsed
@@ -195,8 +199,7 @@ def _load_problem(args) -> tuple:
             if truth[p].shape[0] != n:
                 raise InputMismatchError(
                     f"{truth[p].shape[0]} truth labels in {args.truths[p]} vs "
-                    f"{n} instances in {path}"
-                )
+                    f"{n} instances in {path}")
         elif Y_t is not None:
             truth.append(np.argmax(Y_t, axis=1) + 1)
         else:
@@ -207,8 +210,15 @@ def _load_problem(args) -> tuple:
 
 
 def _settings(cls, args, **given):
-    """A Hyperparams or SynthSpec from the flag of each field's name, or given."""
-    return cls(**{f.name: getattr(args, f.name) for f in fields(cls)} | given)
+    """A Hyperparams or SynthSpec from the flag of each field's name, or
+    given. The refusal of a field read from a flag spelled otherwise than
+    the field starts with that flag."""
+    try:
+        return cls(**{f.name: getattr(args, f.name) for f in fields(cls)} | given)
+    except InvalidConfigError as exc:
+        if exc.field in (None, *given) or _flag(exc.field) == "--" + exc.field:
+            raise
+        raise InvalidConfigError(f"{_flag(exc.field)}: {exc}", exc.field) from None
 
 
 def _accuracies(preds, truth) -> list:
@@ -269,8 +279,7 @@ def cmd_train(args) -> int:
                 raise InvalidConfigError(
                     f"--baseline nmf needs at least c = {data.c} instances and "
                     f"features per target, but target {path} has "
-                    f"{X_t.shape[1]} instances and {X_t.shape[0]} features"
-                )
+                    f"{X_t.shape[1]} instances and {X_t.shape[0]} features")
         preds = []
         per_target_err = []
         for X_t in data.targets:
@@ -326,8 +335,7 @@ def cmd_eval(args) -> int:
     if pred.shape[0] != true.shape[0]:
         raise InputMismatchError(
             f"{pred.shape[0]} predictions in {args.predictions} vs "
-            f"{true.shape[0]} truth labels in {args.truth}"
-        )
+            f"{true.shape[0]} truth labels in {args.truth}")
     print(f"{100.0 * accuracy(pred, true):.2f}")
     return EXIT_OK
 
@@ -342,11 +350,9 @@ def _parse_sweep_values(text: str, kind: str):
 
 
 def cmd_sweep(args) -> int:
-    if args.sweep_k1 is not None:
-        axis, field, values = "k1", "k1", _parse_sweep_values(args.sweep_k1, "k1")
-    else:
-        axis, field = "lambda", "lam"
-        values = _parse_sweep_values(args.sweep_lambda, "lambda")
+    field = "k1" if args.sweep_k1 is not None else "lam"
+    axis = _MANIFEST_KEYS.get(field, field)
+    values = _parse_sweep_values(getattr(args, "sweep_" + axis), axis)
     # every swept setting is built from its own value, and so checked, before
     # any corpus is read; the flag it replaces is never checked
     settings = []
@@ -354,12 +360,14 @@ def cmd_sweep(args) -> int:
         try:
             settings.append(_settings(Hyperparams, args, **{field: v}))
         except InvalidConfigError as exc:
-            raise InvalidConfigError(f"--sweep-{axis} value {v}: {exc}") from None
+            if exc.field != field:
+                raise
+            raise InvalidConfigError(
+                f"--sweep-{axis} value {v}: {exc}", field) from None
     data, truth = _load_problem(args)
     if truth is None:
         raise InvalidConfigError(
-            "sweep needs true target labels (labeled targets or --truth)"
-        )
+            "sweep needs true target labels (labeled targets or --truth)")
     _, v_init = _logreg_init(data)
     lines = ["value," + ",".join(f"acc_{p + 1}" for p in range(data.P)) + ",avg_acc"]
     for v, hp in zip(values, settings):
@@ -376,6 +384,26 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises InvalidConfigError where argparse would print usage and exit."""
+
+    def error(self, message):
+        raise InvalidConfigError(message)
+
+
+def _add_settings(p: argparse.ArgumentParser, cls, helps: dict, **options) -> None:
+    """Declare a flag for each field of cls that helps names, in helps'
+    order: dest the field, spelled by _flag, parsed by the field's type,
+    helped by its text. options maps an add_argument keyword (default,
+    metavar) to values by field; the default is otherwise the field's."""
+    types, defaults = get_type_hints(cls), {f.name: f.default for f in fields(cls)}
+    for name, text in helps.items():
+        kwargs = {key: given[name] for key, given in options.items() if name in given}
+        kwargs.setdefault("default", defaults[name])
+        p.add_argument(_flag(name), dest=name, type=types[name],
+                       help=text + " (default %(default)s)", **kwargs)
+
+
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--source", required=True, metavar="PATH",
                    help="labeled source corpus")
@@ -384,26 +412,20 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--truth", dest="truths", action="append", metavar="PATH",
                    help="true target labels, one integer per line "
                         "(repeat per target, evaluation only)")
-    p.add_argument("--lambda", dest="lam", type=float, default=Hyperparams.lam,
-                   help="weight of the shared-association term (default %(default)s)")
-    p.add_argument("--k1", type=int, default=Hyperparams.k1,
-                   help="common feature clusters (default %(default)s)")
-    p.add_argument("--k2", type=int, default=Hyperparams.k2,
-                   help="total feature clusters per pair (default %(default)s)")
-    p.add_argument("--maxiter", type=int, default=Hyperparams.maxiter,
-                   help="fitting iterations (default %(default)s)")
-    p.add_argument("--seed", type=int, default=Hyperparams.seed,
-                   help="random seed (default %(default)s)")
-    p.add_argument("--tol", dest="convergence_tol", metavar="TOL", type=float,
-                   default=Hyperparams.convergence_tol,
-                   help="early stop on relative objective change, 0 disables "
-                        "(default %(default)s)")
+    _add_settings(p, Hyperparams, {
+        "lam": "weight of the shared-association term",
+        "k1": "common feature clusters",
+        "k2": "total feature clusters per pair",
+        "maxiter": "fitting iterations",
+        "seed": "random seed",
+        "convergence_tol": "early stop on relative objective change, 0 disables",
+    }, metavar={"convergence_tol": "TOL"})
     p.add_argument("--out", required=True, metavar="DIR",
                    help="output directory")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mrtl",
         description="Transfer labels from one labeled source corpus to "
                     "multiple unlabeled target corpora by joint nonnegative "
@@ -419,28 +441,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.set_defaults(func=cmd_train)
 
     p_synth = sub.add_parser("synth", help="write a synthetic problem")
-    # SynthSpec has no defaults for the five sizes; these are the CLI's own
-    p_synth.add_argument("--features", dest="M", type=int, default=200,
-                         help="vocabulary size (default %(default)s)")
-    p_synth.add_argument("--classes", dest="c", type=int, default=2,
-                         help="number of classes (default %(default)s)")
-    p_synth.add_argument("--num-targets", dest="P", type=int, default=3,
-                         help="number of target corpora (default %(default)s)")
-    p_synth.add_argument("--n-source", dest="n_s", type=int, default=200,
-                         help="source instances (default %(default)s)")
-    p_synth.add_argument("--n-target", dest="n_t", type=int, default=150,
-                         help="instances per target (default %(default)s)")
-    p_synth.add_argument("--k1", type=int, default=SynthSpec.k1,
-                         help="true common clusters (default %(default)s)")
-    p_synth.add_argument("--k2", type=int, default=SynthSpec.k2,
-                         help="true total clusters (default %(default)s)")
-    p_synth.add_argument("--noise", type=float, default=SynthSpec.noise,
-                         help="relative noise level (default %(default)s)")
-    p_synth.add_argument("--domain-shift", type=float, default=SynthSpec.domain_shift,
-                         help="how far the specific clusters' class meaning rotates "
-                              "in the targets, in [0, 1] (default %(default)s)")
-    p_synth.add_argument("--seed", type=int, default=SynthSpec.seed,
-                         help="random seed (default %(default)s)")
+    _add_settings(p_synth, SynthSpec, {
+        "M": "vocabulary size",
+        "c": "number of classes",
+        "P": "number of target corpora",
+        "n_s": "source instances",
+        "n_t": "instances per target",
+        "k1": "true common clusters",
+        "k2": "true total clusters",
+        "noise": "relative noise level",
+        "domain_shift": "how far the specific clusters' class meaning rotates in "
+                        "the targets, in [0, 1]",
+        "seed": "random seed",
+    }, default={"M": 200, "c": 2, "P": 3, "n_s": 200, "n_t": 150})  # the CLI's own
     p_synth.add_argument("--out", required=True, metavar="DIR")
     p_synth.set_defaults(func=cmd_synth)
 
@@ -462,9 +475,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (CorpusFormatError, InputMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)

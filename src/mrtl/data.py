@@ -14,7 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import Hyperparams, InvalidConfigError, ProblemData, _is_int
+from .engine import (
+    Hyperparams,
+    InvalidConfigError,
+    ProblemData,
+    check_finite_nonnegative,
+    check_integers,
+)
 from .linalg import SparseCorpus, as_corpus, normalize_columns_l1
 
 # A loaded corpus with at most this share of nonzero entries is held as a
@@ -43,8 +49,7 @@ def _header_zeros(shape, what: str) -> np.ndarray:
         return np.zeros(shape)
     except (ValueError, MemoryError):  # numpy: too big, or no memory for it
         raise CorpusFormatError(
-            1, f"cannot allocate the {what} the header announces"
-        ) from None
+            1, f"cannot allocate the {what} the header announces") from None
 
 
 def parse_corpus(lines) -> tuple:
@@ -77,8 +82,7 @@ def parse_corpus(lines) -> tuple:
     parts = header.split()
     if len(parts) != 3:
         raise CorpusFormatError(
-            1, f"malformed header, expected 'M n c', got {header.strip()!r}"
-        )
+            1, f"malformed header, expected 'M n c', got {header.strip()!r}")
     try:
         M, n, c = (int(tok) for tok in parts)
     except ValueError:
@@ -87,8 +91,7 @@ def parse_corpus(lines) -> tuple:
         ) from None
     if M < 1 or n < 1 or c < 1:
         raise CorpusFormatError(
-            1, f"header values must be positive, got M={M} n={n} c={c}"
-        )
+            1, f"header values must be positive, got M={M} n={n} c={c}")
 
     X = _header_zeros((M, n), f"M={M} x n={n} matrix")
     labels = np.zeros(n, dtype=np.int64)
@@ -104,30 +107,23 @@ def parse_corpus(lines) -> tuple:
                 # tolerate trailing blank lines, reject blanks between records
                 for extra in it:
                     if extra.strip() != "":
-                        raise CorpusFormatError(
-                            lineno, "blank line between records"
-                        )
+                        raise CorpusFormatError(lineno, "blank line between records")
                     lineno += 1
                 break
             if count >= n:
                 raise CorpusFormatError(
-                    lineno, f"more than the {n} records announced in the header"
-                )
+                    lineno, f"more than the {n} records announced in the header")
             try:
                 label = int(parts[0])
             except ValueError:
                 raise CorpusFormatError(
-                    lineno, f"malformed label {parts[0]!r}"
-                ) from None
+                    lineno, f"malformed label {parts[0]!r}") from None
             if label < 0 or label > c:
-                raise CorpusFormatError(
-                    lineno, f"label {label} outside [0, {c}]"
-                )
+                raise CorpusFormatError(lineno, f"label {label} outside [0, {c}]")
             # the first record sets whether the file is labeled
             if count and (label == 0) != (labels[0] == 0):
                 raise CorpusFormatError(
-                    lineno, "mixed labeled and unlabeled records in one file"
-                )
+                    lineno, "mixed labeled and unlabeled records in one file")
             if len(parts) == 2:
                 queued.append((parts[1], lineno, count))
                 size += len(parts[1]) + 1
@@ -145,8 +141,7 @@ def parse_corpus(lines) -> tuple:
     _convert(X, queued)
     if count != n:
         raise CorpusFormatError(
-            lineno, f"header announced {n} records but the file has {count}"
-        )
+            lineno, f"header announced {n} records but the file has {count}")
 
     if labels[0] == 0:
         return X, None
@@ -165,23 +160,17 @@ def _entry(tok: str, M: int, prev: int, lineno: int) -> tuple:
         val = float(val_s)
     except ValueError:
         raise CorpusFormatError(
-            lineno, f"malformed entry {tok!r}, expected idx:val"
-        ) from None
+            lineno, f"malformed entry {tok!r}, expected idx:val") from None
     if idx < 1 or idx > M:
-        raise CorpusFormatError(
-            lineno, f"feature index {idx} outside [1, {M}]"
-        )
+        raise CorpusFormatError(lineno, f"feature index {idx} outside [1, {M}]")
     if idx <= prev:
         raise CorpusFormatError(
             lineno,
             f"feature indices must be strictly increasing, "
-            f"{idx} follows {prev}",
-        )
+            f"{idx} follows {prev}")
     if not 0.0 <= val < math.inf:
         kind = "negative" if math.isfinite(val) else "non-finite"
-        raise CorpusFormatError(
-            lineno, f"{kind} value {val_s} at feature {idx}"
-        )
+        raise CorpusFormatError(lineno, f"{kind} value {val_s} at feature {idx}")
     return idx, val
 
 
@@ -339,8 +328,7 @@ def serialize_corpus(X, c: int, labels=None) -> str:
         i, j = bad[0]
         raise InvalidConfigError(
             f"instance {i + 1} has value {float(X[j, i])} at feature {j + 1}; "
-            f"corpus values must be finite and nonnegative"
-        )
+            f"corpus values must be finite and nonnegative")
     if c < 1:
         raise InvalidConfigError(f"class count must be positive, got {c}")
     if labels is None:
@@ -348,9 +336,7 @@ def serialize_corpus(X, c: int, labels=None) -> str:
     else:
         labels = np.asarray(labels, dtype=np.int64).ravel()
         if labels.shape[0] != n:
-            raise InvalidConfigError(
-                f"{labels.shape[0]} labels for {n} instances"
-            )
+            raise InvalidConfigError(f"{labels.shape[0]} labels for {n} instances")
         if labels.min() < 1 or labels.max() > c:
             raise InvalidConfigError(f"labels must lie in [1, {c}]")
     out = [f"{M} {n} {c}"]
@@ -405,8 +391,7 @@ def accuracy(predicted, true_labels) -> float:
     t = np.asarray(true_labels).ravel()
     if p.shape[0] != t.shape[0]:
         raise ValueError(
-            f"length mismatch: {p.shape[0]} predictions vs {t.shape[0]} labels"
-        )
+            f"length mismatch: {p.shape[0]} predictions vs {t.shape[0]} labels")
     if p.shape[0] == 0:
         raise ValueError("cannot score empty label arrays")
     return float(np.mean(p == t))
@@ -439,32 +424,26 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("M", "c", "P", "n_s", "n_t"):
-            if not _is_int(getattr(self, name)):
-                raise InvalidConfigError(
-                    f"{name} must be an integer, got {getattr(self, name)!r}")
+        check_integers(self, "M", "c", "P", "n_s", "n_t")
         # k1, k2 and seed follow the solver's rules
         Hyperparams(k1=self.k1, k2=self.k2, seed=self.seed)
-        if self.M < 1 or self.n_s < 1 or self.n_t < 1:
-            raise InvalidConfigError(
-                f"M, n_s, n_t must be positive, got {self.M}, {self.n_s}, {self.n_t}"
-            )
+        for name in ("M", "n_s", "n_t"):
+            if getattr(self, name) < 1:
+                raise InvalidConfigError(
+                    f"M, n_s, n_t must be positive, got {self.M}, {self.n_s}, "
+                    f"{self.n_t}", name)
         if self.c < 2:
-            raise InvalidConfigError(f"need at least 2 classes, got {self.c}")
+            raise InvalidConfigError(f"need at least 2 classes, got {self.c}", "c")
         if self.P < 1:
-            raise InvalidConfigError(f"need at least 1 target, got {self.P}")
+            raise InvalidConfigError(f"need at least 1 target, got {self.P}", "P")
         if self.k2 > self.M:
             raise InvalidConfigError(
-                f"k2={self.k2} exceeds the number of features M={self.M}"
-            )
-        if not 0 <= self.noise < np.inf:
-            raise InvalidConfigError(
-                f"noise must be finite and nonnegative, got {self.noise}"
-            )
+                f"k2={self.k2} exceeds the number of features M={self.M}")
+        check_finite_nonnegative(self.noise, "noise")
         if not 0.0 <= self.domain_shift <= 1.0:
             raise InvalidConfigError(
-                f"domain_shift must lie in [0, 1], got {self.domain_shift}"
-            )
+                f"domain_shift must lie in [0, 1], got {self.domain_shift}",
+                "domain_shift")
 
 
 # fraction of every class signature carried by the common clusters. Near

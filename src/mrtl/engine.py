@@ -94,12 +94,39 @@ from .linalg import (
 
 
 class InvalidConfigError(ValueError):
-    """Hyperparameters or problem shapes that cannot be run."""
+    """Hyperparameters or problem shapes that cannot be run; field names the
+    one setting refused, when there is one."""
+
+    def __init__(self, message: str, field: str | None = None):
+        super().__init__(message)
+        self.field = field
 
 
 def _is_int(x) -> bool:
     """x is a Python or numpy integer, so it can count steps or columns."""
     return isinstance(x, (int, np.integer))
+
+
+def check_integers(settings, *names) -> None:
+    """Refuse the first named field of settings that is not an integer."""
+    for name in names:
+        if not _is_int(value := getattr(settings, name)):
+            raise InvalidConfigError(f"{name} must be an integer, got {value!r}", name)
+
+
+def check_finite_nonnegative(value, name: str, field: str | None = None) -> None:
+    """Refuse value, which the message calls name, unless 0 <= value < inf;
+    field is its setting when that is not name."""
+    if not 0 <= value < np.inf:
+        raise InvalidConfigError(
+            f"{name} must be finite and nonnegative, got {value}", field or name)
+
+
+def check_count(value, name: str) -> None:
+    """Refuse value unless it is an integer of at least 1."""
+    if not _is_int(value) or value < 1:
+        raise InvalidConfigError(
+            f"{name} must be an integer of at least 1, got {value!r}")
 
 
 class NumericalDivergenceError(RuntimeError):
@@ -131,29 +158,21 @@ class Hyperparams:
     convergence_tol: float = 0.0
 
     def __post_init__(self):
-        for name in ("k1", "k2", "maxiter", "seed"):
-            if not _is_int(getattr(self, name)):
-                raise InvalidConfigError(
-                    f"{name} must be an integer, got {getattr(self, name)!r}")
+        check_integers(self, "k1", "k2", "maxiter", "seed")
         if self.k1 < 1:
-            raise InvalidConfigError(f"k1 must be a positive integer, got {self.k1}")
+            raise InvalidConfigError(
+                f"k1 must be a positive integer, got {self.k1}", "k1")
         if self.k2 < self.k1:
             raise InvalidConfigError(
-                f"k1 must not exceed k2, got k1={self.k1}, k2={self.k2}"
-            )
-        if not 0 <= self.lam < np.inf:
-            raise InvalidConfigError(
-                f"lambda must be finite and nonnegative, got {self.lam}"
-            )
+                f"k1 must not exceed k2, got k1={self.k1}, k2={self.k2}", "k1")
+        check_finite_nonnegative(self.lam, "lambda", "lam")
         if self.maxiter < 1:
-            raise InvalidConfigError(f"maxiter must be at least 1, got {self.maxiter}")
-        if self.seed < 0:
-            raise InvalidConfigError(f"seed must be nonnegative, got {self.seed}")
-        if not 0 <= self.convergence_tol < np.inf:
             raise InvalidConfigError(
-                "convergence_tol must be finite and nonnegative, got "
-                f"{self.convergence_tol}"
-            )
+                f"maxiter must be at least 1, got {self.maxiter}", "maxiter")
+        if self.seed < 0:
+            raise InvalidConfigError(
+                f"seed must be nonnegative, got {self.seed}", "seed")
+        check_finite_nonnegative(self.convergence_tol, "convergence_tol")
 
 
 @dataclass(frozen=True)
@@ -193,18 +212,14 @@ class ProblemData:
             raise InvalidConfigError("the source corpus has no instances")
         if Y_s.shape[0] != X_s.shape[1]:
             raise InvalidConfigError(
-                f"Y_s has {Y_s.shape[0]} rows but X_s has {X_s.shape[1]} instances"
-            )
+                f"Y_s has {Y_s.shape[0]} rows but X_s has {X_s.shape[1]} instances")
         if Y_s.shape[1] < 2:
-            raise InvalidConfigError(
-                f"need at least 2 classes, got {Y_s.shape[1]}"
-            )
+            raise InvalidConfigError(f"need at least 2 classes, got {Y_s.shape[1]}")
         for p, t in enumerate(targets):
             if t.shape[0] != X_s.shape[0]:
                 raise InvalidConfigError(
                     f"target {p + 1} has {t.shape[0]} features but the source "
-                    f"has {X_s.shape[0]}"
-                )
+                    f"has {X_s.shape[0]}")
             if t.shape[1] < 1:
                 raise InvalidConfigError(f"target {p + 1} has no instances")
         if not np.all(stored_entries(X_s) >= 0):
@@ -367,19 +382,13 @@ def init_factors(data: ProblemData, hp: Hyperparams, v_init) -> tuple:
     """
     if hp.k2 > data.M:
         raise InvalidConfigError(
-            f"k2={hp.k2} exceeds the number of features M={data.M}"
-        )
+            f"k2={hp.k2} exceeds the number of features M={data.M}")
     if len(v_init) != data.P:
         raise InvalidConfigError(
-            f"v_init has {len(v_init)} matrices for {data.P} targets"
-        )
+            f"v_init has {len(v_init)} matrices for {data.P} targets")
     v_init = [np.asarray(v, dtype=np.float64) for v in v_init]
     for p, (v, t) in enumerate(zip(v_init, data.targets)):
-        want = (t.shape[1], data.c)
-        if v.shape != want:
-            raise InvalidConfigError(
-                f"v_init[{p}] has shape {v.shape}, expected {want}"
-            )
+        _check_shape(f"v_init[{p}]", v, (t.shape[1], data.c))
         if not np.all(v >= 0):
             raise InvalidConfigError(f"v_init[{p}] must be nonnegative")
 

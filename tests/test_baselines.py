@@ -166,6 +166,17 @@ def test_logreg_rejects_non_finite_or_out_of_range_settings(name, value):
         logreg_train(X, Y, **{name: value})
 
 
+@pytest.mark.parametrize("label", [0.5, 2.0, -1.0, np.nan])
+def test_logreg_rejects_a_label_entry_other_than_0_or_1(label):
+    # the loss takes log p where an entry is 1 and log(1 - p) where it is 0
+    rng = np.random.default_rng(10)
+    X = rng.random((5, 6))
+    Y = one_hot(rng.integers(1, 3, size=6), 2)
+    Y[2, 0] = label
+    with pytest.raises(InvalidConfigError, match="Y must hold only 0 and 1 entries"):
+        logreg_train(X, Y)
+
+
 @pytest.mark.parametrize("train, name", [
     (lambda X, Y: nmf_fit(X, k=2.5, iters=5, seed=0), "k"),
     (lambda X, Y: nmf_fit(X, k=2, iters=2.5, seed=0), "iters"),

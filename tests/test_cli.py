@@ -618,6 +618,13 @@ BAD_SETTINGS = [
     ("synth", ["--noise", "nan"], "noise must be finite and nonnegative, got nan"),
     ("synth", ["--noise", "inf"], "noise must be finite and nonnegative, got inf"),
     ("synth", ["--seed", "-1"], "seed must be nonnegative, got -1"),
+    # a flag spelled otherwise than its field is named as typed
+    ("train", ["--tol", "-1"],
+     "error: --tol: convergence_tol must be finite and nonnegative, got -1.0\n"),
+    ("synth", ["--domain-shift", "2"],
+     "error: --domain-shift: domain_shift must lie in [0, 1], got 2.0\n"),
+    ("synth", ["--n-target", "0"],
+     "error: --n-target: M, n_s, n_t must be positive, got 30, 20, 0\n"),
 ]
 
 
@@ -637,6 +644,56 @@ def test_non_finite_or_negative_setting_exits_2(tmp_path, capsys, command,
     err = capsys.readouterr().err
     assert shown in err and "Traceback" not in err
     assert not out.exists()
+
+
+def test_sweep_names_the_flag_of_a_setting_it_does_not_sweep(tmp_path, capsys):
+    # only a refused swept value is named by its sweep flag
+    src = synth(tmp_path / "data")
+    capsys.readouterr()
+    argv = sweep_args(src, tmp_path / "s", "--sweep-lambda", "1", ["--tol", "nan"])
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: --tol: convergence_tol must be finite and nonnegative, got nan\n")
+    assert not (tmp_path / "s").exists()
+
+
+# argparse's refusals, each with what its one line says; OUT stands for --out
+RUN = ["--source", "s.txt", "--target", "t.txt"]
+ARGPARSE_FAULTS = [
+    pytest.param(["train", *RUN, "--out", "OUT", "--k1", "nan"],
+                 "argument --k1: invalid int value: 'nan'", id="k1 nan"),
+    pytest.param(["train", *RUN, "--out", "OUT", "--seed", "1e308"],
+                 "argument --seed: invalid int value: '1e308'", id="seed 1e308"),
+    pytest.param(["train", *RUN, "--out", "OUT", "--lambda", ""],
+                 "argument --lambda: invalid float value: ''", id="empty lambda"),
+    pytest.param(["train", *RUN, "--out", "OUT", "--bogus"],
+                 "unrecognized arguments: --bogus", id="unknown flag"),
+    pytest.param(["train", *RUN],
+                 "the following arguments are required: --out", id="no out"),
+    pytest.param(["sweep", *RUN, "--out", "OUT", "--sweep-k1", "1",
+                  "--sweep-lambda", "1"],
+                 "argument --sweep-lambda: not allowed with argument --sweep-k1",
+                 id="both sweep axes"),
+    pytest.param([], "the following arguments are required: command",
+                 id="no subcommand"),
+]
+
+
+@pytest.mark.parametrize("argv, said", ARGPARSE_FAULTS)
+def test_argparse_refusal_is_one_error_line(tmp_path, capsys, argv, said):
+    out = tmp_path / "out"
+    assert cli.main([str(out) if a == "OUT" else a for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {said}\n"
+    assert not out.exists()
+
+
+def test_help_still_prints_to_stdout_and_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["train", "--help"])
+    assert exc.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: mrtl train ") and captured.err == ""
 
 
 def test_module_entry_point(tmp_path):
@@ -957,8 +1014,8 @@ def faulty_files(problem, fault) -> dict:
 @example(BASE_PROBLEM, ("flag", "--sweep-lambda", "1,,2"))
 def test_every_fault_ends_in_a_documented_exit(problem, fault):
     # One fault in a small valid run of train, or of sweep for a sweep list,
-    # ends in a documented exit code. A failure prints one error: line that
-    # names the flag (argparse's refusals come after its usage lines), the
+    # ends in a documented exit code. A failure prints one error: line, and
+    # nothing else, that names the flag (argparse's refusals included), the
     # file and line, or the iteration of a numeric failure, raises no
     # warning and leaves no --out directory. --tol 1e308 stops every fit at
     # its second iteration, so that a huge --maxiter ends too.
@@ -981,10 +1038,7 @@ def test_every_fault_ends_in_a_documented_exit(problem, fault):
         err = io.StringIO()
         with warnings.catch_warnings(), contextlib.redirect_stderr(err):
             warnings.simplefilter("error")
-            try:
-                rc = cli.main(argv)
-            except SystemExit as exc:  # argparse refusing a flag value
-                rc = exc.code
+            rc = cli.main(argv)
         assert rc in (0, 2, 3, 4)
         lines = err.getvalue().splitlines()
         if rc == 0:
@@ -995,9 +1049,8 @@ def test_every_fault_ends_in_a_documented_exit(problem, fault):
                     assert len(fh.readlines()) == 1 + len(fault[2].split(","))
             return
         assert not os.path.exists(paths["out"])
-        assert [line for line in lines if "error:" in line] == lines[-1:]
-        line = lines[-1]
-        assert len(lines) == 1 or line.startswith(f"mrtl {command}: error: argument ")
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        line = lines[0]
         if rc == 4:
             assert re.fullmatch(r"error: non-finite factor entries at iteration \d+",
                                 line)
