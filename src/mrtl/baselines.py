@@ -12,15 +12,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import (
+    Hyperparams,
     InvalidConfigError,
     _is_int,
+    check_corpus,
     check_count,
     check_finite_nonnegative,
 )
 from .linalg import (
     EPSILON,
     SparseCorpus,
-    as_corpus,
     frobenius_sq,
     residual_sq,
     stored_entries,
@@ -49,18 +50,13 @@ def nmf_fit(X, k: int, iters: int, seed: int, on_iteration=None) -> tuple:
     given, on_iteration(i, err) receives the squared error after iteration
     i, taken in factored form (see residual_sq).
     """
-    X = as_corpus(X)
-    if X.ndim != 2:
-        raise InvalidConfigError("X must be a 2-d matrix")
-    if not np.all(stored_entries(X) >= 0):
-        raise InvalidConfigError("X must be nonnegative")
+    X = check_corpus(X, "X")
     M, n = X.shape
     if not _is_int(k) or not 1 <= k <= min(M, n):
         raise InvalidConfigError(
             f"k must be an integer in [1, min(M, n)] = [1, {min(M, n)}], got {k!r}")
     check_count(iters, "iters")
-    if not _is_int(seed) or seed < 0:
-        raise InvalidConfigError(f"seed must be a nonnegative integer, got {seed!r}")
+    Hyperparams(seed=seed)  # the seed follows the solver's rule
 
     rng = np.random.default_rng(seed)
     W = 1.0 - rng.random((M, k))
@@ -140,10 +136,10 @@ def logreg_train(X, Y, l2: float = 1e-3, steps: int = 500,
     entries X stores; otherwise K @ R is taken as X^T (X @ R), so memory
     never grows with n^2.
     """
-    X = as_corpus(X)
+    X = check_corpus(X, "X")
     Y = np.asarray(Y, dtype=np.float64)
-    if X.ndim != 2 or Y.ndim != 2:
-        raise InvalidConfigError("X and Y must be 2-d matrices")
+    if Y.ndim != 2:
+        raise InvalidConfigError("Y must be a 2-d matrix")
     n = X.shape[1]
     if n < 1:
         raise InvalidConfigError("cannot train on an empty corpus")
@@ -212,9 +208,7 @@ def logreg_predict_proba(model: LogRegModel, X) -> np.ndarray:
     Per-class sigmoid scores normalized across classes; every entry is
     strictly positive and each row sums to 1.
     """
-    X = as_corpus(X)
-    if X.ndim != 2:
-        raise InvalidConfigError("X must be a 2-d matrix")
+    X = check_corpus(X, "X")
     M = model.weights.shape[0] - 1
     if X.shape[0] != M:
         raise InvalidConfigError(f"model expects {M} features, got {X.shape[0]}")

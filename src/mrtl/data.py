@@ -18,10 +18,12 @@ from .engine import (
     Hyperparams,
     InvalidConfigError,
     ProblemData,
+    check_clusters_fit,
+    check_corpus,
     check_finite_nonnegative,
     check_integers,
 )
-from .linalg import SparseCorpus, as_corpus, normalize_columns_l1
+from .linalg import SparseCorpus, normalize_columns_l1
 
 # A loaded corpus with at most this share of nonzero entries is held as a
 # linalg.SparseCorpus, and as a dense array otherwise. X @ W and X.T @ R,
@@ -316,19 +318,12 @@ def serialize_corpus(X, c: int, labels=None) -> str:
 
     labels is an iterable of 1-based integer labels, or None for an
     unlabeled file (every record gets label 0). Zero entries are omitted.
-    A negative or non-finite entry, which parse_corpus would reject, raises
-    InvalidConfigError naming its instance and feature.
+    X is a dense matrix; a negative or non-finite entry, which parse_corpus
+    would reject, raises InvalidConfigError naming its instance and feature
+    (check_corpus).
     """
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise InvalidConfigError("X must be a 2-d matrix")
+    X = check_corpus(X, "X")
     M, n = X.shape
-    bad = np.argwhere(~((X >= 0.0) & (X < np.inf)).T)
-    if bad.size:
-        i, j = bad[0]
-        raise InvalidConfigError(
-            f"instance {i + 1} has value {float(X[j, i])} at feature {j + 1}; "
-            f"corpus values must be finite and nonnegative")
     if c < 1:
         raise InvalidConfigError(f"class count must be positive, got {c}")
     if labels is None:
@@ -380,8 +375,10 @@ def normalize_input(X):
     features; an all-zero instance becomes uniform, and one whose sum passes
     the float64 range is divided by its largest value first. A sparse corpus
     (a SparseCorpus or a scipy sparse array) comes back as a SparseCorpus
-    with the same values as the dense result (SparseCorpus.normalized)."""
-    X = as_corpus(X)
+    with the same values as the dense result (SparseCorpus.normalized). X
+    must be a 2-d matrix of finite, nonnegative values; otherwise
+    InvalidConfigError names X and its first bad entry (check_corpus)."""
+    X = check_corpus(X, "X")
     return X.normalized() if isinstance(X, SparseCorpus) else normalize_columns_l1(X)
 
 
@@ -436,9 +433,7 @@ class SynthSpec:
             raise InvalidConfigError(f"need at least 2 classes, got {self.c}", "c")
         if self.P < 1:
             raise InvalidConfigError(f"need at least 1 target, got {self.P}", "P")
-        if self.k2 > self.M:
-            raise InvalidConfigError(
-                f"k2={self.k2} exceeds the number of features M={self.M}")
+        check_clusters_fit(self.k2, self.M)
         check_finite_nonnegative(self.noise, "noise")
         if not 0.0 <= self.domain_shift <= 1.0:
             raise InvalidConfigError(

@@ -84,12 +84,12 @@ import numpy.random  # numpy loads it on first use; every fit draws from it
 from .linalg import (
     as_corpus,
     blocks,
+    first_bad_entry,
     frobenius_sq,
     normalize_columns_l1,
     normalize_rows_l1,
     residual_sq,
     safe_ratio_sqrt,
-    stored_entries,
 )
 
 
@@ -127,6 +127,28 @@ def check_count(value, name: str) -> None:
     if not _is_int(value) or value < 1:
         raise InvalidConfigError(
             f"{name} must be an integer of at least 1, got {value!r}")
+
+
+def check_clusters_fit(k2: int, M: int) -> None:
+    """Refuse more feature clusters (k2) than features (M)."""
+    if k2 > M:
+        raise InvalidConfigError(f"k2={k2} exceeds the number of features M={M}")
+
+
+def check_corpus(X, name: str):
+    """X as linalg.as_corpus holds it, if it is a 2-d matrix of finite,
+    nonnegative values, the only input the multiplicative updates are
+    defined on; else InvalidConfigError naming name and any bad value."""
+    X = as_corpus(X)
+    if X.ndim != 2:
+        raise InvalidConfigError(f"{name} must be a 2-d matrix")
+    bad = first_bad_entry(X)
+    if bad is not None:
+        row, col, value = bad
+        raise InvalidConfigError(
+            f"{name}: instance {col + 1} has value {value} at feature {row + 1}; "
+            f"corpus values must be finite and nonnegative")
+    return X
 
 
 class NumericalDivergenceError(RuntimeError):
@@ -183,12 +205,12 @@ class ProblemData:
     of targets is an M x n_p matrix over the same M features; every corpus
     holds at least one instance. A corpus may be a dense array, a
     linalg.SparseCorpus or a scipy sparse array, which is held as a
-    SparseCorpus. All matrices must be nonnegative.
-    Callers normally pass column-normalized
-    corpora (each instance a distribution over features). sq_norms holds
-    ||X_s||^2 followed by each target's squared Frobenius norm, XY_s the
-    fixed M x c product X_s @ Y_s and YY_s the fixed c x c Gram matrix
-    Y_s^T Y_s.
+    SparseCorpus. A corpus that is not a 2-d matrix of finite, nonnegative
+    values is refused (check_corpus), naming X_s or target p and the first
+    bad entry. Callers normally pass column-normalized corpora (each
+    instance a distribution over features). sq_norms holds ||X_s||^2
+    followed by each target's squared Frobenius norm, XY_s the fixed M x c
+    product X_s @ Y_s and YY_s the fixed c x c Gram matrix Y_s^T Y_s.
     """
 
     X_s: np.ndarray
@@ -199,15 +221,14 @@ class ProblemData:
     YY_s: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        X_s = as_corpus(self.X_s)
+        X_s = check_corpus(self.X_s, "X_s")
         Y_s = np.asarray(self.Y_s, dtype=np.float64)
-        targets = tuple(as_corpus(t) for t in self.targets)
-        if X_s.ndim != 2 or Y_s.ndim != 2:
-            raise InvalidConfigError("X_s and Y_s must be 2-d matrices")
+        targets = tuple(check_corpus(t, f"target {p + 1}")
+                        for p, t in enumerate(self.targets))
+        if Y_s.ndim != 2:
+            raise InvalidConfigError("Y_s must be a 2-d matrix")
         if len(targets) < 1:
             raise InvalidConfigError("at least one target corpus is required")
-        if any(t.ndim != 2 for t in targets):
-            raise InvalidConfigError("every target must be a 2-d matrix")
         if X_s.shape[1] < 1:
             raise InvalidConfigError("the source corpus has no instances")
         if Y_s.shape[0] != X_s.shape[1]:
@@ -222,10 +243,6 @@ class ProblemData:
                     f"has {X_s.shape[0]}")
             if t.shape[1] < 1:
                 raise InvalidConfigError(f"target {p + 1} has no instances")
-        if not np.all(stored_entries(X_s) >= 0):
-            raise InvalidConfigError("X_s must be nonnegative")
-        if any(not np.all(stored_entries(t) >= 0) for t in targets):
-            raise InvalidConfigError("target matrices must be nonnegative")
         one_hot = np.all((Y_s == 0.0) | (Y_s == 1.0)) and np.all(Y_s.sum(axis=1) == 1.0)
         if not one_hot:
             raise InvalidConfigError("Y_s rows must be one-hot (a single 1, rest 0)")
@@ -380,17 +397,15 @@ def init_factors(data: ProblemData, hp: Hyperparams, v_init) -> tuple:
     shared), factors a fresh stack: the pairs' TargetFactors, in pair
     order, which run_iteration steps in place (see _Stack).
     """
-    if hp.k2 > data.M:
-        raise InvalidConfigError(
-            f"k2={hp.k2} exceeds the number of features M={data.M}")
+    check_clusters_fit(hp.k2, data.M)
     if len(v_init) != data.P:
         raise InvalidConfigError(
             f"v_init has {len(v_init)} matrices for {data.P} targets")
     v_init = [np.asarray(v, dtype=np.float64) for v in v_init]
     for p, (v, t) in enumerate(zip(v_init, data.targets)):
         _check_shape(f"v_init[{p}]", v, (t.shape[1], data.c))
-        if not np.all(v >= 0):
-            raise InvalidConfigError(f"v_init[{p}] must be nonnegative")
+        if first_bad_entry(v) is not None:
+            raise InvalidConfigError(f"v_init[{p}] must be finite and nonnegative")
 
     rng = np.random.default_rng(hp.seed)
     ks = hp.k2 - hp.k1

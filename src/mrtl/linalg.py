@@ -237,6 +237,21 @@ def stored_entries(a) -> np.ndarray:
     return a.data if isinstance(a, SparseCorpus) else a
 
 
+def first_bad_entry(a):
+    """(row, column, value) of the first entry of the 2-d array or sparse
+    corpus a, in column order (a sparse corpus's storage order), that is not
+    finite and nonnegative, or None. A good a costs a min and a max, and no
+    temporary of its size."""
+    values = stored_entries(a)
+    if values.min(initial=0.0) >= 0.0 and values.max(initial=0.0) < np.inf:
+        return None
+    e = int(np.argmax(~((values >= 0.0) & (values < np.inf)).ravel(order="F")))
+    if isinstance(a, SparseCorpus):
+        return int(a.indices[e]), int(a.columns[e]), float(values[e])
+    col, row = divmod(e, a.shape[0])
+    return row, col, float(a[row, col])
+
+
 def safe_ratio_sqrt(num, den) -> np.ndarray:
     """Elementwise sqrt(num / den) with the denominator floored at EPSILON.
 

@@ -61,10 +61,13 @@ def test_nmf_rejects_invalid_k():
         nmf_fit(X, k=5, iters=5, seed=0)
 
 
-@pytest.mark.parametrize("seed", [-1, 0.5])
-def test_nmf_rejects_bad_seed(seed):
-    with pytest.raises(InvalidConfigError,
-                       match=f"seed must be a nonnegative integer, got {seed}"):
+@pytest.mark.parametrize("seed, message", [
+    (-1, "seed must be nonnegative, got -1"),
+    (0.5, "seed must be an integer, got 0.5"),
+], ids=["-1", "0.5"])
+def test_nmf_rejects_bad_seed(seed, message):
+    # the solver's seed rule, which Hyperparams checks
+    with pytest.raises(InvalidConfigError, match=message):
         nmf_fit(np.ones((5, 6)), k=2, iters=5, seed=seed)
 
 

@@ -2,12 +2,14 @@
 
 import contextlib
 import io
+import json
 import os
 import re
 import subprocess
 import sys
 import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -750,6 +752,51 @@ def test_import_and_a_sparse_train_load_no_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "0 []"
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # The README quick-start, run once with the BLAS libraries at one thread
+    # and once at two, set before numpy loads. At M = n_s = 200 the logistic
+    # regression's Gram product is large enough for OpenBLAS to use two.
+    # Every path is relative, so the manifests must match too.
+    data = Path("data")
+    commands = [
+        ["synth", "--features", "200", "--classes", "2", "--num-targets", "2",
+         "--n-source", "200", "--n-target", "150", "--k1", "2", "--k2", "4",
+         "--noise", "0.5", "--domain-shift", "0.3", "--out", "data"],
+        train_args(data, "run"),
+        sweep_args(data, "sweep", "--sweep-lambda", "0.1,10"),
+        train_args(data, "logreg", ["--baseline", "logreg"]),
+        train_args(data, "nmf", ["--baseline", "nmf"]),
+        ["eval", "--predictions", "run/predictions_1.txt",
+         "--truth", "data/truth_1.txt"],
+    ]
+    code = ("import json, sys, mrtl.cli\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    assert mrtl.cli.main(argv) == 0, argv\n")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    runs = []
+    for threads in ("1", "2"):
+        cwd = tmp_path / f"threads_{threads}"
+        cwd.mkdir()
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env.update(dict.fromkeys(("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                                  "MKL_NUM_THREADS", "BLIS_NUM_THREADS",
+                                  "VECLIB_MAXIMUM_THREADS"), threads))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-c", code, json.dumps(commands)],
+            cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        files = {str(path.relative_to(cwd)): path.read_bytes()
+                 for path in cwd.rglob("*") if path.is_file()}
+        runs.append((proc.stdout, files))
+    (stdout_1, files_1), (stdout_2, files_2) = runs
+    assert sorted(files_1) == sorted(files_2)
+    assert len(files_1) == 23  # synth 6, train 5, sweep 2, each baseline 5
+    for name, text in files_1.items():
+        assert text == files_2[name], name
+    assert stdout_1 == stdout_2 != ""
 
 
 @pytest.mark.parametrize("axis, value, flag", [

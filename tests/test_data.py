@@ -6,6 +6,7 @@ import scipy.sparse as sp
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from mrtl.baselines import LogRegModel, logreg_predict_proba, logreg_train, nmf_fit
 from mrtl.data import (
     CorpusFormatError,
     SynthSpec,
@@ -15,7 +16,8 @@ from mrtl.data import (
     parse_corpus,
     serialize_corpus,
 )
-from mrtl.engine import InvalidConfigError
+from mrtl.engine import InvalidConfigError, ProblemData
+from mrtl.linalg import as_corpus
 
 
 def parse_text(text):
@@ -181,6 +183,50 @@ def test_serialize_rejects_values_the_parser_rejects(value, shown):
     with pytest.raises(InvalidConfigError) as err:
         serialize_corpus(X, 2)
     assert f"instance 2 has value {shown} at feature 3" in str(err.value)
+
+
+GOOD = np.ones((4, 3))
+GOOD_LABELS = np.eye(2)[[0, 1, 0]]
+# each entry point that takes a corpus, called on X, with the name its
+# refusal gives X, and whether it takes a SparseCorpus
+CORPUS_ENTRY_POINTS = {
+    "ProblemData-X_s": (
+        lambda X: ProblemData(X_s=X, Y_s=GOOD_LABELS, targets=(GOOD,)), "X_s", True),
+    "ProblemData-target": (
+        lambda X: ProblemData(X_s=GOOD, Y_s=GOOD_LABELS, targets=(GOOD, X)),
+        "target 2", True),
+    "normalize_input": (normalize_input, "X", True),
+    "logreg_train": (lambda X: logreg_train(X, GOOD_LABELS, steps=3), "X", True),
+    "logreg_predict_proba": (
+        lambda X: logreg_predict_proba(LogRegModel(np.zeros((5, 2))), X), "X", True),
+    "nmf_fit": (lambda X: nmf_fit(X, k=2, iters=3, seed=0), "X", True),
+    "serialize_corpus": (lambda X: serialize_corpus(X, 2), "X", False),
+}
+
+
+@pytest.mark.parametrize("entry, kind, value", [
+    (entry, kind, value) for entry, (_, _, sparse) in CORPUS_ENTRY_POINTS.items()
+    for kind in ("dense", "sparse")[:1 + sparse] for value in (np.inf, np.nan, -1.0)
+])
+def test_every_corpus_entry_point_names_the_first_bad_value(entry, kind, value):
+    # an inf or a NaN used to end in a numpy warning, a refusal as negative,
+    # a uniform column or NaN results, depending on the entry point
+    call, name, _ = CORPUS_ENTRY_POINTS[entry]
+    X = GOOD.copy()
+    X[2, 1] = value
+    X[3, 2] = -2.0  # a later bad entry in column order
+    with pytest.raises(InvalidConfigError) as err:
+        call(X if kind == "dense" else as_corpus(sp.csc_array(X)))
+    assert str(err.value) == (
+        f"{name}: instance 2 has value {value} at feature 3; corpus values must be "
+        f"finite and nonnegative")
+
+
+@pytest.mark.parametrize("entry", list(CORPUS_ENTRY_POINTS))
+def test_every_corpus_entry_point_refuses_a_1d_array(entry):
+    call, name, _ = CORPUS_ENTRY_POINTS[entry]
+    with pytest.raises(InvalidConfigError, match=f"^{name} must be a 2-d matrix$"):
+        call(np.ones(4))
 
 
 def test_serialize_rejects_bad_labels():

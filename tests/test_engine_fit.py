@@ -95,6 +95,17 @@ def test_init_factors_rejects_bad_v_init():
         init_factors(data, hp, negative)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_fit_refuses_a_non_finite_v_init_entry(value):
+    # a NaN used to be refused as negative, and an inf to end in a numpy
+    # warning from the row normalization
+    data, v_init = random_problem(np.random.default_rng(2))
+    v_init[1][0, 1] = value
+    with pytest.raises(InvalidConfigError,
+                       match=re.escape("v_init[1] must be finite and nonnegative")):
+        fit(data, Hyperparams(k1=2, k2=4), v_init)
+
+
 def test_fit_rejects_bad_hyperparams():
     rng = np.random.default_rng(3)
     data, v_init = random_problem(rng)
@@ -241,32 +252,29 @@ def test_problem_data_rejects_corpora_with_no_instances():
             replace(data, **changes)
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def diverging_problem():
+    """(data, hp, v_init): a finite problem whose shared term, weighted by
+    lam = 1e308, overflows in the first iteration, as `mrtl train --lambda
+    1e308` does."""
+    data, _ = generate_synthetic(SynthSpec(M=20, c=2, P=2, n_s=20, n_t=12, k1=2,
+                                           k2=4, noise=0.5, domain_shift=0.3))
+    v_init = [np.full((X_t.shape[1], 2), 0.5) for X_t in data.targets]
+    return data, Hyperparams(k1=2, k2=4, lam=1e308, maxiter=5), v_init
+
+
 def test_fit_raises_on_divergence_with_iteration():
-    data = ProblemData(
-        X_s=np.array([[np.inf, 1.0], [1.0, 1.0]]),
-        Y_s=one_hot([1, 2], 2),
-        targets=(np.full((2, 2), 0.5),),
-    )
-    v_init = [np.full((2, 2), 0.5)]
+    data, hp, v_init = diverging_problem()
     with pytest.raises(NumericalDivergenceError) as err:
-        fit(data, Hyperparams(k1=1, k2=2, maxiter=5), v_init)
+        fit(data, hp, v_init)
     assert err.value.iteration == 1
     assert "iteration 1" in str(err.value)
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered")
 def test_diverging_fit_never_calls_the_listener():
-    # the problem of test_fit_raises_on_divergence_with_iteration
-    data = ProblemData(
-        X_s=np.array([[np.inf, 1.0], [1.0, 1.0]]),
-        Y_s=one_hot([1, 2], 2),
-        targets=(np.full((2, 2), 0.5),),
-    )
+    data, hp, v_init = diverging_problem()
     calls, on_iteration = listener()
     with pytest.raises(NumericalDivergenceError):
-        fit(data, Hyperparams(k1=1, k2=2, maxiter=5), [np.full((2, 2), 0.5)],
-            on_iteration)
+        fit(data, hp, v_init, on_iteration)
     assert calls == []
 
 
