@@ -20,10 +20,10 @@ from .engine import (
     ProblemData,
     check_clusters_fit,
     check_corpus,
+    check_count,
     check_finite_nonnegative,
-    check_integers,
 )
-from .linalg import SparseCorpus, normalize_columns_l1
+from .linalg import RESIDUAL_BLOCK_BYTES, SparseCorpus, blocks, normalize_columns_l1
 
 # A loaded corpus with at most this share of nonzero entries is held as a
 # linalg.SparseCorpus, and as a dense array otherwise. X @ W and X.T @ R,
@@ -316,16 +316,16 @@ def _read_values(text: bytes, count: int):
 def serialize_corpus(X, c: int, labels=None) -> str:
     """Inverse of parse_corpus. Values keep 12 significant digits.
 
-    labels is an iterable of 1-based integer labels, or None for an
-    unlabeled file (every record gets label 0). Zero entries are omitted.
-    X is a dense matrix; a negative or non-finite entry, which parse_corpus
+    X is a dense matrix or a sparse corpus (see linalg.as_corpus), read a
+    block of columns at a time. labels is an iterable of 1-based integer
+    labels, or None for an unlabeled file (every record gets label 0). Zero
+    entries are omitted. A negative or non-finite entry, which parse_corpus
     would reject, raises InvalidConfigError naming its instance and feature
     (check_corpus).
     """
     X = check_corpus(X, "X")
     M, n = X.shape
-    if c < 1:
-        raise InvalidConfigError(f"class count must be positive, got {c}")
+    check_count(c, "c")
     if labels is None:
         labels = np.zeros(n, dtype=np.int64)
     else:
@@ -335,13 +335,14 @@ def serialize_corpus(X, c: int, labels=None) -> str:
         if labels.min() < 1 or labels.max() > c:
             raise InvalidConfigError(f"labels must lie in [1, {c}]")
     out = [f"{M} {n} {c}"]
-    for label, col in zip(labels.tolist(), X.T):
-        nz = np.flatnonzero(col)
-        # one format call per record: the label, then index and value pairs
-        fields = [label] * (2 * nz.size + 1)
-        fields[1::2] = (nz + 1).tolist()
-        fields[2::2] = col[nz].tolist()
-        out.append(("%d" + " %d:%.12g" * nz.size) % tuple(fields))
+    for cols in blocks(n, M, RESIDUAL_BLOCK_BYTES):
+        for label, col in zip(labels[cols].tolist(), X[:, cols].T):
+            nz = np.flatnonzero(col)
+            # one format call per record: the label, then index and value pairs
+            fields = [label] * (2 * nz.size + 1)
+            fields[1::2] = (nz + 1).tolist()
+            fields[2::2] = col[nz].tolist()
+            out.append(("%d" + " %d:%.12g" * nz.size) % tuple(fields))
     return "\n".join(out) + "\n"
 
 
@@ -404,9 +405,8 @@ class SynthSpec:
     whose meaning is domain-specific. domain_shift in [0, 1] sets how far
     the specific clusters' class allegiance rotates in the targets; at 0
     the targets are distributed exactly like the source. noise sets the
-    relative level of additive nonnegative noise. The counts must be
-    integers. The rules are checked when an instance is built,
-    dataclasses.replace included.
+    relative level of additive nonnegative noise. The rules are checked when
+    an instance is built, dataclasses.replace included.
     """
 
     M: int
@@ -421,18 +421,10 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
-        check_integers(self, "M", "c", "P", "n_s", "n_t")
+        for name, least in (("M", 1), ("c", 2), ("P", 1), ("n_s", 1), ("n_t", 1)):
+            check_count(getattr(self, name), name, least)
         # k1, k2 and seed follow the solver's rules
         Hyperparams(k1=self.k1, k2=self.k2, seed=self.seed)
-        for name in ("M", "n_s", "n_t"):
-            if getattr(self, name) < 1:
-                raise InvalidConfigError(
-                    f"M, n_s, n_t must be positive, got {self.M}, {self.n_s}, "
-                    f"{self.n_t}", name)
-        if self.c < 2:
-            raise InvalidConfigError(f"need at least 2 classes, got {self.c}", "c")
-        if self.P < 1:
-            raise InvalidConfigError(f"need at least 1 target, got {self.P}", "P")
         check_clusters_fit(self.k2, self.M)
         check_finite_nonnegative(self.noise, "noise")
         if not 0.0 <= self.domain_shift <= 1.0:

@@ -107,13 +107,6 @@ def _is_int(x) -> bool:
     return isinstance(x, (int, np.integer))
 
 
-def check_integers(settings, *names) -> None:
-    """Refuse the first named field of settings that is not an integer."""
-    for name in names:
-        if not _is_int(value := getattr(settings, name)):
-            raise InvalidConfigError(f"{name} must be an integer, got {value!r}", name)
-
-
 def check_finite_nonnegative(value, name: str, field: str | None = None) -> None:
     """Refuse value, which the message calls name, unless 0 <= value < inf;
     field is its setting when that is not name."""
@@ -122,11 +115,12 @@ def check_finite_nonnegative(value, name: str, field: str | None = None) -> None
             f"{name} must be finite and nonnegative, got {value}", field or name)
 
 
-def check_count(value, name: str) -> None:
-    """Refuse value unless it is an integer of at least 1."""
-    if not _is_int(value) or value < 1:
+def check_count(value, name: str, least: int = 1) -> None:
+    """Refuse value, the setting name, unless it is an integer of at least
+    least: the one rule for every count, class count and seed."""
+    if not _is_int(value) or value < least:
         raise InvalidConfigError(
-            f"{name} must be an integer of at least 1, got {value!r}")
+            f"{name} must be an integer of at least {least}, got {value!r}", name)
 
 
 def check_clusters_fit(k2: int, M: int) -> None:
@@ -166,10 +160,9 @@ class Hyperparams:
     k1 common and k2 total feature clusters per pair (k1 == k2 is allowed and
     leaves no domain-specific clusters), lam weights the shared-association
     term, and convergence_tol stops early on relative objective change when
-    positive; lam and convergence_tol must be finite, and the counts k1, k2,
-    maxiter and seed integers. The rules are checked when an instance is
-    built, dataclasses.replace included, so every Hyperparams in existence
-    is valid.
+    positive; lam and convergence_tol must be finite. The rules are checked
+    when an instance is built, dataclasses.replace included, so every
+    Hyperparams in existence is valid.
     """
 
     k1: int = 10
@@ -180,20 +173,12 @@ class Hyperparams:
     convergence_tol: float = 0.0
 
     def __post_init__(self):
-        check_integers(self, "k1", "k2", "maxiter", "seed")
-        if self.k1 < 1:
-            raise InvalidConfigError(
-                f"k1 must be a positive integer, got {self.k1}", "k1")
+        for name, least in (("k1", 1), ("k2", 1), ("maxiter", 1), ("seed", 0)):
+            check_count(getattr(self, name), name, least)
         if self.k2 < self.k1:
             raise InvalidConfigError(
                 f"k1 must not exceed k2, got k1={self.k1}, k2={self.k2}", "k1")
         check_finite_nonnegative(self.lam, "lambda", "lam")
-        if self.maxiter < 1:
-            raise InvalidConfigError(
-                f"maxiter must be at least 1, got {self.maxiter}", "maxiter")
-        if self.seed < 0:
-            raise InvalidConfigError(
-                f"seed must be nonnegative, got {self.seed}", "seed")
         check_finite_nonnegative(self.convergence_tol, "convergence_tol")
 
 

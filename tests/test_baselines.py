@@ -62,8 +62,8 @@ def test_nmf_rejects_invalid_k():
 
 
 @pytest.mark.parametrize("seed, message", [
-    (-1, "seed must be nonnegative, got -1"),
-    (0.5, "seed must be an integer, got 0.5"),
+    (-1, "seed must be an integer of at least 0, got -1"),
+    (0.5, "seed must be an integer of at least 0, got 0.5"),
 ], ids=["-1", "0.5"])
 def test_nmf_rejects_bad_seed(seed, message):
     # the solver's seed rule, which Hyperparams checks
@@ -182,15 +182,14 @@ def test_logreg_rejects_a_label_entry_other_than_0_or_1(label):
 
 @pytest.mark.parametrize("train, name", [
     (lambda X, Y: nmf_fit(X, k=2.5, iters=5, seed=0), "k"),
-    (lambda X, Y: nmf_fit(X, k=2, iters=2.5, seed=0), "iters"),
-    (lambda X, Y: logreg_train(X, Y, steps=2.5), "steps"),
-], ids=["nmf-k", "nmf-iters", "logreg-steps"])
+], ids=["nmf-k"])
 def test_non_integer_counts_are_rejected(train, name):
-    # these used to end in TypeError from numpy or range
+    # nmf's k is also bounded by the corpus, so it stays out of the one
+    # table of the integer rule in test_data
     rng = np.random.default_rng(10)
     X = rng.random((5, 6))
     Y = one_hot(rng.integers(1, 3, size=6), 2)
-    with pytest.raises(InvalidConfigError, match=f"{name} must be an integer.*2.5"):
+    with pytest.raises(InvalidConfigError, match=rf"^{name} must be an integer .*, got 2\.5$"):
         train(X, Y)
 
 

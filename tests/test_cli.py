@@ -612,21 +612,27 @@ BAD_SETTINGS = [
     ("train", ["--lambda", "inf"], "lambda must be finite and nonnegative, got inf"),
     ("train", ["--tol", "nan"],
      "convergence_tol must be finite and nonnegative, got nan"),
-    ("train", ["--seed", "-1"], "seed must be nonnegative, got -1"),
+    ("train", ["--seed", "-1"], "seed must be an integer of at least 0, got -1"),
     ("train", ["--baseline", "nmf", "--seed", "-1"],
-     "seed must be nonnegative, got -1"),
+     "seed must be an integer of at least 0, got -1"),
     ("sweep", ["--sweep-lambda", "1,nan"],
      "--sweep-lambda value nan: lambda must be finite and nonnegative"),
     ("synth", ["--noise", "nan"], "noise must be finite and nonnegative, got nan"),
     ("synth", ["--noise", "inf"], "noise must be finite and nonnegative, got inf"),
-    ("synth", ["--seed", "-1"], "seed must be nonnegative, got -1"),
+    ("synth", ["--seed", "-1"], "seed must be an integer of at least 0, got -1"),
     # a flag spelled otherwise than its field is named as typed
     ("train", ["--tol", "-1"],
      "error: --tol: convergence_tol must be finite and nonnegative, got -1.0\n"),
     ("synth", ["--domain-shift", "2"],
      "error: --domain-shift: domain_shift must lie in [0, 1], got 2.0\n"),
     ("synth", ["--n-target", "0"],
-     "error: --n-target: M, n_s, n_t must be positive, got 30, 20, 0\n"),
+     "error: --n-target: n_t must be an integer of at least 1, got 0\n"),
+    ("synth", ["--num-targets", "0"],
+     "error: --num-targets: P must be an integer of at least 1, got 0\n"),
+    ("synth", ["--classes", "1"],
+     "error: --classes: c must be an integer of at least 2, got 1\n"),
+    # a count is refused before the rule that compares it with another
+    ("train", ["--k2", "0"], "error: k2 must be an integer of at least 1, got 0\n"),
 ]
 
 

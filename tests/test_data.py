@@ -1,11 +1,14 @@
 """Corpus format, normalization, accuracy, synthetic generator."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
+import mrtl.data
 from mrtl.baselines import LogRegModel, logreg_predict_proba, logreg_train, nmf_fit
 from mrtl.data import (
     CorpusFormatError,
@@ -16,7 +19,7 @@ from mrtl.data import (
     parse_corpus,
     serialize_corpus,
 )
-from mrtl.engine import InvalidConfigError, ProblemData
+from mrtl.engine import Hyperparams, InvalidConfigError, ProblemData
 from mrtl.linalg import as_corpus
 
 
@@ -187,31 +190,31 @@ def test_serialize_rejects_values_the_parser_rejects(value, shown):
 
 GOOD = np.ones((4, 3))
 GOOD_LABELS = np.eye(2)[[0, 1, 0]]
-# each entry point that takes a corpus, called on X, with the name its
-# refusal gives X, and whether it takes a SparseCorpus
+# each entry point that takes a corpus, dense or sparse, called on X, with
+# the name its refusal gives X
 CORPUS_ENTRY_POINTS = {
     "ProblemData-X_s": (
-        lambda X: ProblemData(X_s=X, Y_s=GOOD_LABELS, targets=(GOOD,)), "X_s", True),
+        lambda X: ProblemData(X_s=X, Y_s=GOOD_LABELS, targets=(GOOD,)), "X_s"),
     "ProblemData-target": (
         lambda X: ProblemData(X_s=GOOD, Y_s=GOOD_LABELS, targets=(GOOD, X)),
-        "target 2", True),
-    "normalize_input": (normalize_input, "X", True),
-    "logreg_train": (lambda X: logreg_train(X, GOOD_LABELS, steps=3), "X", True),
+        "target 2"),
+    "normalize_input": (normalize_input, "X"),
+    "logreg_train": (lambda X: logreg_train(X, GOOD_LABELS, steps=3), "X"),
     "logreg_predict_proba": (
-        lambda X: logreg_predict_proba(LogRegModel(np.zeros((5, 2))), X), "X", True),
-    "nmf_fit": (lambda X: nmf_fit(X, k=2, iters=3, seed=0), "X", True),
-    "serialize_corpus": (lambda X: serialize_corpus(X, 2), "X", False),
+        lambda X: logreg_predict_proba(LogRegModel(np.zeros((5, 2))), X), "X"),
+    "nmf_fit": (lambda X: nmf_fit(X, k=2, iters=3, seed=0), "X"),
+    "serialize_corpus": (lambda X: serialize_corpus(X, 2), "X"),
 }
 
 
 @pytest.mark.parametrize("entry, kind, value", [
-    (entry, kind, value) for entry, (_, _, sparse) in CORPUS_ENTRY_POINTS.items()
-    for kind in ("dense", "sparse")[:1 + sparse] for value in (np.inf, np.nan, -1.0)
+    (entry, kind, value) for entry in CORPUS_ENTRY_POINTS
+    for kind in ("dense", "sparse") for value in (np.inf, np.nan, -1.0)
 ])
 def test_every_corpus_entry_point_names_the_first_bad_value(entry, kind, value):
     # an inf or a NaN used to end in a numpy warning, a refusal as negative,
     # a uniform column or NaN results, depending on the entry point
-    call, name, _ = CORPUS_ENTRY_POINTS[entry]
+    call, name = CORPUS_ENTRY_POINTS[entry]
     X = GOOD.copy()
     X[2, 1] = value
     X[3, 2] = -2.0  # a later bad entry in column order
@@ -224,9 +227,30 @@ def test_every_corpus_entry_point_names_the_first_bad_value(entry, kind, value):
 
 @pytest.mark.parametrize("entry", list(CORPUS_ENTRY_POINTS))
 def test_every_corpus_entry_point_refuses_a_1d_array(entry):
-    call, name, _ = CORPUS_ENTRY_POINTS[entry]
+    call, name = CORPUS_ENTRY_POINTS[entry]
     with pytest.raises(InvalidConfigError, match=f"^{name} must be a 2-d matrix$"):
         call(np.ones(4))
+
+
+def test_serialize_writes_a_sparse_corpus_as_its_dense_form(monkeypatch):
+    # a sparse corpus used to end in a TypeError; 64-column blocks (the
+    # least blocks() makes) read the 150 columns in three blocks
+    monkeypatch.setattr(mrtl.data, "RESIDUAL_BLOCK_BYTES", 1)
+    rng = np.random.default_rng(5)
+    X = rng.integers(1, 1000, size=(7, 150)) / 8.0  # exact in 12 digits
+    X[rng.random(X.shape) < 0.7] = 0.0
+    X[:, 70] = 0.0  # an empty instance
+    S = as_corpus(sp.csc_array(X))
+    labels = rng.integers(1, 4, size=150)
+    for given in (None, labels):
+        text = serialize_corpus(S, 3, labels=given)
+        assert text == serialize_corpus(S.toarray(), 3, labels=given)
+        X2, Y2 = parse_text(text)
+        assert np.array_equal(X2, S.toarray())
+        if given is None:
+            assert Y2 is None
+        else:
+            assert np.array_equal(np.argmax(Y2, axis=1) + 1, labels)
 
 
 def test_serialize_rejects_bad_labels():
@@ -356,14 +380,42 @@ def test_synthetic_rejects_invalid_spec():
         generate_synthetic(small_spec(k2=41))
 
 
-@pytest.mark.parametrize("name, value", [
-    ("M", 40.5), ("c", 2.5), ("P", 1.5), ("n_s", 6.5), ("n_t", 18.5),
-    ("k1", 2.5), ("k2", 8.5), ("seed", 1.5),
-])
-def test_synth_spec_rejects_non_integer_counts(name, value):
-    # unchecked, a float count reaches numpy or range and ends in a
-    # TypeError or IndexError inside generate_synthetic
-    with pytest.raises(InvalidConfigError,
-                       match=f"{name} must be an integer, got {value}"):
-        small_spec(**{name: value})
-    assert small_spec(**{name: np.int64(round(value))})
+# each owner of integer settings, called with one of them given
+INTEGER_OWNERS = {
+    "Hyperparams": Hyperparams,
+    "SynthSpec": small_spec,
+    "nmf_fit": lambda **kw: nmf_fit(GOOD, **({"k": 2, "iters": 3, "seed": 0} | kw)),
+    "logreg_train": lambda **kw: logreg_train(GOOD, GOOD_LABELS, **kw),
+    "serialize_corpus": lambda **kw: serialize_corpus(GOOD, **({"c": 2} | kw)),
+}
+# (owner, setting, least value) for every integer setting
+INTEGER_SETTINGS = [
+    *(("Hyperparams", name, least) for name, least in
+      [("k1", 1), ("k2", 1), ("maxiter", 1), ("seed", 0)]),
+    *(("SynthSpec", name, least) for name, least in
+      [("M", 1), ("c", 2), ("P", 1), ("n_s", 1), ("n_t", 1),
+       ("k1", 1), ("k2", 1), ("seed", 0)]),
+    ("nmf_fit", "iters", 1),
+    ("logreg_train", "steps", 1),
+    ("serialize_corpus", "c", 1),
+]
+INTEGER_CASES = [(*setting, value) for setting in INTEGER_SETTINGS
+                 for value in (setting[2] - 1, 2.5)]
+
+
+@pytest.mark.parametrize("owner, name, least, value", INTEGER_CASES,
+                         ids=[f"{o}-{n}-{v}" for o, n, _, v in INTEGER_CASES])
+def test_every_integer_setting_is_refused_in_one_wording(owner, name, least, value):
+    # the rule used to read in four wordings; an unchecked float count ended
+    # in a TypeError inside numpy or range
+    build = INTEGER_OWNERS[owner]
+    calls = [lambda: build(**{name: value})]
+    if owner in ("Hyperparams", "SynthSpec"):  # also as dataclasses.replace
+        calls.append(lambda: replace(build(), **{name: value}))
+        assert replace(build(), **{name: np.int64(getattr(build(), name))})
+    for call in calls:
+        with pytest.raises(InvalidConfigError) as err:
+            call()
+        assert str(err.value) == (
+            f"{name} must be an integer of at least {least}, got {value!r}")
+        assert err.value.field == name

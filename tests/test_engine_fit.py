@@ -117,20 +117,6 @@ def test_fit_rejects_bad_hyperparams():
         fit(data, Hyperparams(k1=2, k2=999), v_init)  # k2 > M
 
 
-@pytest.mark.parametrize("name, value", [
-    ("k1", 2.5), ("k2", 4.5), ("maxiter", 2.5), ("seed", 1.5),
-])
-def test_hyperparams_reject_non_integer_counts(name, value):
-    # unchecked, a float count reaches range or default_rng and ends in a
-    # TypeError inside fit
-    with pytest.raises(InvalidConfigError,
-                       match=f"{name} must be an integer, got {value}"):
-        Hyperparams(**{"k1": 2, "k2": 5, name: value})
-    with pytest.raises(InvalidConfigError, match=f"{name} must be an integer"):
-        replace(Hyperparams(k1=2, k2=5), **{name: value})
-    assert Hyperparams(**{"k1": 2, "k2": 5, name: np.int64(round(value))})
-
-
 def test_fit_allows_k1_equal_k2():
     rng = np.random.default_rng(4)
     data, v_init = random_problem(rng)

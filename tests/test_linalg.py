@@ -1,7 +1,9 @@
 """Matrix primitives against hand values and naive oracles, and the sparse
 corpus against scipy.sparse, bit for bit."""
 
+import ast
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -262,3 +264,17 @@ def test_sparse_corpus_takes_only_column_slices(key):
     X = SparseCorpus([1.0, 2.0], [0, 2], [0, 1, 2, 2], (4, 3))
     with pytest.raises(IndexError, match=r"only as X\[:, a:b\]"):
         X[key]
+
+
+def test_only_linalg_reads_the_sparse_format():
+    # SparseCorpus's arrays have one owner: a module that read them would
+    # have to change with the format
+    readers = [
+        f"{path.name}:{node.lineno} .{node.attr}"
+        for path in sorted(Path(mrtl.linalg.__file__).parent.glob("*.py"))
+        if path.name != "linalg.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute)
+        and node.attr in {"indptr", "indices", "columns"}
+    ]
+    assert readers == []
