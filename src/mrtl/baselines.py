@@ -12,12 +12,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import (
-    Hyperparams,
     InvalidConfigError,
-    _is_int,
     check_corpus,
     check_count,
     check_finite_nonnegative,
+    check_labels,
 )
 from .linalg import (
     EPSILON,
@@ -52,11 +51,12 @@ def nmf_fit(X, k: int, iters: int, seed: int, on_iteration=None) -> tuple:
     """
     X = check_corpus(X, "X")
     M, n = X.shape
-    if not _is_int(k) or not 1 <= k <= min(M, n):
+    check_count(k, "k")
+    if k > min(M, n):
         raise InvalidConfigError(
             f"k must be an integer in [1, min(M, n)] = [1, {min(M, n)}], got {k!r}")
     check_count(iters, "iters")
-    Hyperparams(seed=seed)  # the seed follows the solver's rule
+    check_count(seed, "seed", 0)
 
     rng = np.random.default_rng(seed)
     W = 1.0 - rng.random((M, k))
@@ -111,16 +111,15 @@ def logreg_train(X, Y, l2: float = 1e-3, steps: int = 500,
                  on_step=None) -> LogRegModel:
     """Fit c independent binary logistic regressions by full-batch descent.
 
-    X is M x n with instances as columns, dense or sparse, and Y the
-    n x c one-hot label matrix, of which an entry other than 0 or 1 is
-    refused. Weights start at zero (deterministic). The loss is the mean
-    per-instance cross entropy summed over classes plus (l2 / 2) * ||W||^2
-    excluding the bias row. The step size starts at
-    LOGREG_STEP_SIZE. Whenever a step would increase the loss the step size
-    is halved and the step retried, and the halved size is kept for later
-    steps, so the loss sequence never increases; training stops early if
-    the step size underflows.
-    on_step(i, loss) receives the loss after each accepted step.
+    X is M x n with instances as columns, dense or sparse (check_corpus),
+    and Y the n x c one-hot label matrix (check_labels). Weights start at
+    zero (deterministic). The loss is the mean per-instance cross entropy
+    summed over classes plus (l2 / 2) * ||W||^2 excluding the bias row. The
+    step size starts at LOGREG_STEP_SIZE. Whenever a step would increase the
+    loss the step size is halved and the step retried, and the halved size
+    is kept for later steps, so the loss sequence never increases; training
+    stops early if the step size underflows. on_step(i, loss) receives the
+    loss after each accepted step.
 
     The descent runs on dual coefficients. The weights start at zero and
     each step adds X times an n x c matrix, so W = X @ A for an n x c matrix
@@ -137,17 +136,9 @@ def logreg_train(X, Y, l2: float = 1e-3, steps: int = 500,
     never grows with n^2.
     """
     X = check_corpus(X, "X")
-    Y = np.asarray(Y, dtype=np.float64)
-    if Y.ndim != 2:
-        raise InvalidConfigError("Y must be a 2-d matrix")
     n = X.shape[1]
-    if n < 1:
-        raise InvalidConfigError("cannot train on an empty corpus")
-    if Y.shape[0] != n:
-        raise InvalidConfigError(f"Y has {Y.shape[0]} rows but X has {n} instances")
+    Y = check_labels(Y, n, "Y")
     ones = Y == 1.0
-    if not np.all(ones | (Y == 0.0)):
-        raise InvalidConfigError("Y must hold only 0 and 1 entries")
     c = Y.shape[1]
     check_finite_nonnegative(l2, "l2")
     check_count(steps, "steps")

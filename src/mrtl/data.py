@@ -317,11 +317,11 @@ def serialize_corpus(X, c: int, labels=None) -> str:
     """Inverse of parse_corpus. Values keep 12 significant digits.
 
     X is a dense matrix or a sparse corpus (see linalg.as_corpus), read a
-    block of columns at a time. labels is an iterable of 1-based integer
-    labels, or None for an unlabeled file (every record gets label 0). Zero
-    entries are omitted. A negative or non-finite entry, which parse_corpus
-    would reject, raises InvalidConfigError naming its instance and feature
-    (check_corpus).
+    block of columns at a time. labels is an iterable of n 1-based labels
+    of an integer dtype, or None for an unlabeled file (every record gets
+    label 0). Zero entries are omitted. A corpus parse_corpus would reject,
+    with no features, no instances or a negative or non-finite entry,
+    raises InvalidConfigError naming X and any bad entry (check_corpus).
     """
     X = check_corpus(X, "X")
     M, n = X.shape
@@ -329,9 +329,11 @@ def serialize_corpus(X, c: int, labels=None) -> str:
     if labels is None:
         labels = np.zeros(n, dtype=np.int64)
     else:
-        labels = np.asarray(labels, dtype=np.int64).ravel()
+        labels = np.asarray(labels).ravel()
         if labels.shape[0] != n:
             raise InvalidConfigError(f"{labels.shape[0]} labels for {n} instances")
+        if not np.issubdtype(labels.dtype, np.integer):
+            raise InvalidConfigError(f"labels must be integers, got {labels.dtype}")
         if labels.min() < 1 or labels.max() > c:
             raise InvalidConfigError(f"labels must lie in [1, {c}]")
     out = [f"{M} {n} {c}"]
@@ -377,8 +379,9 @@ def normalize_input(X):
     the float64 range is divided by its largest value first. A sparse corpus
     (a SparseCorpus or a scipy sparse array) comes back as a SparseCorpus
     with the same values as the dense result (SparseCorpus.normalized). X
-    must be a 2-d matrix of finite, nonnegative values; otherwise
-    InvalidConfigError names X and its first bad entry (check_corpus)."""
+    must be a 2-d matrix of finite, nonnegative values with at least one
+    feature and one instance; otherwise InvalidConfigError names X and any
+    bad entry (check_corpus)."""
     X = check_corpus(X, "X")
     return X.normalized() if isinstance(X, SparseCorpus) else normalize_columns_l1(X)
 

@@ -102,11 +102,6 @@ class InvalidConfigError(ValueError):
         self.field = field
 
 
-def _is_int(x) -> bool:
-    """x is a Python or numpy integer, so it can count steps or columns."""
-    return isinstance(x, (int, np.integer))
-
-
 def check_finite_nonnegative(value, name: str, field: str | None = None) -> None:
     """Refuse value, which the message calls name, unless 0 <= value < inf;
     field is its setting when that is not name."""
@@ -116,9 +111,9 @@ def check_finite_nonnegative(value, name: str, field: str | None = None) -> None
 
 
 def check_count(value, name: str, least: int = 1) -> None:
-    """Refuse value, the setting name, unless it is an integer of at least
-    least: the one rule for every count, class count and seed."""
-    if not _is_int(value) or value < least:
+    """Refuse value, the setting name, unless it is a Python or numpy integer
+    of at least least: the one rule for every count, class count and seed."""
+    if not isinstance(value, (int, np.integer)) or value < least:
         raise InvalidConfigError(
             f"{name} must be an integer of at least {least}, got {value!r}", name)
 
@@ -131,11 +126,15 @@ def check_clusters_fit(k2: int, M: int) -> None:
 
 def check_corpus(X, name: str):
     """X as linalg.as_corpus holds it, if it is a 2-d matrix of finite,
-    nonnegative values, the only input the multiplicative updates are
-    defined on; else InvalidConfigError naming name and any bad value."""
+    nonnegative values with at least one feature and one instance, the
+    only input the multiplicative updates are defined on; else
+    InvalidConfigError naming name and any bad value."""
     X = as_corpus(X)
     if X.ndim != 2:
         raise InvalidConfigError(f"{name} must be a 2-d matrix")
+    for size, what in zip(X.shape, ("features", "instances")):
+        if size < 1:
+            raise InvalidConfigError(f"{name} has no {what}")
     bad = first_bad_entry(X)
     if bad is not None:
         row, col, value = bad
@@ -143,6 +142,24 @@ def check_corpus(X, name: str):
             f"{name}: instance {col + 1} has value {value} at feature {row + 1}; "
             f"corpus values must be finite and nonnegative")
     return X
+
+
+def check_labels(Y, n: int, name: str) -> np.ndarray:
+    """Y as float64, if it is an n x c matrix whose rows are one-hot (a
+    single 1, rest 0): the fixed class assignment of n labeled instances;
+    else InvalidConfigError naming name and the first row that is not."""
+    Y = np.asarray(Y, dtype=np.float64)
+    if Y.ndim != 2:
+        raise InvalidConfigError(f"{name} must be a 2-d matrix")
+    if Y.shape[0] != n:
+        raise InvalidConfigError(f"{name} has {Y.shape[0]} rows for {n} instances")
+    ones = Y == 1.0
+    bad = np.flatnonzero(~(ones | (Y == 0.0)).all(axis=1) | (ones.sum(axis=1) != 1))
+    if bad.size:
+        raise InvalidConfigError(
+            f"{name}: instance {bad[0] + 1} has labels {Y[bad[0]].tolist()}; "
+            f"label rows must be one-hot (a single 1, rest 0)")
+    return Y
 
 
 class NumericalDivergenceError(RuntimeError):
@@ -186,12 +203,12 @@ class Hyperparams:
 class ProblemData:
     """A labeled source corpus plus P unlabeled target corpora.
 
-    X_s is M x n_s, Y_s is the n_s x c one-hot label matrix, and each entry
-    of targets is an M x n_p matrix over the same M features; every corpus
-    holds at least one instance. A corpus may be a dense array, a
-    linalg.SparseCorpus or a scipy sparse array, which is held as a
-    SparseCorpus. A corpus that is not a 2-d matrix of finite, nonnegative
-    values is refused (check_corpus), naming X_s or target p and the first
+    X_s is M x n_s, Y_s is the n_s x c one-hot label matrix (check_labels)
+    with c >= 2, and each entry of targets is an M x n_p matrix over the
+    same M features. A corpus may be a dense array, a linalg.SparseCorpus
+    or a scipy sparse array, held as a SparseCorpus. A corpus that is not a
+    2-d matrix of finite, nonnegative values with at least one feature and
+    one instance is refused (check_corpus), naming X_s or target p and any
     bad entry. Callers normally pass column-normalized corpora (each
     instance a distribution over features). sq_norms holds ||X_s||^2
     followed by each target's squared Frobenius norm, XY_s the fixed M x c
@@ -207,18 +224,11 @@ class ProblemData:
 
     def __post_init__(self):
         X_s = check_corpus(self.X_s, "X_s")
-        Y_s = np.asarray(self.Y_s, dtype=np.float64)
+        Y_s = check_labels(self.Y_s, X_s.shape[1], "Y_s")
         targets = tuple(check_corpus(t, f"target {p + 1}")
                         for p, t in enumerate(self.targets))
-        if Y_s.ndim != 2:
-            raise InvalidConfigError("Y_s must be a 2-d matrix")
         if len(targets) < 1:
             raise InvalidConfigError("at least one target corpus is required")
-        if X_s.shape[1] < 1:
-            raise InvalidConfigError("the source corpus has no instances")
-        if Y_s.shape[0] != X_s.shape[1]:
-            raise InvalidConfigError(
-                f"Y_s has {Y_s.shape[0]} rows but X_s has {X_s.shape[1]} instances")
         if Y_s.shape[1] < 2:
             raise InvalidConfigError(f"need at least 2 classes, got {Y_s.shape[1]}")
         for p, t in enumerate(targets):
@@ -226,11 +236,6 @@ class ProblemData:
                 raise InvalidConfigError(
                     f"target {p + 1} has {t.shape[0]} features but the source "
                     f"has {X_s.shape[0]}")
-            if t.shape[1] < 1:
-                raise InvalidConfigError(f"target {p + 1} has no instances")
-        one_hot = np.all((Y_s == 0.0) | (Y_s == 1.0)) and np.all(Y_s.sum(axis=1) == 1.0)
-        if not one_hot:
-            raise InvalidConfigError("Y_s rows must be one-hot (a single 1, rest 0)")
         object.__setattr__(self, "X_s", X_s)
         object.__setattr__(self, "Y_s", Y_s)
         object.__setattr__(self, "targets", targets)

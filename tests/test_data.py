@@ -152,12 +152,12 @@ def test_round_trip_unlabeled():
 
 @st.composite
 def corpora(draw):
-    """(X, c, labels): a nonnegative finite matrix with some all-zero
-    columns, and 1-based labels or None."""
-    M, n, c = draw(st.integers(1, 8)), draw(st.integers(1, 8)), draw(st.integers(1, 4))
+    """(X, c, labels): a nonnegative finite matrix, possibly with no rows or
+    no columns, with some all-zero columns, and 1-based labels or None."""
+    M, n, c = draw(st.integers(0, 8)), draw(st.integers(0, 8)), draw(st.integers(1, 4))
     values = st.one_of(st.just(0.0), st.floats(0.0, 1e12, allow_subnormal=False))
     X = draw(arrays(np.float64, (M, n), elements=values))
-    X[:, draw(st.lists(st.integers(0, n - 1), max_size=n))] = 0.0
+    X[:, draw(st.lists(st.integers(0, max(n - 1, 0)), max_size=n))] = 0.0
     labels = draw(st.none() | st.lists(st.integers(1, c), min_size=n, max_size=n))
     return X, c, labels
 
@@ -165,6 +165,11 @@ def corpora(draw):
 @given(corpora())
 def test_round_trip_property(corpus):
     X, c, labels = corpus
+    if X.size == 0:
+        # parse_corpus refuses a header with a zero size, so the writer must too
+        with pytest.raises(InvalidConfigError, match=r"^X has no (features|instances)$"):
+            serialize_corpus(X, c, labels=labels)
+        return
     X2, Y2 = parse_text(serialize_corpus(X, c, labels=labels))
     assert X2.shape == X.shape
     assert np.array_equal(X2 == 0.0, X == 0.0)
@@ -232,6 +237,56 @@ def test_every_corpus_entry_point_refuses_a_1d_array(entry):
         call(np.ones(4))
 
 
+@pytest.mark.parametrize("entry, kind, shape, missing", [
+    (entry, kind, shape, missing) for entry in CORPUS_ENTRY_POINTS
+    for kind in ("dense", "sparse")
+    for shape, missing in (((4, 0), "instances"), ((0, 3), "features"))
+])
+def test_every_corpus_entry_point_refuses_an_empty_corpus(entry, kind, shape, missing):
+    # an empty corpus used to end in a ZeroDivisionError (normalize_input), a
+    # header parse_corpus refuses (serialize_corpus) or a numpy error
+    call, name = CORPUS_ENTRY_POINTS[entry]
+    X = np.zeros(shape)
+    with pytest.raises(InvalidConfigError, match=f"^{name} has no {missing}$"):
+        call(X if kind == "dense" else as_corpus(sp.csc_array(X)))
+
+
+# each entry point that takes a one-hot label matrix for GOOD, called on Y,
+# with the name its refusal gives Y
+LABEL_ENTRY_POINTS = {
+    "ProblemData": (
+        lambda Y: ProblemData(X_s=GOOD, Y_s=Y, targets=(GOOD,)), "Y_s"),
+    "logreg_train": (lambda Y: logreg_train(GOOD, Y, steps=3), "Y"),
+}
+ONE_HOT = "; label rows must be one-hot (a single 1, rest 0)"
+# (case, labels, the refusal after the name); GOOD_LABELS is
+# [[1, 0], [0, 1], [1, 0]]
+LABEL_CASES = [
+    ("1-d", GOOD_LABELS[:, 0], " must be a 2-d matrix"),
+    ("row count", GOOD_LABELS[:2], " has 2 rows for 3 instances"),
+    ("0.5", np.array([[1, 0], [0.5, 1], [1, 0]]),
+     ": instance 2 has labels [0.5, 1.0]" + ONE_HOT),
+    ("nan", np.array([[1, 0], [0, 1], [1, np.nan]]),
+     ": instance 3 has labels [1.0, nan]" + ONE_HOT),
+    ("two 1s", np.array([[1, 0], [0, 1], [1, 1]]),
+     ": instance 3 has labels [1.0, 1.0]" + ONE_HOT),
+    ("zeros", np.array([[1, 0], [0, 0], [1, 0]]),
+     ": instance 2 has labels [0.0, 0.0]" + ONE_HOT),
+]
+
+
+@pytest.mark.parametrize("entry", list(LABEL_ENTRY_POINTS))
+@pytest.mark.parametrize("labels, refusal", [case[1:] for case in LABEL_CASES],
+                         ids=[case[0] for case in LABEL_CASES])
+def test_every_label_entry_point_refuses_a_matrix_that_is_not_one_hot(
+        entry, labels, refusal):
+    # logreg_train used to take a row with two 1s or none
+    call, name = LABEL_ENTRY_POINTS[entry]
+    with pytest.raises(InvalidConfigError) as err:
+        call(labels)
+    assert str(err.value) == name + refusal
+
+
 def test_serialize_writes_a_sparse_corpus_as_its_dense_form(monkeypatch):
     # a sparse corpus used to end in a TypeError; 64-column blocks (the
     # least blocks() makes) read the 150 columns in three blocks
@@ -259,6 +314,13 @@ def test_serialize_rejects_bad_labels():
         serialize_corpus(X, 2, labels=[1, 2])
     with pytest.raises(InvalidConfigError):
         serialize_corpus(X, 2, labels=[1, 2, 3])
+    # labels that are not integers used to be truncated (1.7 wrote 1, True
+    # wrote 1) or, for a NaN, end in a numpy error
+    for labels, dtype in (([1.7, 2.2], "float64"), ([True, True], "bool"),
+                          ([1.0, np.nan], "float64")):
+        with pytest.raises(InvalidConfigError,
+                           match=f"^labels must be integers, got {dtype}$"):
+            serialize_corpus(np.ones((2, 2)), 2, labels=labels)
 
 
 def test_normalize_input_hand_cases():
@@ -395,7 +457,9 @@ INTEGER_SETTINGS = [
     *(("SynthSpec", name, least) for name, least in
       [("M", 1), ("c", 2), ("P", 1), ("n_s", 1), ("n_t", 1),
        ("k1", 1), ("k2", 1), ("seed", 0)]),
+    ("nmf_fit", "k", 1),
     ("nmf_fit", "iters", 1),
+    ("nmf_fit", "seed", 0),
     ("logreg_train", "steps", 1),
     ("serialize_corpus", "c", 1),
 ]

@@ -231,7 +231,7 @@ def test_problem_data_rejects_corpora_with_no_instances():
     cases = [
         (dict(targets=(empty,)), "target 1 has no instances"),
         (dict(targets=(data.targets[0], empty)), "target 2 has no instances"),
-        (dict(X_s=empty, Y_s=np.zeros((0, 2))), "the source corpus has no instances"),
+        (dict(X_s=empty, Y_s=np.zeros((0, 2))), "X_s has no instances"),
     ]
     for changes, message in cases:
         with pytest.raises(InvalidConfigError, match=message):
