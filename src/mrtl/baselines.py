@@ -21,6 +21,7 @@ from .engine import (
 from .linalg import (
     EPSILON,
     SparseCorpus,
+    cross_and_gram,
     frobenius_sq,
     residual_sq,
     stored_entries,
@@ -67,7 +68,7 @@ def nmf_fit(X, k: int, iters: int, seed: int, on_iteration=None) -> tuple:
         XH, HH = X @ H.T, H @ H.T
         W *= XH / np.maximum(W @ HH, EPSILON)
         if on_iteration is not None:
-            on_iteration(i, residual_sq(X, xx, W, H.T, XH, HH))
+            on_iteration(i, residual_sq(X, xx, W, H.T, *cross_and_gram(W, XH, HH)))
     return W, H
 
 
@@ -75,11 +76,14 @@ def nmf_predict_labels(H) -> np.ndarray:
     """1-based labels from an encoding whose k rows are the c classes.
 
     Requires the factorization rank to equal the class count; each instance
-    (column) gets the argmax row, lowest index winning ties.
+    (column) gets the argmax row, lowest index winning ties. H must be a
+    2-d matrix with at least one row; otherwise InvalidConfigError.
     """
     H = np.asarray(H, dtype=np.float64)
     if H.ndim != 2:
         raise InvalidConfigError("H must be a 2-d matrix")
+    if H.shape[0] < 1:
+        raise InvalidConfigError("H has no rows; it needs one per class")
     return np.argmax(H, axis=0).astype(np.int64) + 1
 
 
@@ -197,13 +201,19 @@ def logreg_predict_proba(model: LogRegModel, X) -> np.ndarray:
     """Row-stochastic n x c class probabilities for the columns of X.
 
     Per-class sigmoid scores normalized across classes; every entry is
-    strictly positive and each row sums to 1.
+    strictly positive and each row sums to 1. model's weights must be an
+    (M + 1) x c matrix with M >= 1 and c >= 1, and X an M x n corpus
+    (check_corpus); otherwise InvalidConfigError names the shape.
     """
     X = check_corpus(X, "X")
-    M = model.weights.shape[0] - 1
+    W = np.asarray(model.weights)
+    if W.ndim != 2 or min(W.shape[0] - 1, W.shape[1]) < 1:
+        raise InvalidConfigError(
+            f"model weights have shape {W.shape}; they must be an (M + 1) x c "
+            f"matrix with M >= 1 and c >= 1")
+    M = W.shape[0] - 1
     if X.shape[0] != M:
         raise InvalidConfigError(f"model expects {M} features, got {X.shape[0]}")
-    W = model.weights
     scores = expit(X.T @ W[:-1] + W[-1])
     scores = np.maximum(scores, 1e-300)  # keep rows strictly positive
     return scores / scores.sum(axis=1, keepdims=True)

@@ -1,9 +1,10 @@
 """Command line: train on corpora, synthesize problems, score, sweep.
 
 Exit codes: 0 success, 2 configuration error (bad flags, unreadable paths,
-invalid hyperparameters), 3 parse error in an input file, 4 numeric failure
-while fitting. Every refusal, argparse's included, is one error: line that
-names the flag typed, the file and line, or the iteration. Each command
+invalid hyperparameters, a problem too large for memory), 3 parse error in
+an input file, 4 numeric failure while fitting. Every refusal, argparse's
+included, is one error: line that names the flag typed, the file and line,
+the iteration, or the array that could not be allocated. Each command
 computes everything it writes before it writes anything; then every file
 goes to a temporary name and all are renamed into place, manifest.txt last.
 So a run writes all of its files or replaces none.
@@ -32,7 +33,6 @@ from .data import (
     CorpusFormatError,
     SynthSpec,
     accuracy,
-    compact_corpus,
     generate_synthetic,
     load_corpus,
     normalize_input,
@@ -52,6 +52,10 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_PARSE = 3
 EXIT_NUMERIC = 4
+
+# how numpy refuses an array too large for its index type; one that memory
+# cannot hold it refuses with a MemoryError, which names the shape
+_TOO_LARGE = ("array is too big", "Maximum allowed dimension exceeded")
 
 
 class InputMismatchError(ValueError):
@@ -156,8 +160,8 @@ def _load_problem(args) -> tuple:
     """Read, validate and normalize all corpora; resolve truth labels.
 
     Each file is checked against the source as soon as it is read, and a
-    mismatch names it. Each corpus is held as compact_corpus stores it
-    (sparse when it is mostly zeros) from right after it is parsed, so at
+    mismatch names it. Each corpus comes from the parser as it is held
+    (sparse when it is mostly zeros), so a sparse one is never dense and at
     most one dense copy exists at a time. Returns (ProblemData, truth) where
     truth is one label array per target (from --truth files, or from labeled
     target corpora) or None when any target lacks labels.
@@ -178,7 +182,7 @@ def _load_problem(args) -> tuple:
     if c < 2:
         raise CorpusFormatError(
             1, f"source {args.source} has {c} class, need at least 2")
-    X_s = normalize_input(compact_corpus(X_s))
+    X_s = normalize_input(X_s)
     targets = []
     truth = []
     for p, path in enumerate(args.targets):
@@ -191,7 +195,7 @@ def _load_problem(args) -> tuple:
             raise CorpusFormatError(
                 1, f"labeled target {path} has {Y_t.shape[1]} classes but the "
                    f"source has {c}")
-        targets.append(normalize_input(compact_corpus(X_t)))
+        targets.append(normalize_input(X_t))
         n = X_t.shape[1]
         del X_t  # freed before the next file is parsed
         if args.truths:
@@ -486,6 +490,11 @@ def main(argv=None) -> int:
         return EXIT_NUMERIC
     except (InvalidConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except (MemoryError, ValueError) as exc:
+        if not isinstance(exc, MemoryError) and not str(exc).startswith(_TOO_LARGE):
+            raise
+        print(f"error: cannot allocate: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -44,37 +44,94 @@ class CorpusFormatError(ValueError):
         self.message = message
 
 
-def _header_zeros(shape, what: str) -> np.ndarray:
-    """np.zeros(shape) for an array whose size the header sets; one that
-    cannot be allocated is a fault of line 1."""
+def _header_zeros(shape, what: str, dtype=np.float64) -> np.ndarray:
+    """np.zeros(shape, dtype) for an array whose size the header sets; one
+    that cannot be allocated is a fault of line 1."""
     try:
-        return np.zeros(shape)
+        return np.zeros(shape, dtype)
     except (ValueError, MemoryError):  # numpy: too big, or no memory for it
         raise CorpusFormatError(
             1, f"cannot allocate the {what} the header announces") from None
 
 
+class _Held:
+    """The entries of a corpus being parsed, held the way the corpus will
+    be: as the (rows, columns, values) runs of each block, in CSC order,
+    while the nonzero values are at most SPARSE_MAX_DENSITY of the entries
+    of the records read so far, and past that in a dense M x n matrix,
+    allocated only then (a failed allocation is a fault of line 1)."""
+
+    def __init__(self, M: int, n: int):
+        self.shape = (M, n)
+        # an empty first run, so that a corpus of empty records joins runs too
+        self.runs = [(np.zeros(0, np.intp), np.zeros(0, np.intp), np.zeros(0))]
+        self.nonzero = 0
+        self.X = None
+
+    def add(self, rows, cols, values) -> None:
+        """Hold values[e] at (rows[e], cols[e]), entries of records that
+        follow those held, in CSC order."""
+        self.nonzero += np.count_nonzero(values)
+        if self.X is None:
+            self.runs.append((rows, cols, values))
+        else:
+            self.X[rows, cols] = values
+
+    def settle(self, records: int) -> None:
+        """Go dense if more than SPARSE_MAX_DENSITY of the M x records
+        entries of the records read so far are nonzero."""
+        M, n = self.shape
+        if self.X is None and self.nonzero > SPARSE_MAX_DENSITY * (M * records):
+            self.X = _header_zeros(self.shape, f"M={M} x n={n} matrix")
+            for rows, cols, values in self.runs:
+                self.X[rows, cols] = values
+            self.runs = None
+
+    def corpus(self):
+        """The corpus of all n records, as compact_corpus holds it: a
+        SparseCorpus of the nonzero entries, or the dense matrix."""
+        M, n = self.shape
+        self.settle(n)
+        if self.X is not None:
+            # a matrix that went dense on early records may end up sparse
+            dense = self.nonzero > SPARSE_MAX_DENSITY * (M * n)
+            return self.X if dense else compact_corpus(self.X)
+        rows, cols, values = (np.concatenate(run) for run in zip(*self.runs))
+        nonzero = values != 0  # an explicit 0 or -0 is not stored
+        if not nonzero.all():
+            rows, cols, values = rows[nonzero], cols[nonzero], values[nonzero]
+        return SparseCorpus.from_entries(rows, cols, values, self.shape)
+
+
 def parse_corpus(lines) -> tuple:
     """Parse the sparse corpus format from an iterable of lines.
 
-    Returns (X, Y): the dense M x n float matrix and the n x c one-hot label
-    matrix, or Y = None when the file is unlabeled (all labels 0). Tokens are
-    separated by whitespace as str.split() finds it; the header and the
-    labels are Python int literals, and each entry is ``idx:val`` with idx a
-    Python int literal and val a Python float literal, exactly what int()
-    and float() accept, so neither accepts the lone surrogate load_corpus
-    makes of a byte that is not UTF-8. Lines are read one at a time; their
-    entries are queued and converted in blocks of about BLOCK_BYTES, so the
-    text held at once is one block, not the file. A block takes one of two
-    routes: plain decimals in Clinger's fast path are read in numpy passes,
-    as exact int64 index and mantissa pairs, and any other block entry by
-    entry. Raises CorpusFormatError naming the first offending line in file
-    order (a queued entry's fault is raised in place of a later line's or of
-    an error lines raises) for a malformed header or one announcing
-    matrices too large to allocate, a malformed token, a feature index out
-    of [1, M], indices not strictly increasing, a negative or non-finite
-    value, a label outside [0, c], mixed labeled/unlabeled records, or a
-    record count unlike the header's n.
+    Returns (X, Y): the M x n corpus as compact_corpus holds it, a
+    linalg.SparseCorpus of its nonzero entries when at most
+    SPARSE_MAX_DENSITY of them are nonzero and a dense float array
+    otherwise, and the n x c one-hot label matrix, or Y = None when the file
+    is unlabeled (all labels 0). Tokens are separated by whitespace as
+    str.split() finds it; the header and the labels are Python int
+    literals, and each entry is ``idx:val`` with idx a Python int literal
+    and val a Python float literal, exactly what int() and float() accept,
+    so neither accepts the lone surrogate load_corpus makes of a byte that
+    is not UTF-8. Lines are read one at a time; their entries are queued and
+    converted in blocks of about BLOCK_BYTES, so the text held at once is
+    one block, not the file. A block takes one of two routes: plain decimals
+    in Clinger's fast path are read in numpy passes, as exact int64 index
+    and mantissa pairs, and any other block entry by entry. Either route
+    hands the block's entries, in CSC order, to one holder (_Held), which
+    keeps them as runs and scatters them into a dense M x n matrix only once
+    the records read so far are more than SPARSE_MAX_DENSITY nonzero, so a
+    sparse file never allocates its dense size. Raises CorpusFormatError
+    naming the first offending line in file order (a queued entry's fault is
+    raised in place of a later line's or of an error lines raises) for a
+    malformed header or one announcing arrays too large to allocate (the n
+    labels, the n x c label matrix, or the dense M x n matrix when the
+    entries need it), a malformed token, a feature index out of [1, M],
+    indices not strictly increasing, a negative or non-finite value, a label
+    outside [0, c], mixed labeled/unlabeled records, or a record count
+    unlike the header's n.
     """
     it = iter(lines)
     try:
@@ -95,9 +152,9 @@ def parse_corpus(lines) -> tuple:
         raise CorpusFormatError(
             1, f"header values must be positive, got M={M} n={n} c={c}")
 
-    X = _header_zeros((M, n), f"M={M} x n={n} matrix")
-    labels = np.zeros(n, dtype=np.int64)
-    # (entries text, line, column) of each record not yet in X, and their size
+    held = _Held(M, n)
+    labels = _header_zeros(n, f"n={n} label vector", np.int64)
+    # (entries text, line, column) of each record not yet held, and their size
     queued, size = [], 0
     count = 0
     lineno = 1
@@ -132,19 +189,21 @@ def parse_corpus(lines) -> tuple:
                 if size >= BLOCK_BYTES:
                     # emptied first, so a fault it raises is not met again below
                     block, queued, size = queued, [], 0
-                    _convert(X, block)
+                    _convert(held, block)
+                    held.settle(count + 1)
             labels[count] = label
             count += 1
     except Exception:
         # the queued entries come from earlier lines: a fault among them comes
         # first in the file, before a later line's fault or read error
-        _convert(X, queued)
+        _convert(held, queued)
         raise
-    _convert(X, queued)
+    _convert(held, queued)
     if count != n:
         raise CorpusFormatError(
             lineno, f"header announced {n} records but the file has {count}")
 
+    X = held.corpus()
     if labels[0] == 0:
         return X, None
     Y = _header_zeros((n, c), f"n={n} x c={c} label matrix")
@@ -176,11 +235,11 @@ def _entry(tok: str, M: int, prev: int, lineno: int) -> tuple:
     return idx, val
 
 
-# Record entries are converted into X in blocks of at least this many
-# characters (a block ends with the record that reaches it), which are bytes
-# in every block the numpy passes read. At 256 KiB those passes cost far more
-# than setting them up, and the text and the per-byte and per-event arrays of
-# one block stay small beside a dense corpus.
+# Record entries are converted in blocks of at least this many characters
+# (a block ends with the record that reaches it), which are bytes in every
+# block the numpy passes read. At 256 KiB those passes cost far more than
+# setting them up, and the text and the per-byte and per-event arrays of one
+# block stay small beside a dense corpus.
 BLOCK_BYTES = 256 * 1024
 
 # The kind of each byte of a block: 0 for a digit, and for any other byte
@@ -219,31 +278,34 @@ _PLAIN = _grammar({"  ": "0", " :": "1", ": ": "1", ":e": "1", ":.": "01",
 _POW10 = np.array([float(10**q) for q in range(23)])
 
 
-def _convert(X, queued) -> None:
-    """Write the entries of the queued (entries text, line, column) records
-    into X, or raise the CorpusFormatError of the first faulty one."""
+def _convert(held: _Held, queued) -> None:
+    """Hand the entries of the queued (entries text, line, column) records
+    to held, or raise the CorpusFormatError of the first faulty one."""
     if not queued:
         return
     texts, _, cols = zip(*queued)
     # every record, the last too, ends in "\n"
     data = "\n".join([*texts, ""]).encode("utf-8", "surrogatepass")
     sizes = np.array([len(text) + 1 for text in texts])
-    if _convert_block(X, data, np.cumsum(sizes) - sizes, np.array(cols)):
+    if _convert_block(held, data, np.cumsum(sizes) - sizes, np.array(cols)):
         return
     # the scalar rule in file order raises at the first faulty entry, or
     # else converts every one
-    M = X.shape[0]
+    M = held.shape[0]
+    entries = []  # (row, column, value) of each entry
     for text, lineno, col in queued:
         prev = 0
         for tok in text.split():
             idx, val = _entry(tok, M, prev, lineno)
-            X[idx - 1, col] = val
+            entries.append((idx - 1, col, val))
             prev = idx
+    rows, cols, values = zip(*entries)
+    held.add(np.array(rows, np.intp), np.array(cols, np.intp), np.array(values))
 
 
-def _convert_block(X, data: bytes, starts, cols) -> bool:
-    """Write the entries of a block into X in numpy passes over its bytes
-    and return True, or write nothing and return False.
+def _convert_block(held: _Held, data: bytes, starts, cols) -> bool:
+    """Hand the entries of a block to held, read in numpy passes over its
+    bytes, and return True, or hand over nothing and return False.
 
     data holds the records' entries, each record ending in "\n"; record r
     starts at byte starts[r] and goes to column cols[r]. Each byte but a
@@ -253,7 +315,7 @@ def _convert_block(X, data: bytes, starts, cols) -> bool:
     is read by _exact_entries; any other token, or a failed read or check,
     leaves the block to _entry.
     """
-    M = X.shape[0]
+    M = held.shape[0]
     kind = np.frombuffer(data.translate(_KINDS), dtype=np.uint8)
     at = np.flatnonzero(kind != 0)
     kind, at = kind[at], at.astype(np.int32)
@@ -272,7 +334,7 @@ def _convert_block(X, data: bytes, starts, cols) -> bool:
     prev = np.concatenate(([0], np.where(rec[1:] == rec[:-1], idx[:-1], 0)))
     if np.any((idx <= prev) | (idx > M) | ~((val >= 0.0) & (val < np.inf))):
         return False
-    X[idx - 1, cols[rec]] = val
+    held.add(idx - 1, cols[rec], val)
     return True
 
 
@@ -349,9 +411,10 @@ def serialize_corpus(X, c: int, labels=None) -> str:
 
 
 def load_corpus(path) -> tuple:
-    """parse_corpus over the lines of a UTF-8 text file; a byte that is not
-    UTF-8 reads as a lone surrogate, which the format refuses. A format
-    error names the file after its line, as a label file's does."""
+    """parse_corpus over the lines of a UTF-8 text file, so X comes back as
+    it is held, sparse or dense; a byte that is not UTF-8 reads as a lone
+    surrogate, which the format refuses. A format error names the file after
+    its line, as a label file's does."""
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         try:
             return parse_corpus(fh)
@@ -360,11 +423,12 @@ def load_corpus(path) -> tuple:
 
 
 def compact_corpus(X):
-    """A parsed M x n corpus as it is held from then on: a SparseCorpus when
-    at most SPARSE_MAX_DENSITY of its entries are nonzero, X itself
-    otherwise. One byte mask of the nonzero entries gives their count and
-    their positions in column-major order, CSC's order, so the values are
-    those of scipy's csc_array(X) to the bit, in the same order."""
+    """A dense M x n corpus as mrtl holds one: a SparseCorpus when at most
+    SPARSE_MAX_DENSITY of its entries are nonzero, X itself otherwise; the
+    rule parse_corpus applies as it reads. One byte mask of the nonzero
+    entries gives their count and their positions in column-major order,
+    CSC's order, so the values are those of scipy's csc_array(X) to the
+    bit, in the same order."""
     X = np.asarray(X, dtype=np.float64)
     nonzero = X != 0
     if np.count_nonzero(nonzero) > SPARSE_MAX_DENSITY * X.size:

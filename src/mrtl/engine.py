@@ -48,23 +48,30 @@ another pair's factors within a sweep, so each step takes all P pairs at
 once on one stack (_Stack) of (P, rows, cols) blocks, with X_t V and V^T V
 stacked as (P, M, c) and (P, c, c): one batched matmul pass per term, the
 new block written into the stack in place. _terms reads only the stack. Of
-V's step it forms the association products of every pair at once, R =
-B_t + lam B_g and H = B_t^T B_t + lam B_g^T B_g; only X_t^T R and V H, whose
-n_p differs between targets, are taken per target. A U block's rows are
-independent: row i of its num and den reads row i of the M x c products
-(XV, XY, B_t, B_g, B_s) alone, so _pair_step takes a U step one block of
-rows (ROW_BLOCK_BYTES of the stacked U) at a time, and its temporaries stay
-in cache. XV and G change only with V; the stack rebuilds them right after
-V is normalized. run_iteration calls the public update_* steps by their
-module names, once per sweep each, then the L1 normalization (cluster
-matrices by column, V by row), then the shared step. fit draws its factors
-straight into its own stack, so beyond the P pairs a step holds its M x c
-products and one row block's arrays.
+V's step it forms, for every pair at once, R = B_t + lam B_g and
+H = B_t^T B_t + lam B_g^T B_g; only X_t^T R and V H, whose n_p differs
+between targets, are taken per target. A U block's rows are independent:
+row i of its num and den reads row i of the M x c products (XV, XY, B_t,
+B_g, B_s) alone, so _pair_step takes a U step one block of rows
+(ROW_BLOCK_BYTES of the stacked U) at a time, and its temporaries stay in
+cache. XV and G change only with V; the stack rebuilds them right after V
+is normalized. The stack likewise carries the five association products
+U_c Theta_c, U_t Theta_t, U_s Theta_s, U_c Theta^g_c and U_t Theta^g_s
+(P x M x c each). The step that changes a U or Theta block forms again, in
+place, exactly the products that block enters, so a sweep forms 15 of
+them; the steps and the objective add them up (B_t = U_c Theta_c +
+U_t Theta_t and so on, in the order of the table). run_iteration calls the
+public update_* steps by their module names, once per sweep each, then
+the L1 normalization (cluster matrices by column, V by row), then the
+shared step. fit draws its factors straight into its own stack, so beyond
+the P pairs and their carried products a step holds its M x c sums and
+one row block's arrays.
 
 The objective is factored the same way: a term is
 w * (||X||^2 - 2 <X W, B> + <B^T B, W^T W>), where ||X||^2 is computed once
-per corpus by ProblemData. The sum cancels badly near an exact fit, so a
-term that comes out below CANCELLATION_GUARD (1e-4) of
+per corpus by ProblemData and the two inner products of every pair's term
+are taken at once from the carried products. The sum cancels badly near an
+exact fit, so a term that comes out below CANCELLATION_GUARD (1e-4) of
 ||X||^2 + 2 |<X W, B>| + <B^T B, W^T W> is taken again from its residual
 X - B W^T, a block of columns at a time (linalg.residual_sq); that keeps
 the objective 0 on an exact reconstruction and within the monotonicity
@@ -84,6 +91,7 @@ import numpy.random  # numpy loads it on first use; every fit draws from it
 from .linalg import (
     as_corpus,
     blocks,
+    cross_and_gram,
     first_bad_entry,
     frobenius_sq,
     normalize_columns_l1,
@@ -288,13 +296,27 @@ STACKED = ("U_common", "U_target", "U_source",
            "Theta_common", "Theta_target", "Theta_source")
 
 
+# The association products a stack carries, each P x M x c: name -> (U block,
+# Theta block), the Theta a field in STACKED or "shared." + a SharedFactors
+# field, as _terms names blocks
+PRODUCTS = {"UcTc": ("U_common", "Theta_common"),
+            "UtTt": ("U_target", "Theta_target"),
+            "UsTs": ("U_source", "Theta_source"),
+            "UcSc": ("U_common", "shared.Theta_common"),
+            "UtSs": ("U_target", "shared.Theta_specific")}
+
+
 class _Stack(tuple):
     """The P pairs' TargetFactors, in pair order, as views into blocks that
     a sweep steps in place: the stack's attribute for each field in STACKED
     is one (P, rows, cols) array of every pair's block, V is the list of the
     P n_p x c assignments (n_p differs between targets), XV (P x M x c) and
     G (P x c x c) are each pair's X_t V and V^T V for its current V, and
-    data is the ProblemData whose corpora they were built from."""
+    data is the ProblemData whose corpora they were built from. The
+    attribute for each name in PRODUCTS is that product for every pair, of
+    the current blocks: a step renews those of the block it changes
+    (renew), and the shared ones are formed from the shared blocks a step
+    is given (use), whose arrays thetas holds."""
 
     def __new__(cls, data: ProblemData, stacked: dict, V: list):
         stack = super().__new__(cls, (
@@ -302,8 +324,11 @@ class _Stack(tuple):
             for p, v in enumerate(V)))
         vars(stack).update(stacked, V=V, data=data,
                            XV=np.empty((data.P, data.M, data.c)),
-                           G=np.empty((data.P, data.c, data.c)))
+                           G=np.empty((data.P, data.c, data.c)), thetas={},
+                           **{name: np.empty((data.P, data.M, data.c))
+                              for name in PRODUCTS})
         stack.renew_v_products()
+        stack.renew(*STACKED)
         return stack
 
     @classmethod
@@ -335,6 +360,26 @@ class _Stack(tuple):
         V and the source-only blocks reads of V."""
         for p, V in enumerate(self.V):
             self.XV[p], self.G[p] = self.data.targets[p] @ V, V.T @ V
+
+    def renew(self, *names) -> None:
+        """Form again, in place, every product of a block in names; a shared
+        product only once use has formed it."""
+        for product, (U, theta) in PRODUCTS.items():
+            if U in names or theta in names:
+                block = (self.thetas.get(product) if theta.startswith("shared.")
+                         else getattr(self, theta))
+                if block is not None:
+                    np.matmul(getattr(self, U), block, out=getattr(self, product))
+
+    def use(self, shared: SharedFactors) -> None:
+        """Form the shared products from shared's blocks, each one not
+        already formed from that very array."""
+        for product, (_, theta) in PRODUCTS.items():
+            if theta.startswith("shared."):
+                block = getattr(shared, theta.removeprefix("shared."))
+                if self.thetas.get(product) is not block:
+                    self.thetas[product] = block
+                    self.renew(theta)
 
     def __reduce__(self):
         # a copy or a pickle is the plain list of the pairs' TargetFactors
@@ -400,22 +445,19 @@ def init_factors(data: ProblemData, hp: Hyperparams, v_init) -> tuple:
     rng = np.random.default_rng(hp.seed)
     ks = hp.k2 - hp.k1
 
-    def draw(rows, cols):
+    # each block is drawn once, in this order, straight into pair 1's slot
+    # of its stack, and copied to every other pair's
+    stacked = {}
+    for name, shape in (("U_common", (data.M, hp.k1)), ("U_target", (data.M, ks)),
+                        ("U_source", (data.M, ks)), ("Theta_common", (hp.k1, data.c)),
+                        ("Theta_target", (ks, data.c)), ("Theta_source", (ks, data.c))):
+        stacked[name] = np.empty((data.P, *shape))
+        first = rng.random(out=stacked[name][0])
         # uniform on (0, 1]: keeps every initial entry strictly positive
-        return 1.0 - rng.random((rows, cols))
-
-    def every_pair(block):
-        return np.repeat(block[np.newaxis], data.P, axis=0)
-
-    # each block is drawn once and repeated for every pair as it is drawn
-    stacked = {
-        "U_common": every_pair(normalize_columns_l1(draw(data.M, hp.k1))),
-        "U_target": every_pair(normalize_columns_l1(draw(data.M, ks))),
-        "U_source": every_pair(normalize_columns_l1(draw(data.M, ks))),
-        "Theta_common": every_pair(draw(hp.k1, data.c)),
-        "Theta_target": every_pair(draw(ks, data.c)),
-        "Theta_source": every_pair(draw(ks, data.c)),
-    }
+        np.subtract(1.0, first, out=first)
+        if name.startswith("U_"):
+            normalize_columns_l1(first, out=first)
+        stacked[name][1:] = first
     shared = SharedFactors(
         Theta_common=stacked["Theta_common"][0].copy(),
         Theta_specific=stacked["Theta_target"][0].copy(),
@@ -428,23 +470,29 @@ def objective(data: ProblemData, factors, shared: SharedFactors,
     """Joint squared reconstruction error over all pairs: the sum over p of
     the target, source and lam-weighted shared terms. Each is taken in
     factored form unless cancellation would cost it its accuracy (see
-    residual_sq). factors is a stack built for data, whose X_t V and V^T V
-    are read, or any other iterable of the P pairs, copied into a fresh
-    stack as run_iteration copies one. B_t, B_s and B_g are formed for
-    every pair at once; only residual_sq is taken pair by pair.
+    residual_sq). factors is a stack built for data, whose X_t V, V^T V and
+    association products are read (the shared ones formed afresh unless
+    they were formed from shared's blocks), or any other iterable of the P
+    pairs, copied into a fresh stack as run_iteration copies one. B_t, B_s
+    and B_g and the inner products of each term are formed for every pair
+    at once; only the residual fallback is taken pair by pair.
     """
     stack = _as_stack(data, factors, shared)
-    UcTc = stack.U_common @ stack.Theta_common
-    B_t = UcTc + stack.U_target @ stack.Theta_target
-    B_s = UcTc + stack.U_source @ stack.Theta_source
-    B_g = stack.U_common @ shared.Theta_common + stack.U_target @ shared.Theta_specific
-    X_s, xx_s = data.X_s, data.sq_norms[0]
+    stack.use(shared)
+    B_t = stack.UcTc + stack.UtTt
+    B_s = stack.UcTc + stack.UsTs
+    B_g = stack.UcSc + stack.UtSs
+    (cross_t, gram_t), (cross_s, gram_s), (cross_g, gram_g) = (
+        cross_and_gram(B, XW, G) for B, XW, G in (
+            (B_t, stack.XV, stack.G), (B_s, data.XY_s, data.YY_s),
+            (B_g, stack.XV, stack.G)))
+    X_s, xx_s, Y_s = data.X_s, data.sq_norms[0], data.Y_s
     total = 0.0
-    for p, (X_t, V, XV, G) in enumerate(zip(data.targets, stack.V, stack.XV, stack.G)):
+    for p, (X_t, V) in enumerate(zip(data.targets, stack.V)):
         xx_t = data.sq_norms[p + 1]
-        total += residual_sq(X_t, xx_t, B_t[p], V, XV, G)
-        total += residual_sq(X_s, xx_s, B_s[p], data.Y_s, data.XY_s, data.YY_s)
-        total += hp.lam * residual_sq(X_t, xx_t, B_g[p], V, XV, G)
+        total += residual_sq(X_t, xx_t, B_t[p], V, cross_t[p], gram_t[p])
+        total += residual_sq(X_s, xx_s, B_s[p], Y_s, cross_s[p], gram_s[p])
+        total += hp.lam * residual_sq(X_t, xx_t, B_g[p], V, cross_g[p], gram_g[p])
     return total
 
 
@@ -454,42 +502,43 @@ def _terms(name: str, data: ProblemData, stack: _Stack, shared: SharedFactors,
     stack, each a list of terms (L, R) standing for the sum of the products
     L @ R: the block's row of the module docstring's folded table. name is a
     field in STACKED or "shared." + a SharedFactors field; lam weights the
-    shared term, and only what the terms read is built. A U block's L are
+    shared term. The association products are the stack's (the shared ones
+    formed from shared's blocks first where they were not), and only the
+    sums the terms read are built. A U block's L are
     (P, M, c) and its R (P, c, k), so row i of a sum reads row i of each L
     alone. V's row is instead (R, H): R = B_t + lam B_g (P x M x c) and
     H = B_t^T B_t + lam B_g^T B_g (P x c x c), the right factors of its one
     numerator term X_t^T R and one denominator term V H, whose left factors
     differ in n_p between targets."""
+    stack.use(shared)
     XV, G, XY, YY = stack.XV, stack.G, data.XY_s, data.YY_s
     Uc, Ut, Us = stack.U_common, stack.U_target, stack.U_source
     Tc, Tt, Ts = stack.Theta_common, stack.Theta_target, stack.Theta_source
     Sc, Ss = shared.Theta_common, shared.Theta_specific
+    UcTc, UtTt, UsTs, UcSc, UtSs = (getattr(stack, product) for product in PRODUCTS)
     if name == "U_target":
         return ([(XV, (Tt + lam * Ss).mT)],
-                [(Uc @ Tc + Ut @ Tt, G @ Tt.mT),
-                 (Uc @ Sc + Ut @ Ss, lam * (G @ Ss.mT))])
+                [(UcTc + UtTt, G @ Tt.mT), (UcSc + UtSs, lam * (G @ Ss.mT))])
     if name == "U_source":
-        return [(XY, Ts.mT)], [(Uc @ Tc + Us @ Ts, YY @ Ts.mT)]
+        return [(XY, Ts.mT)], [(UcTc + UsTs, YY @ Ts.mT)]
     if name == "U_common":
-        UcTc = Uc @ Tc
         return ([(XV, (Tc + lam * Sc).mT), (XY, Tc.mT)],
-                [(UcTc + Ut @ Tt, G @ Tc.mT), (Uc @ Sc + Ut @ Ss, lam * (G @ Sc.mT)),
-                 (UcTc + Us @ Ts, YY @ Tc.mT)])
+                [(UcTc + UtTt, G @ Tc.mT), (UcSc + UtSs, lam * (G @ Sc.mT)),
+                 (UcTc + UsTs, YY @ Tc.mT)])
     if name == "V":
-        B_t, B_g = Uc @ Tc + Ut @ Tt, Uc @ Sc + Ut @ Ss
+        B_t, B_g = UcTc + UtTt, UcSc + UtSs
         return B_t + lam * B_g, B_t.mT @ B_t + lam * (B_g.mT @ B_g)
     if name == "Theta_source":
-        return [(Us.mT, XY)], [(Us.mT, (Uc @ Tc + Us @ Ts) @ YY)]
+        return [(Us.mT, XY)], [(Us.mT, (UcTc + UsTs) @ YY)]
     if name == "Theta_target":
-        return [(Ut.mT, XV)], [(Ut.mT, (Uc @ Tc + Ut @ Tt) @ G)]
+        return [(Ut.mT, XV)], [(Ut.mT, (UcTc + UtTt) @ G)]
     if name == "Theta_common":
-        UcTc = Uc @ Tc
         return ([(Uc.mT, XV + XY)],
-                [(Uc.mT, (UcTc + Ut @ Tt) @ G + (UcTc + Us @ Ts) @ YY)])
+                [(Uc.mT, (UcTc + UtTt) @ G + (UcTc + UsTs) @ YY)])
     if name == "shared.Theta_common":
-        return [(Uc.mT, lam * XV)], [(Uc.mT, (Uc @ Sc + Ut @ Ss) @ (lam * G))]
+        return [(Uc.mT, lam * XV)], [(Uc.mT, (UcSc + UtSs) @ (lam * G))]
     if name == "shared.Theta_specific":
-        return [(Ut.mT, lam * XV)], [(Ut.mT, (Uc @ Sc + Ut @ Ss) @ (lam * G))]
+        return [(Ut.mT, lam * XV)], [(Ut.mT, (UcSc + UtSs) @ (lam * G))]
     raise ValueError(f"no factor block named {name!r}")
 
 
@@ -517,7 +566,8 @@ ROW_BLOCK_BYTES = 128 * 1024
 
 def _pair_step(name: str, data, stack: _Stack, shared: SharedFactors, hp) -> None:
     """The multiplicative step on block name of every pair, written into the
-    stack: a U block one row block at a time, a Theta block in one piece."""
+    stack: a U block one row block at a time, a Theta block in one piece;
+    then the products of the new block."""
     num, den = _terms(name, data, stack, shared, hp.lam)
     x = getattr(stack, name)
     P, M, k = x.shape
@@ -527,6 +577,7 @@ def _pair_step(name: str, data, stack: _Stack, shared: SharedFactors, hp) -> Non
         step = safe_ratio_sqrt(_rows_sum(num, rows), _rows_sum(den, rows))
         block = x[..., rows, :]
         np.multiply(block, step, out=block)
+    stack.renew(name)
 
 
 def update_u_target(data, stack: _Stack, shared: SharedFactors, hp) -> None:
@@ -570,8 +621,9 @@ def update_shared_associations(data, stack: _Stack, shared: SharedFactors,
 
     Numerators and denominators are summed over the pairs of the stack, in
     pair order, before the ratio is taken (the denominator floor applies to
-    the summed value). The specific block is updated against the fresh
-    common block. Returns the new SharedFactors; shared is not modified.
+    the summed value), and the stack forms the products of each new block.
+    The specific block is updated against the fresh common block. Returns
+    the new SharedFactors; shared is not modified.
     """
     for field in ("Theta_common", "Theta_specific"):
         # lam weighs the one term that holds the block, so it cancels from
@@ -582,19 +634,23 @@ def update_shared_associations(data, stack: _Stack, shared: SharedFactors,
         # the new block is written into the step factor
         shared = replace(shared, **{field: np.multiply(getattr(shared, field), step,
                                                        out=step)})
+        stack.use(shared)
     return shared
 
 
 def normalize_all(stack: _Stack) -> None:
     """L1-normalize every pair's cluster matrices by column and each V by
-    row, in place. Association matrices are never normalized. Idempotent up
-    to float rounding.
+    row, in place, and renew the products of the cluster matrices.
+    Association matrices are never normalized. Idempotent up to float
+    rounding.
     """
-    for name in ("U_common", "U_target", "U_source"):
+    clusters = ("U_common", "U_target", "U_source")
+    for name in clusters:
         U = getattr(stack, name)
         normalize_columns_l1(U, out=U)
     for V in stack.V:
         normalize_rows_l1(V, out=V)
+    stack.renew(*clusters)
 
 
 def run_iteration(data: ProblemData, factors, shared: SharedFactors,

@@ -271,24 +271,32 @@ def frobenius_sq(a) -> float:
     return float(np.sum(a * a))
 
 
-def residual_sq(X, xx: float, B, W, XW, G) -> float:
+def cross_and_gram(B, XW, G) -> tuple:
+    """<X W, B> and <B^T B, W^T W>, the two inner products of residual_sq,
+    of one M x r B or of each matrix of a stack of them, from XW = X @ W and
+    G = W^T W (each of the stack's shape, or one matrix for all)."""
+    return (np.sum(XW * B, axis=(-2, -1)),
+            np.sum((B.mT @ B) * G, axis=(-2, -1)))
+
+
+def residual_sq(X, xx: float, B, W, cross, gram) -> float:
     """||X - B W^T||^2 without forming the M x n product B W^T.
 
     X is M x n (dense or sparse) with xx = ||X||^2, B is M x r, W is n x r,
-    and the caller passes XW = X @ W and G = W^T W, which it may share
-    between terms. The value is xx - 2 <X W, B> + <B^T B, W^T W> (Lee &
-    Seung, NIPS 2000), which adds only the r x r Gram matrix of B. When it
-    falls below CANCELLATION_GUARD of xx + 2 |<X W, B>| + <B^T B, W^T W> it
-    is taken again directly from the residual X - B W^T, in column blocks
-    of about RESIDUAL_BLOCK_BYTES; near an exact fit that keeps the value
-    accurate. It is exactly 0 when X was formed as B @ W.T and BLAS forms
-    each column block of that product as it forms the whole. OpenBLAS 0.3.31
-    does, except for a ragged last block at some widths: at M >= 500 and
-    n = 300, 700 or 1500, for one, that block differs in the last bit, and
-    the value comes out below 1e-34 of ||X||^2 instead of 0.
+    and the caller passes cross = <X W, B> and gram = <B^T B, W^T W>
+    (cross_and_gram), which it may form for many terms at once. The value is
+    xx - 2 cross + gram (Lee & Seung, NIPS 2000), which adds only the r x r
+    Gram matrix of B. When it falls below CANCELLATION_GUARD of
+    xx + 2 |cross| + gram it is taken again directly from the residual
+    X - B W^T, in column blocks of about RESIDUAL_BLOCK_BYTES; near an exact
+    fit that keeps the value accurate. It is exactly 0 when X was formed as
+    B @ W.T and BLAS forms each column block of that product as it forms
+    the whole. OpenBLAS 0.3.31 does, except for a ragged last block at some
+    widths: at M >= 500 and n = 300, 700 or 1500, for one, that block
+    differs in the last bit, and the value comes out below 1e-34 of ||X||^2
+    instead of 0.
     """
-    cross = float(np.sum(XW * B))
-    gram = float(np.sum((B.T @ B) * G))
+    cross, gram = float(cross), float(gram)
     value = xx - 2.0 * cross + gram
     if value >= CANCELLATION_GUARD * (xx + 2.0 * abs(cross) + gram):
         return value

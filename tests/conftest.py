@@ -30,6 +30,19 @@ with warnings.catch_warnings():
         pass
 
 
+def refuse_to_allocate(monkeypatch, shape) -> None:
+    """For the rest of the test, np.zeros refuses an array of shape (a
+    tuple) as numpy refuses one that memory cannot hold."""
+    zeros = np.zeros
+
+    def refusing(size, *args, **kwargs):
+        if size == shape:
+            raise MemoryError(f"Unable to allocate an array with shape {shape}")
+        return zeros(size, *args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", refusing)
+
+
 # Pair p's objective, once. Each row
 # (w, X, ||X||^2, ((U_a, Theta_a), (U_b, Theta_b)), W) stands for
 # w * ||X - U_a Theta_a W^T - U_b Theta_b W^T||^2; factor blocks are named by

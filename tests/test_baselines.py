@@ -67,6 +67,12 @@ def test_nmf_predict_labels_rules():
     assert np.array_equal(nmf_predict_labels(np.eye(3)), [1, 2, 3])
 
 
+def test_nmf_predict_labels_rejects_an_encoding_with_no_rows():
+    with pytest.raises(InvalidConfigError,
+                       match=r"^H has no rows; it needs one per class$"):
+        nmf_predict_labels(np.zeros((0, 3)))
+
+
 def test_logreg_separable_toy():
     # two well-separated 1-d clusters
     X = np.array([[0.1, 0.2, 0.15, 0.9, 0.95, 0.85]])
@@ -188,6 +194,19 @@ def test_logreg_predict_rejects_wrong_features():
     model = logreg_train(X, Y, steps=10)
     with pytest.raises(InvalidConfigError):
         logreg_predict_proba(model, rng.random((4, 10)))
+
+
+@pytest.mark.parametrize("weights", [np.zeros(3), np.zeros((3, 0)), np.zeros((1, 2)),
+                                     np.zeros((3, 2, 1))],
+                         ids=["1-d", "no-classes", "no-features", "3-d"])
+def test_logreg_predict_rejects_weights_that_are_not_a_weight_matrix(weights):
+    # each used to end in numpy's AxisError, an n x 0 "probability" matrix,
+    # a model "expecting 0 features" or a 3-d "probability" array
+    with pytest.raises(InvalidConfigError) as err:
+        logreg_predict_proba(LogRegModel(weights), np.ones((2, 2)))
+    assert str(err.value) == (
+        f"model weights have shape {weights.shape}; they must be an (M + 1) x c "
+        f"matrix with M >= 1 and c >= 1")
 
 
 def test_logreg_one_forward_pass_per_step(monkeypatch):

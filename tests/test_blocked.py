@@ -2,8 +2,8 @@
 
 The U steps run over row blocks of the pair stack, compact_corpus builds its
 CSC array from one mask, a stack carries each pair's X_t V and V^T V from
-sweep to sweep, and the objective's residual fallback runs over column
-blocks. Each must give what
+sweep to sweep and its association products U Theta from step to step, and
+the objective's residual fallback runs over column blocks. Each must give what
 the one-piece form gives, to the bit where the one-piece form is the kernel.
 """
 
@@ -23,18 +23,24 @@ from conftest import (
 
 from mrtl.data import compact_corpus, normalize_input
 from mrtl.engine import (
+    PRODUCTS,
     ROW_BLOCK_BYTES,
     Hyperparams,
     ProblemData,
     SharedFactors,
     TargetFactors,
+    _Stack,
     fit,
     init_factors,
+    normalize_all,
     objective,
     run_iteration,
+    update_pair_associations,
+    update_shared_associations,
     update_u_common,
     update_u_source,
     update_u_target,
+    update_v,
 )
 from mrtl.linalg import (
     BLOCK_ALIGN,
@@ -42,6 +48,7 @@ from mrtl.linalg import (
     RESIDUAL_BLOCK_BYTES,
     SparseCorpus,
     blocks,
+    cross_and_gram,
     frobenius_sq,
     normalize_columns_l1,
     normalize_rows_l1,
@@ -207,6 +214,45 @@ def test_carried_v_products_give_the_sweep_that_builds_its_own():
             objective(data, list(ref_factors), ref_shared, hp)
 
 
+def assert_products_are_current(stack, shared):
+    for name, (U, theta) in PRODUCTS.items():
+        block = (getattr(shared, theta.removeprefix("shared."))
+                 if theta.startswith("shared.") else getattr(stack, theta))
+        assert np.array_equal(getattr(stack, name), getattr(stack, U) @ block), name
+
+
+def test_carried_association_products_give_the_steps_that_form_their_own():
+    # every step of a sweep on a stack that carries its U Theta products, as
+    # fit steps its own, gives to the bit what the step gives on a fresh
+    # stack of the same pairs, which forms each product from the blocks as
+    # they are; after each step the carried products are the current ones
+    rng = np.random.default_rng(47)
+    data, v_init = carried_problem(rng)
+    hp = Hyperparams(k1=2, k2=5, lam=2.0)
+    stack, shared = init_factors(data, hp, v_init)
+
+    def shared_step(data, stack, shared, hp):
+        return update_shared_associations(data, stack, shared, hp)
+
+    def normalize(data, stack, shared, hp):
+        normalize_all(stack)
+        stack.renew_v_products()
+
+    for _ in range(3):
+        for step in (update_u_target, update_u_source, update_u_common,
+                     update_pair_associations, update_v, normalize, shared_step):
+            fresh = _Stack.of(data, stack)
+            want = step(data, fresh, shared, hp) or shared
+            got = step(data, stack, shared, hp) or shared
+            for f, ref in zip(stack, fresh):
+                for name, a in vars(f).items():
+                    assert np.array_equal(a, getattr(ref, name)), (step, name)
+            for name, a in vars(got).items():
+                assert np.array_equal(a, getattr(want, name)), (step, name)
+            shared = got
+            assert_products_are_current(stack, shared)
+
+
 def test_fit_equals_the_sweep_without_carried_products():
     rng = np.random.default_rng(44)
     data, v_init = carried_problem(rng)
@@ -280,5 +326,5 @@ def test_blocked_residual_equals_the_whole_residual(kind):
     gram = np.sum((B.T @ B) * (W.T @ W))
     assert xx - 2 * cross + gram < CANCELLATION_GUARD * (xx + 2 * cross + gram)
     Xk = sp.csc_array(X) if kind == "csc" else X
-    got = residual_sq(Xk, xx, B, W, Xk @ W, W.T @ W)
+    got = residual_sq(Xk, xx, B, W, *cross_and_gram(B, Xk @ W, W.T @ W))
     assert whole > 0 and abs(got - whole) <= 1e-12 * whole

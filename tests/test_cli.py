@@ -16,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import mrtl.cli as cli
+from conftest import refuse_to_allocate
 from mrtl.data import SynthSpec, compact_corpus, serialize_corpus
 from mrtl.engine import Hyperparams, NumericalDivergenceError
 from mrtl.linalg import SparseCorpus
@@ -307,20 +308,49 @@ def test_train_non_finite_corpus_value_exits_3(tmp_path, capsys, value):
     assert not (tmp_path / "run").exists()
 
 
-@pytest.mark.parametrize("header", ["1000000000000 1000000000000 2",
-                                    "33554432 4194304 2"])
-def test_train_header_too_large_to_allocate_exits_3(tmp_path, capsys, header):
+@pytest.mark.parametrize("header, shown", [
+    ("3 1000000000000000000 2", "n=1000000000000000000 label vector"),
+    ("3 2 2", "M=3 x n=2 matrix"),
+], ids=["label-vector", "dense-matrix"])
+def test_train_header_too_large_to_allocate_exits_3(tmp_path, capsys, monkeypatch,
+                                                    header, shown):
+    # the dense matrix is allocated only for entries that need it, here
+    # three of six nonzero, and its refusal is simulated
     src = synth(tmp_path / "data")
     bad = tmp_path / "bad.txt"
-    bad.write_text(f"{header}\n1 1:1\n")
+    bad.write_text(f"{header}\n1 1:1 3:1\n2 2:1\n")
+    refuse_to_allocate(monkeypatch, (3, 2))
     rc = cli.main([
         "train", "--source", str(bad),
         "--target", str(src / "target_1.txt"),
         "--out", str(tmp_path / "run"),
     ])
     assert rc == 3
-    M, n, _ = header.split()
-    assert f"line 1: cannot allocate the M={M} x n={n}" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"error: line 1: cannot allocate the {shown} the header announces in {bad}\n")
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("M, message", [
+    (10**15, "Unable to allocate 14.2 PiB for an array with shape "
+             "(1000000000000000, 2) and data type float64"),
+    (10**18, "array is too big; `arr.size * arr.dtype.itemsize` is larger than "
+             "the maximum possible size."),
+    (10**20, "Maximum allowed dimension exceeded"),
+], ids=["PiB", "past-intp", "past-int64"])
+@pytest.mark.parametrize("baseline", ["mrtl", "nmf", "logreg"])
+def test_train_problem_too_large_to_allocate_exits_2(tmp_path, capsys, M, message,
+                                                     baseline):
+    # a few entries under a huge M parse, held sparse; the M x c and M x k
+    # arrays of the fit and of each baseline cannot be, and numpy says so
+    # with a MemoryError, or a ValueError past its index type
+    (tmp_path / "source.txt").write_text(f"{M} 4 2\n1 1:1\n2 2:1\n1 3:1 7:2\n2 5:2\n")
+    (tmp_path / "target.txt").write_text(f"{M} 3 2\n0 1:1\n0 2:1\n0 3:1\n")
+    rc = cli.main(["train", "--source", str(tmp_path / "source.txt"),
+                   "--target", str(tmp_path / "target.txt"), "--baseline", baseline,
+                   "--out", str(tmp_path / "run")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: cannot allocate: {message}\n"
     assert not (tmp_path / "run").exists()
 
 
@@ -760,12 +790,29 @@ def test_import_and_a_sparse_train_load_no_scipy(tmp_path):
     assert proc.stdout.splitlines()[-1] == "0 []"
 
 
+def write_word_counts(out, seed=0, M=2000, sizes=(200, 150, 150), c=2, words=40):
+    """A labeled source and two targets of word counts over a vocabulary of
+    M, each document words draws from its class's word distribution, so at
+    most 2% of the entries are nonzero and the parser holds them sparse."""
+    rng = np.random.default_rng(seed)
+    topics = rng.dirichlet(np.full(M, 0.05), size=c)
+    out.mkdir()
+    for name, n in zip(("source", "target_1", "target_2"), sizes):
+        labels = np.arange(n) % c + 1
+        X = np.stack([rng.multinomial(words, topics[y - 1]) for y in labels], axis=1)
+        given = labels if name == "source" else None
+        (out / f"{name}.txt").write_text(serialize_corpus(X.astype(np.float64), c, given))
+        if name != "source":
+            (out / f"truth_{name[-1]}.txt").write_text("\n".join(map(str, labels)) + "\n")
+
+
 def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
-    # The README quick-start, run once with the BLAS libraries at one thread
-    # and once at two, set before numpy loads. At M = n_s = 200 the logistic
-    # regression's Gram product is large enough for OpenBLAS to use two.
-    # Every path is relative, so the manifests must match too.
-    data = Path("data")
+    # The README quick-start, and a train on word counts held sparse, run
+    # once with the BLAS libraries at one thread and once at two, set before
+    # numpy loads. At M = n_s = 200 the logistic regression's Gram product is
+    # large enough for OpenBLAS to use two. Every path is relative, so the
+    # manifests must match too.
+    data, words = Path("data"), Path("words")
     commands = [
         ["synth", "--features", "200", "--classes", "2", "--num-targets", "2",
          "--n-source", "200", "--n-target", "150", "--k1", "2", "--k2", "4",
@@ -776,6 +823,8 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
         train_args(data, "nmf", ["--baseline", "nmf"]),
         ["eval", "--predictions", "run/predictions_1.txt",
          "--truth", "data/truth_1.txt"],
+        train_args(words, "words_run"),
+        train_args(words, "words_logreg", ["--baseline", "logreg"]),
     ]
     code = ("import json, sys, mrtl.cli\n"
             "for argv in json.loads(sys.argv[1]):\n"
@@ -785,6 +834,7 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
     for threads in ("1", "2"):
         cwd = tmp_path / f"threads_{threads}"
         cwd.mkdir()
+        write_word_counts(cwd / words)
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
         env.update(dict.fromkeys(("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
@@ -799,7 +849,8 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
         runs.append((proc.stdout, files))
     (stdout_1, files_1), (stdout_2, files_2) = runs
     assert sorted(files_1) == sorted(files_2)
-    assert len(files_1) == 23  # synth 6, train 5, sweep 2, each baseline 5
+    # synth 6, train 5, sweep 2, each baseline 5; word counts 5, train 5, logreg 5
+    assert len(files_1) == 38
     for name, text in files_1.items():
         assert text == files_2[name], name
     assert stdout_1 == stdout_2 != ""

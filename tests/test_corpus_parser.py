@@ -5,21 +5,27 @@ import io
 import math
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import mrtl.data
+from conftest import refuse_to_allocate
 from mrtl.data import (
-    BLOCK_BYTES, CorpusFormatError, load_corpus, parse_corpus, serialize_corpus,
+    BLOCK_BYTES, CorpusFormatError, compact_corpus, load_corpus, parse_corpus,
+    serialize_corpus,
 )
+from mrtl.linalg import SparseCorpus
 
 
 def scalar_parse(lines) -> tuple:
     """Reference parser: the corpus format read one line and one entry at a
-    time with int() and float(), as mrtl parsed it before the block pass.
-    parse_corpus must give the same (X, Y) bit for bit, or the same error."""
+    time with int() and float() into a dense matrix, as mrtl parsed it
+    before the block pass, which compact_corpus then holds as mrtl holds a
+    corpus. parse_corpus must give the same (X, Y) bit for bit, or the same
+    error."""
     it = iter(lines)
     try:
         header = next(it)
@@ -118,8 +124,16 @@ def scalar_parse(lines) -> tuple:
     if saw_labeled:
         Y = np.zeros((n, c))
         Y[np.arange(n), labels - 1] = 1.0
-        return X, Y
-    return X, None
+        return compact_corpus(X), Y
+    return compact_corpus(X), None
+
+
+def corpus_bytes(X):
+    """The bytes of a corpus as it is held: a dense matrix's, or the shape
+    and CSC arrays of a SparseCorpus."""
+    if isinstance(X, SparseCorpus):
+        return X.shape, X.data.tobytes(), X.indices.tobytes(), X.indptr.tobytes()
+    return X.tobytes()
 
 
 def outcome(parse, lines):
@@ -128,7 +142,7 @@ def outcome(parse, lines):
         X, Y = parse(lines)
     except CorpusFormatError as err:
         return err.line, str(err)
-    return X.tobytes(), None if Y is None else Y.tobytes()
+    return corpus_bytes(X), None if Y is None else Y.tobytes()
 
 
 def assert_same_as_scalar(text):
@@ -338,7 +352,7 @@ def test_written_corpora_take_the_int64_read(reads):
     for text in texts:
         read.clear()
         parsed = parse_corpus(text.splitlines())[0]
-        assert parsed.tobytes() == scalar_parse(text.splitlines())[0].tobytes()
+        assert corpus_bytes(parsed) == corpus_bytes(scalar_parse(text.splitlines())[0])
         assert read and tokens == []
     assert len(read) > 1  # the dense records span blocks
 
@@ -486,8 +500,107 @@ def test_file_and_lines_parse_alike_across_blocks(tmp_path):
     path.write_text(text, encoding="utf-8")
     X, Y = load_corpus(path)
     X2, Y2 = parse_corpus(text.splitlines())
-    assert X.tobytes() == X2.tobytes() and Y.tobytes() == Y2.tobytes()
-    assert outcome(scalar_parse, text.splitlines()) == (X.tobytes(), Y.tobytes())
+    assert corpus_bytes(X) == corpus_bytes(X2) and Y.tobytes() == Y2.tobytes()
+    assert outcome(scalar_parse, text.splitlines()) == (corpus_bytes(X), Y.tobytes())
+
+
+# spellings of a value: plain ones the int64 read takes, explicit zeros, and
+# signed ones that send their block to the scalar rule
+HELD_VALUES = ["1", "2.5", "7", "1e-3", "0", "0.0", "-0", "+3", "-0.0"]
+
+
+@st.composite
+def held_corpus_text(draw):
+    """(text, block size): a valid corpus of any density from none to full,
+    which may open with full records and close with empty ones, whose
+    entries may be explicit zeros or signed, read in blocks of a drawn
+    size."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    M, n = draw(st.integers(1, 10)), draw(st.integers(1, 12))
+    density = draw(st.sampled_from([0.0, 0.05, 0.2, 0.25, 0.3, 0.6, 1.0]))
+    head = draw(st.integers(0, n))
+    tail = draw(st.integers(0, n - head))
+    odd = draw(st.sampled_from([0.0, 0.1, 0.5]))  # share of zeros and signs
+    label = draw(st.sampled_from(["0", "1"]))
+    lines = [f"{M} {n} 2"]
+    for j in range(n):
+        keep = np.ones(M, bool) if j < head else rng.random(M) < density * (j < n - tail)
+        values = np.where(rng.random(M) < odd, rng.choice(HELD_VALUES[4:], M),
+                          rng.choice(HELD_VALUES[:4], M))
+        lines.append(" ".join([label] + [f"{i + 1}:{values[i]}"
+                                         for i in np.flatnonzero(keep)]))
+    return "\n".join(lines) + "\n", draw(st.sampled_from([1, 16, 64, BLOCK_BYTES]))
+
+
+@settings(max_examples=300)
+@given(held_corpus_text())
+def test_parse_holds_the_corpus_as_compact_corpus_does(case):
+    # as runs, or dense once the records read so far are more than a quarter
+    # nonzero: either way the same type, values and CSC arrays as the dense
+    # reference compacted, explicit zeros not stored
+    text, block = case
+    with mock.patch.object(mrtl.data, "BLOCK_BYTES", block):
+        assert_same_as_scalar(text)
+
+
+QUARTER = ["1:1 2:1 3:1 4:1", "5:1 6:1 7:1 8:1"]  # 8 of the 32 entries of 8 x 4
+
+
+@pytest.mark.parametrize("records, held", [
+    (QUARTER + ["", ""], SparseCorpus),
+    (QUARTER + ["1:2", ""], np.ndarray),
+    (QUARTER + ["1:0 2:-0 3:0.0", "4:+0"], SparseCorpus),
+    (QUARTER + ["1:0 2:-0 3:+1e0", ""], np.ndarray),
+], ids=["quarter", "past-quarter", "quarter-and-zeros", "past-quarter-signed"])
+def test_parse_holds_a_quarter_nonzero_sparse_and_more_dense(records, held):
+    text = "\n".join(["8 4 2"] + [f"1 {r}".strip() for r in records]) + "\n"
+    X, _ = parse_corpus(text.splitlines())
+    assert type(X) is held
+    lines = text.splitlines()
+    assert outcome(parse_corpus, lines) == outcome(scalar_parse, lines)
+
+
+def test_dense_first_records_go_dense_and_end_sparse(monkeypatch):
+    # full first blocks are held dense at once, and compacted at the end
+    # once the empty records leave the file a quarter nonzero: a refusal of
+    # the dense matrix shows when it is allocated
+    text = "\n".join(["4 8 2"] + ["1 1:1 2:1 3:1 4:1"] * 2 + ["2"] * 6) + "\n"
+    X, _ = parse_corpus(text.splitlines())  # one block
+    assert isinstance(X, SparseCorpus) and X.nnz == 8
+    for block in (1, BLOCK_BYTES):
+        with mock.patch.object(mrtl.data, "BLOCK_BYTES", block):
+            assert outcome(parse_corpus, text.splitlines()) == outcome(
+                scalar_parse, text.splitlines())
+    refuse_to_allocate(monkeypatch, (4, 8))
+    assert isinstance(parse_corpus(text.splitlines())[0], SparseCorpus)
+    monkeypatch.setattr(mrtl.data, "BLOCK_BYTES", 1)
+    assert outcome(parse_corpus, text.splitlines()) == (
+        1, "line 1: cannot allocate the M=4 x n=8 matrix the header announces")
+
+
+def test_load_sparse_corpus_memory_follows_its_entries(tmp_path, monkeypatch):
+    # a 1%-dense word-count file whose dense M x n matrix (153 MiB) cannot
+    # be allocated, as a refusal simulates, is held in memory proportional
+    # to its stored entries
+    M, n = 50_000, 400
+    rng = np.random.default_rng(4)
+    path = tmp_path / "words.txt"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"{M} {n} 2\n")
+        for i in range(n):
+            rows = np.sort(rng.choice(M, size=M // 100, replace=False)) + 1
+            counts = rng.integers(1, 5, size=rows.size)
+            fh.write(" ".join([str(i % 2 + 1)] + [
+                f"{r}:{v}" for r, v in zip(rows.tolist(), counts.tolist())]) + "\n")
+    refuse_to_allocate(monkeypatch, (M, n))
+    tracemalloc.start()
+    try:
+        X, _ = load_corpus(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert isinstance(X, SparseCorpus) and X.nnz == n * (M // 100)
+    assert peak < 64 * X.nnz + 4 * 2**20, f"peak {peak / X.nnz:.1f} bytes per entry"
 
 
 def test_load_corpus_memory_stays_near_the_dense_matrix(tmp_path):
@@ -562,7 +675,7 @@ def test_indices_of_many_digits_are_read_in_bulk(index, monkeypatch):
         expected = outcome(scalar_parse, text)
         with monkeypatch.context() as patch:
             if int(index) <= M:
-                assert expected[0][8 * (int(index) - 1):][:8] == np.float64(2).tobytes()
+                assert scalar_parse(text)[0].toarray()[int(index) - 1, 0] == 2.0
                 if value == "2":
                     patch.setattr(mrtl.data, "_entry", None)  # all of it in bulk
             assert outcome(parse_corpus, text) == expected
@@ -578,7 +691,8 @@ def test_three_digit_indices_parse_as_written(monkeypatch):
     text = "\n".join([f"{M} 4 2"] + records) + "\n"
     monkeypatch.setattr(mrtl.data, "_entry", None)  # all of it in bulk
     X, Y = parse_corpus(text.splitlines())
-    assert Y is None and X.tobytes() == scalar_parse(text.splitlines())[0].tobytes()
+    assert Y is None
+    assert corpus_bytes(X) == corpus_bytes(scalar_parse(text.splitlines())[0])
 
 
 def test_entry_fault_comes_before_a_later_read_error(tmp_path):

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import mrtl.data
+from conftest import refuse_to_allocate
 from mrtl.baselines import LogRegModel, logreg_predict_proba, logreg_train, nmf_fit
 from mrtl.data import (
     CorpusFormatError,
@@ -20,11 +21,13 @@ from mrtl.data import (
     serialize_corpus,
 )
 from mrtl.engine import Hyperparams, InvalidConfigError, ProblemData
-from mrtl.linalg import as_corpus
+from mrtl.linalg import SparseCorpus, as_corpus
 
 
 def parse_text(text):
-    return parse_corpus(text.splitlines())
+    """parse_corpus's (X, Y), X dense however the parser holds it."""
+    X, Y = parse_corpus(text.splitlines())
+    return X.toarray() if isinstance(X, SparseCorpus) else X, Y
 
 
 def test_parse_labeled_example():
@@ -62,18 +65,32 @@ def test_parse_malformed_header():
         assert err.value.line == 1
 
 
-# matrices numpy refuses at once: too big for its index type, or a PiB and
-# more, past the address space, so no kernel grants them lazily
+# arrays numpy refuses at once: too big for its index type, or a PiB and
+# more, past the address space, so no kernel grants them lazily. The dense
+# M x n matrix is allocated only for entries that need it, here three of six
+# nonzero, so its refusal is simulated.
 @pytest.mark.parametrize("text, shown", [
-    ("1000000000000 1000000000000 2\n1 1:1\n", "M=1000000000000 x n=1000000000000"),
-    ("33554432 4194304 2\n1 1:1\n", "M=33554432 x n=4194304"),
-    ("1 1 1000000000000000\n1 1:1\n", "n=1 x c=1000000000000000"),
-], ids=["size-overflow", "PiB-matrix", "PiB-label-matrix"])
-def test_parse_header_too_large_to_allocate(text, shown):
+    ("1 4611686018427387904 2\n1 1:1\n", "n=4611686018427387904 label vector"),
+    ("1 1000000000000000000 2\n1 1:1\n", "n=1000000000000000000 label vector"),
+    ("1 1 1000000000000000\n1 1:1\n", "n=1 x c=1000000000000000 label matrix"),
+    ("3 2 2\n1 1:1 3:1\n2 2:1\n", "M=3 x n=2 matrix"),
+], ids=["size-overflow", "PiB-label-vector", "PiB-label-matrix", "dense-matrix"])
+def test_parse_header_too_large_to_allocate(text, shown, monkeypatch):
+    refuse_to_allocate(monkeypatch, (3, 2))
     with pytest.raises(CorpusFormatError) as err:
         parse_text(text)
     assert err.value.line == 1
-    assert f"cannot allocate the {shown}" in str(err.value)
+    assert str(err.value) == f"line 1: cannot allocate the {shown} the header announces"
+
+
+def test_parse_holds_a_sparse_corpus_of_a_huge_header_sparse():
+    # the dense size of this header, 8e15 bytes, is never asked for
+    text = "1000000000000000 2 2\n1 1:1 5:2\n2 999999999999999:3\n"
+    X, Y = parse_corpus(text.splitlines())
+    assert isinstance(X, SparseCorpus) and X.shape == (10**15, 2) and X.nnz == 3
+    assert (X.data.tolist(), X.indices.tolist(), X.indptr.tolist()) == (
+        [1.0, 2.0, 3.0], [0, 4, 10**15 - 2], [0, 2, 3])
+    assert np.array_equal(Y, [[1.0, 0.0], [0.0, 1.0]])
 
 
 def test_parse_index_zero():

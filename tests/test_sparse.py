@@ -232,7 +232,9 @@ def run_flags(src):
 def dense_library_problem(src):
     """The problem as the library sees it with every corpus held dense."""
     X_s, Y_s = load_corpus(src / "source.txt")
-    targets = tuple(normalize_input(load_corpus(src / f"target_{p}.txt")[0])
+    # the parser holds these corpora sparse
+    X_s = X_s.toarray()
+    targets = tuple(normalize_input(load_corpus(src / f"target_{p}.txt")[0].toarray())
                     for p in (1, 2))
     truth = [np.loadtxt(src / f"truth_{p}.txt", dtype=np.int64) for p in (1, 2)]
     return ProblemData(X_s=normalize_input(X_s), Y_s=Y_s, targets=targets), truth
