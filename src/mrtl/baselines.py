@@ -61,15 +61,15 @@ def nmf_fit(X, k: int, iters: int, seed: int, on_iteration=None) -> tuple:
 
     rng = np.random.default_rng(seed)
     W = 1.0 - rng.random((M, k))
-    H = 1.0 - rng.random((k, n))
+    Ht = (1.0 - rng.random((k, n))).T.copy()  # H^T, in linalg's layout
     xx = frobenius_sq(X)
     for i in range(1, iters + 1):
-        H *= (W.T @ X) / np.maximum((W.T @ W) @ H, EPSILON)
-        XH, HH = X @ H.T, H @ H.T
+        Ht *= (X.T @ W) / np.maximum(Ht @ (W.T @ W), EPSILON)
+        XH, HH = X @ Ht, Ht.T @ Ht
         W *= XH / np.maximum(W @ HH, EPSILON)
         if on_iteration is not None:
-            on_iteration(i, residual_sq(X, xx, W, H.T, *cross_and_gram(W, XH, HH)))
-    return W, H
+            on_iteration(i, residual_sq(X, xx, W, Ht, *cross_and_gram(W, XH, HH)))
+    return W, Ht.T
 
 
 def nmf_predict_labels(H) -> np.ndarray:
@@ -134,10 +134,8 @@ def logreg_train(X, Y, l2: float = 1e-3, steps: int = 500,
     K @ R per step, so a retried step multiplies nothing. The weights X @ A
     are built once at the end. These are the primal iterates up to
     rounding, at the cost of one n x n product per step instead of two
-    passes over X per forward pass. K is formed only when n^2 is at most
-    GRAM_MAX_RATIO_DENSE (dense X) or GRAM_MAX_RATIO_CSC (CSC) times the
-    entries X stores; otherwise K @ R is taken as X^T (X @ R), so memory
-    never grows with n^2.
+    passes over X per forward pass. K is formed only within the bound of
+    GRAM_MAX_RATIO_DENSE or GRAM_MAX_RATIO_CSC; else K @ R is X^T (X @ R).
     """
     X = check_corpus(X, "X")
     n = X.shape[1]
@@ -147,11 +145,9 @@ def logreg_train(X, Y, l2: float = 1e-3, steps: int = 500,
     check_finite_nonnegative(l2, "l2")
     check_count(steps, "steps")
 
-    # a sparse corpus transposes to a view over the same arrays, no copy
-    XT = X.T
     ratio = (GRAM_MAX_RATIO_CSC if isinstance(X, SparseCorpus)
              else GRAM_MAX_RATIO_DENSE)
-    K = XT @ X if n * n <= ratio * stored_entries(X).size else None
+    K = X.T @ X if n * n <= ratio * stored_entries(X).size else None
 
     def loss_of(A, b, KA):
         """(loss, unclipped probabilities) at coefficients A and bias b, with
@@ -170,7 +166,7 @@ def logreg_train(X, Y, l2: float = 1e-3, steps: int = 500,
     for step in range(1, steps + 1):
         residual = probs - Y
         bias_grad = residual.sum(axis=0) / n
-        K_residual = XT @ (X @ residual) if K is None else K @ residual
+        K_residual = X.T @ (X @ residual) if K is None else K @ residual
         accepted = False
         while step_size >= 1e-18:
             shrink, move = 1.0 - step_size * l2, step_size / n
@@ -206,7 +202,7 @@ def logreg_predict_proba(model: LogRegModel, X) -> np.ndarray:
     (check_corpus); otherwise InvalidConfigError names the shape.
     """
     X = check_corpus(X, "X")
-    W = np.asarray(model.weights)
+    W = np.asarray(model.weights, order="C")
     if W.ndim != 2 or min(W.shape[0] - 1, W.shape[1]) < 1:
         raise InvalidConfigError(
             f"model weights have shape {W.shape}; they must be an (M + 1) x c "

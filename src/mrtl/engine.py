@@ -77,8 +77,8 @@ X - B W^T, a block of columns at a time (linalg.residual_sq); that keeps
 the objective 0 on an exact reconstruction and within the monotonicity
 bounds the fit is held to.
 
-Since the corpora enter only through X @ W, X.T @ B and ||X||^2, each may
-be a dense array or a linalg.SparseCorpus; the code is the same.
+Since the corpora enter only through X @ W, X.T @ B and ||X||^2 (linalg's
+product layout), each may be dense or a SparseCorpus; the code is the same.
 """
 
 from __future__ import annotations
@@ -156,7 +156,7 @@ def check_labels(Y, n: int, name: str) -> np.ndarray:
     """Y as float64, if it is an n x c matrix whose rows are one-hot (a
     single 1, rest 0): the fixed class assignment of n labeled instances;
     else InvalidConfigError naming name and the first row that is not."""
-    Y = np.asarray(Y, dtype=np.float64)
+    Y = np.asarray(Y, dtype=np.float64, order="C")
     if Y.ndim != 2:
         raise InvalidConfigError(f"{name} must be a 2-d matrix")
     if Y.shape[0] != n:
@@ -353,7 +353,8 @@ class _Stack(tuple):
                 _check_shape(f"pair {p + 1}'s {name}", getattr(f, name), shape)
         stacked = {name: np.stack([getattr(f, name) for f in factors], dtype=np.float64)
                    for name in STACKED}
-        return cls(data, stacked, [np.array(f.V, dtype=np.float64) for f in factors])
+        V = [np.array(f.V, dtype=np.float64, order="C") for f in factors]
+        return cls(data, stacked, V)
 
     def renew_v_products(self) -> None:
         """Rebuild XV and G from the current V: what every step but those of
@@ -436,7 +437,7 @@ def init_factors(data: ProblemData, hp: Hyperparams, v_init) -> tuple:
     if len(v_init) != data.P:
         raise InvalidConfigError(
             f"v_init has {len(v_init)} matrices for {data.P} targets")
-    v_init = [np.asarray(v, dtype=np.float64) for v in v_init]
+    v_init = [np.asarray(v, dtype=np.float64, order="C") for v in v_init]
     for p, (v, t) in enumerate(zip(v_init, data.targets)):
         _check_shape(f"v_init[{p}]", v, (t.shape[1], data.c))
         if first_bad_entry(v) is not None:
@@ -504,12 +505,12 @@ def _terms(name: str, data: ProblemData, stack: _Stack, shared: SharedFactors,
     field in STACKED or "shared." + a SharedFactors field; lam weights the
     shared term. The association products are the stack's (the shared ones
     formed from shared's blocks first where they were not), and only the
-    sums the terms read are built. A U block's L are
-    (P, M, c) and its R (P, c, k), so row i of a sum reads row i of each L
-    alone. V's row is instead (R, H): R = B_t + lam B_g (P x M x c) and
-    H = B_t^T B_t + lam B_g^T B_g (P x c x c), the right factors of its one
-    numerator term X_t^T R and one denominator term V H, whose left factors
-    differ in n_p between targets."""
+    sums the terms read are built. A U block's L are (P, M, c) and its R
+    (P, c, k), C-contiguous (linalg's layout), so row i of a sum reads row
+    i of each L alone. V's row is instead (R, H): R = B_t + lam B_g
+    (P x M x c) and H = B_t^T B_t + lam B_g^T B_g (P x c x c), the right
+    factors of its one numerator term X_t^T R and one denominator term V H,
+    whose left factors differ in n_p between targets."""
     stack.use(shared)
     XV, G, XY, YY = stack.XV, stack.G, data.XY_s, data.YY_s
     Uc, Ut, Us = stack.U_common, stack.U_target, stack.U_source
@@ -517,12 +518,12 @@ def _terms(name: str, data: ProblemData, stack: _Stack, shared: SharedFactors,
     Sc, Ss = shared.Theta_common, shared.Theta_specific
     UcTc, UtTt, UsTs, UcSc, UtSs = (getattr(stack, product) for product in PRODUCTS)
     if name == "U_target":
-        return ([(XV, (Tt + lam * Ss).mT)],
+        return ([(XV, (Tt + lam * Ss).mT.copy())],
                 [(UcTc + UtTt, G @ Tt.mT), (UcSc + UtSs, lam * (G @ Ss.mT))])
     if name == "U_source":
-        return [(XY, Ts.mT)], [(UcTc + UsTs, YY @ Ts.mT)]
+        return [(XY, Ts.mT.copy())], [(UcTc + UsTs, YY @ Ts.mT)]
     if name == "U_common":
-        return ([(XV, (Tc + lam * Sc).mT), (XY, Tc.mT)],
+        return ([(XV, (Tc + lam * Sc).mT.copy()), (XY, Tc.mT.copy())],
                 [(UcTc + UtTt, G @ Tc.mT), (UcSc + UtSs, lam * (G @ Sc.mT)),
                  (UcTc + UsTs, YY @ Tc.mT)])
     if name == "V":

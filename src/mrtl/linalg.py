@@ -2,10 +2,17 @@
 
 Factors are 2-d float64 numpy arrays; a corpus may also be a SparseCorpus,
 mrtl's compressed sparse column array, which as_corpus, stored_entries,
-frobenius_sq and residual_sq accept. The multiplicative update rules only
-ever divide by denominators floored at EPSILON, so the helpers here are
-written to preserve nonnegativity and never emit NaN/Inf on nonnegative
-input.
+frobenius_sq and residual_sq accept. Every multiplicative update divides
+by a denominator floored at EPSILON, so the helpers keep nonnegative input
+nonnegative and never emit NaN/Inf on it.
+
+engine, baselines and this module take every product in one layout: a
+corpus X (M x n) is only a left factor (X @ D, X.T @ D or X.T @ X), and a
+product whose left factor has M or n rows takes a C-contiguous right factor,
+not a transposed view, which kept the bits the same at one and two OpenBLAS
+threads at the sizes the tests and the bench run. residual_sq's fallback
+B @ W[cols].T is the one exception: it forms B W^T as a caller forms
+X = B @ W.T, so that an exact fit measures 0.
 """
 
 from __future__ import annotations
@@ -43,13 +50,13 @@ class SparseCorpus:
     indices[indptr[j]:indptr[j + 1]] (np.intp); only this module reads those
     arrays. It offers what mrtl takes of a corpus: shape, ndim, nnz,
     toarray(), normalized(), a dense block of columns X[:, a:b], and the
-    products X @ D, X.T @ D, D @ X and X.T @ X for a dense 2-d D. Each
-    product adds its terms in the order the kernels of scipy.sparse add them
-    (csc_matvecs, csr_matvecs and csr_matmat), so it equals scipy's result
-    to the bit on a CSC array with sorted indices.
+    products X @ D, X.T @ D and X.T @ X for a dense 2-d D, the module's
+    layout. Each product adds its terms in the order the kernels of
+    scipy.sparse add them (csc_matvecs, csr_matvecs and csr_matmat), so it
+    equals scipy's result to the bit on a CSC array with sorted indices.
     """
 
-    __array_ufunc__ = None  # numpy defers D @ X to __rmatmul__
+    __array_ufunc__ = None  # numpy raises TypeError on D @ X and on ufuncs
     ndim = 2
 
     def __init__(self, data, indices, indptr, shape):
@@ -129,10 +136,6 @@ class SparseCorpus:
         # the entries e at row i, in storage order
         return _products(self.indices, self.shape[0], self.data, D, self.columns,
                          self.shape[1])
-
-    def __rmatmul__(self, D) -> np.ndarray:
-        # scipy takes D @ X as (X.T @ D.T).T, a transposed view
-        return (self.T @ np.asarray(D, dtype=np.float64).T).T
 
     def _gram(self) -> np.ndarray:
         """X.T @ X as a dense n x n array.
@@ -291,10 +294,10 @@ def residual_sq(X, xx: float, B, W, cross, gram) -> float:
     X - B W^T, in column blocks of about RESIDUAL_BLOCK_BYTES; near an exact
     fit that keeps the value accurate. It is exactly 0 when X was formed as
     B @ W.T and BLAS forms each column block of that product as it forms
-    the whole. OpenBLAS 0.3.31 does, except for a ragged last block at some
-    widths: at M >= 500 and n = 300, 700 or 1500, for one, that block
-    differs in the last bit, and the value comes out below 1e-34 of ||X||^2
-    instead of 0.
+    the whole (hence the layout's one transposed right factor). OpenBLAS
+    0.3.31 does, except for a ragged last block at some widths: at M >= 500
+    and n = 300, 700 or 1500, for one, that block differs in the last bit,
+    and the value comes out below 1e-34 of ||X||^2 instead of 0.
     """
     cross, gram = float(cross), float(gram)
     value = xx - 2.0 * cross + gram
@@ -312,11 +315,10 @@ def blocks(count: int, width: int, nbytes: int) -> list:
 
     Each piece starts at a multiple of BLOCK_ALIGN lines and the last one
     takes what is left over, so no piece is a lone line, which BLAS takes as
-    a matrix-vector product. A product formed piece by piece then keeps the
-    tiling of the product formed whole: for the products the engine blocks,
-    an M x c factor times a c x k one, OpenBLAS 0.3.31 gives the same bits
-    either way for every k up to 195 (wider ones may differ in the last
-    bit).
+    a matrix-vector product. Formed so, the engine's blocked products, an
+    M x c factor times a contiguous c x k one, kept the whole product's bits
+    on OpenBLAS 0.3.31 for every k up to 192 at c <= 15 (three pairs, M =
+    200, 777, 1000 and 8000); wider k, and k >= 9 at c >= 16, may differ.
     """
     size = max(nbytes // (8 * max(width, 1)) // BLOCK_ALIGN, 1) * BLOCK_ALIGN
     bounds = [*range(0, max(count // size, 1) * size, size), count]

@@ -1,11 +1,13 @@
 """Shared builders for engine-level tests."""
 
+import os
 import warnings
 from dataclasses import replace
 
 import numpy as np
 from hypothesis import settings
 
+import mrtl
 from mrtl import engine
 from mrtl.baselines import LogRegModel, expit
 from mrtl.engine import (
@@ -28,6 +30,18 @@ with warnings.catch_warnings():
         import libcst  # noqa: F401
     except ImportError:
         pass
+
+
+def blas_threads_env(threads: str) -> dict:
+    """The environment of a child interpreter that runs this tree's mrtl
+    with every BLAS library set to threads threads before numpy loads."""
+    src = os.path.dirname(os.path.dirname(mrtl.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.update(dict.fromkeys(("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                              "MKL_NUM_THREADS", "BLIS_NUM_THREADS",
+                              "VECLIB_MAXIMUM_THREADS"), threads))
+    return env
 
 
 def refuse_to_allocate(monkeypatch, shape) -> None:

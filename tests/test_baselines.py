@@ -1,5 +1,8 @@
 """NMF and logistic-regression baselines."""
 
+import json
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -16,7 +19,7 @@ from mrtl.baselines import (
     nmf_predict_labels,
 )
 from mrtl.engine import InvalidConfigError
-from conftest import logreg_train_primal, one_hot
+from conftest import blas_threads_env, logreg_train_primal, one_hot
 
 
 def test_nmf_recovers_rank_one():
@@ -28,6 +31,25 @@ def test_nmf_recovers_rank_one():
         W, H = nmf_fit(X, k=1, iters=500, seed=seed)
         rel = np.linalg.norm(X - W @ H) / np.linalg.norm(X)
         assert rel < 1e-3
+
+
+def test_nmf_does_not_depend_on_the_blas_thread_count():
+    # At 1000 x 500 OpenBLAS splits a product across two threads, and one
+    # with a transposed right factor, such as X @ H.T, can then take other
+    # bits than at one thread. In linalg's layout, X.T @ W and X @ Ht with
+    # Ht contiguous, nmf_fit's bits do not depend on the thread count.
+    code = ("import hashlib, json, numpy as np\n"
+            "from mrtl.baselines import nmf_fit\n"
+            "X = np.random.default_rng(0).random((1000, 500))\n"
+            "errs = []\n"
+            "W, H = nmf_fit(X, 2, 7, 0, lambda i, e: errs.append(e))\n"
+            "print(json.dumps({name: hashlib.sha256(np.ascontiguousarray(a))"
+            ".hexdigest() for name, a in (('W', W), ('H', H), ('errs', errs))}))\n")
+    one, two = (json.loads(subprocess.run(
+        [sys.executable, "-W", "error", "-c", code], env=blas_threads_env(threads),
+        capture_output=True, text=True, timeout=60, check=True).stdout)
+        for threads in ("1", "2"))
+    assert one == two
 
 
 def test_nmf_zero_matrix():

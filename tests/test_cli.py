@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import mrtl.cli as cli
-from conftest import refuse_to_allocate
+from conftest import blas_threads_env, refuse_to_allocate
 from mrtl.data import SynthSpec, compact_corpus, serialize_corpus
 from mrtl.engine import Hyperparams, NumericalDivergenceError
 from mrtl.linalg import SparseCorpus
@@ -811,7 +811,10 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
     # once with the BLAS libraries at one thread and once at two, set before
     # numpy loads. At M = n_s = 200 the logistic regression's Gram product is
     # large enough for OpenBLAS to use two. Every path is relative, so the
-    # manifests must match too.
+    # manifests must match too. The identity holds at the sizes the tests
+    # and the bench run, not at every size: at M = 2000, n = 1000 dense, two
+    # threads split the inner sums of X_t V and X_t^T R, and the objective's
+    # last digits change.
     data, words = Path("data"), Path("words")
     commands = [
         ["synth", "--features", "200", "--classes", "2", "--num-targets", "2",
@@ -829,20 +832,15 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
     code = ("import json, sys, mrtl.cli\n"
             "for argv in json.loads(sys.argv[1]):\n"
             "    assert mrtl.cli.main(argv) == 0, argv\n")
-    src = os.path.dirname(os.path.dirname(cli.__file__))
     runs = []
     for threads in ("1", "2"):
         cwd = tmp_path / f"threads_{threads}"
         cwd.mkdir()
         write_word_counts(cwd / words)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        env.update(dict.fromkeys(("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                                  "MKL_NUM_THREADS", "BLIS_NUM_THREADS",
-                                  "VECLIB_MAXIMUM_THREADS"), threads))
         proc = subprocess.run(
             [sys.executable, "-W", "error", "-c", code, json.dumps(commands)],
-            cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
+            cwd=cwd, env=blas_threads_env(threads), capture_output=True,
+            text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         files = {str(path.relative_to(cwd)): path.read_bytes()
                  for path in cwd.rglob("*") if path.is_file()}

@@ -106,6 +106,23 @@ def test_fit_refuses_a_non_finite_v_init_entry(value):
         fit(data, Hyperparams(k1=2, k2=4), v_init)
 
 
+def test_fit_takes_the_same_bits_from_fortran_ordered_inputs():
+    # linalg's product layout: a tall product takes a C-contiguous right
+    # factor. At this size X_t @ V against a Fortran-ordered V adds in
+    # another order, so a v_init or Y_s held so must be copied to C order.
+    rng = np.random.default_rng(0)
+    X_s, X_t = rng.random((1000, 500)), rng.random((1000, 500))
+    Y_s, v_init = one_hot(np.arange(500) % 2 + 1, 2), rng.random((500, 2))
+    hp = Hyperparams(k1=2, k2=4, maxiter=2)
+    runs = []
+    for order in (np.ascontiguousarray, np.asfortranarray):
+        factors, shared, trace = fit(ProblemData(X_s, order(Y_s), (X_t,)), hp,
+                                     [order(v_init)])
+        runs.append((factors[0].V.tobytes(), shared.Theta_common.tobytes(),
+                     [record.objective for record in trace]))
+    assert runs[0] == runs[1]
+
+
 def test_fit_rejects_bad_hyperparams():
     rng = np.random.default_rng(3)
     data, v_init = random_problem(rng)
