@@ -18,14 +18,7 @@ from .engine import (
     check_finite_nonnegative,
     check_labels,
 )
-from .linalg import (
-    EPSILON,
-    SparseCorpus,
-    cross_and_gram,
-    frobenius_sq,
-    residual_sq,
-    stored_entries,
-)
+from .linalg import EPSILON, cross_and_gram, frobenius_sq, gram, residual_sq
 
 
 def expit(x) -> np.ndarray:
@@ -87,19 +80,6 @@ def nmf_predict_labels(H) -> np.ndarray:
     return np.argmax(H, axis=0).astype(np.int64) + 1
 
 
-# logreg_train forms the Gram matrix K = X^T X (n x n) once when n^2 is at
-# most this many times the entries X stores (M*n dense, nnz sparse);
-# otherwise each product by K is taken in two passes over X, so K never
-# outgrows X by more than a constant factor. Timed over logreg_train's 500
-# steps at c = 2 on a 2-core host, the Gram form ran 1.3-2.1x faster on
-# dense X at n = M (M = 200, 500, 1000) but 0.62-1.14x at n = 2M; on a
-# SparseCorpus at M = 8000 with 100 entries per instance it ran 5.4-8.7x
-# faster at n^2 / nnz = 1-5, 2.4x at 10 and 1.5x at 20, so there the ratio
-# bounds K's memory more than its time. Per stored entry a sparse pass costs
-# several times a dense one.
-GRAM_MAX_RATIO_DENSE = 1
-GRAM_MAX_RATIO_CSC = 4
-
 # the step size logreg_train starts from, before any halving
 LOGREG_STEP_SIZE = 0.1
 
@@ -134,8 +114,8 @@ def logreg_train(X, Y, l2: float = 1e-3, steps: int = 500,
     K @ R per step, so a retried step multiplies nothing. The weights X @ A
     are built once at the end. These are the primal iterates up to
     rounding, at the cost of one n x n product per step instead of two
-    passes over X per forward pass. K is formed only within the bound of
-    GRAM_MAX_RATIO_DENSE or GRAM_MAX_RATIO_CSC; else K @ R is X^T (X @ R).
+    passes over X per forward pass. K is formed only within linalg.gram's
+    bound on its size; else K @ R is X^T (X @ R).
     """
     X = check_corpus(X, "X")
     n = X.shape[1]
@@ -145,9 +125,7 @@ def logreg_train(X, Y, l2: float = 1e-3, steps: int = 500,
     check_finite_nonnegative(l2, "l2")
     check_count(steps, "steps")
 
-    ratio = (GRAM_MAX_RATIO_CSC if isinstance(X, SparseCorpus)
-             else GRAM_MAX_RATIO_DENSE)
-    K = X.T @ X if n * n <= ratio * stored_entries(X).size else None
+    K = gram(X)
 
     def loss_of(A, b, KA):
         """(loss, unclipped probabilities) at coefficients A and bias b, with

@@ -23,16 +23,13 @@ from .engine import (
     check_count,
     check_finite_nonnegative,
 )
-from .linalg import RESIDUAL_BLOCK_BYTES, SparseCorpus, blocks, normalize_columns_l1
-
-# A loaded corpus with at most this share of nonzero entries is held as a
-# linalg.SparseCorpus, and as a dense array otherwise. X @ W and X.T @ R,
-# the products the fit and the logistic regression spend their time in, take
-# 0.6, 1.0, 1.9 and 3.5 times their dense time as a SparseCorpus at 5, 10, 20
-# and 30% density (M=4000, n=500, c=2, one BLAS thread). The share was set
-# where scipy.sparse's compiled kernels, about three times as fast per
-# entry, cross over with dense products.
-SPARSE_MAX_DENSITY = 0.25
+from .linalg import (
+    RESIDUAL_BLOCK_BYTES,
+    SPARSE_MAX_DENSITY,
+    SparseCorpus,
+    blocks,
+    normalize_columns_l1,
+)
 
 
 class CorpusFormatError(ValueError):
@@ -424,11 +421,11 @@ def load_corpus(path) -> tuple:
 
 def compact_corpus(X):
     """A dense M x n corpus as mrtl holds one: a SparseCorpus when at most
-    SPARSE_MAX_DENSITY of its entries are nonzero, X itself otherwise; the
-    rule parse_corpus applies as it reads. One byte mask of the nonzero
-    entries gives their count and their positions in column-major order,
-    CSC's order, so the values are those of scipy's csc_array(X) to the
-    bit, in the same order."""
+    linalg.SPARSE_MAX_DENSITY of its entries are nonzero, X itself
+    otherwise; the rule parse_corpus applies as it reads. One byte mask of
+    the nonzero entries gives their count and their positions in
+    column-major order, CSC's order, so the values are those of scipy's
+    csc_array(X) to the bit, in the same order."""
     X = np.asarray(X, dtype=np.float64)
     nonzero = X != 0
     if np.count_nonzero(nonzero) > SPARSE_MAX_DENSITY * X.size:

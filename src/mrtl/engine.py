@@ -431,7 +431,8 @@ def init_factors(data: ProblemData, hp: Hyperparams, v_init) -> tuple:
     row-normalized. The draw order is fixed, so identical (data shapes,
     hp.seed, v_init) give bitwise identical factors. Returns (factors,
     shared), factors a fresh stack: the pairs' TargetFactors, in pair
-    order, which run_iteration steps in place (see _Stack).
+    order, which run_iteration steps in place (see _Stack), with every
+    product formed, the shared ones from shared's blocks.
     """
     check_clusters_fit(hp.k2, data.M)
     if len(v_init) != data.P:
@@ -463,7 +464,9 @@ def init_factors(data: ProblemData, hp: Hyperparams, v_init) -> tuple:
         Theta_common=stacked["Theta_common"][0].copy(),
         Theta_specific=stacked["Theta_target"][0].copy(),
     )
-    return _Stack(data, stacked, [normalize_rows_l1(v) for v in v_init]), shared
+    stack = _Stack(data, stacked, [normalize_rows_l1(v) for v in v_init])
+    stack.use(shared)
+    return stack, shared
 
 
 def objective(data: ProblemData, factors, shared: SharedFactors,

@@ -2,9 +2,9 @@
 
 Factors are 2-d float64 numpy arrays; a corpus may also be a SparseCorpus,
 mrtl's compressed sparse column array, which as_corpus, stored_entries,
-frobenius_sq and residual_sq accept. Every multiplicative update divides
-by a denominator floored at EPSILON, so the helpers keep nonnegative input
-nonnegative and never emit NaN/Inf on it.
+gram, frobenius_sq and residual_sq accept. Every multiplicative update
+divides by a denominator floored at EPSILON, so the helpers keep
+nonnegative input nonnegative and never emit NaN/Inf on it.
 
 engine, baselines and this module take every product in one layout: a
 corpus X (M x n) is only a left factor (X @ D, X.T @ D or X.T @ X), and a
@@ -41,6 +41,26 @@ BLOCK_ALIGN = 64
 # SparseCorpus forms X^T X from at most about this many pairs of stored
 # entries at a time, so the pair arrays stay near 8 MiB on a dense corpus.
 GRAM_CHUNK_PAIRS = 1 << 18
+
+# A loaded corpus with at most this share of nonzero entries is held as a
+# SparseCorpus, and as a dense array otherwise. X @ W and X.T @ R, the
+# products the fit and the logistic regression spend their time in, take
+# 0.6, 1.0, 1.9 and 3.5 times their dense time as a SparseCorpus at 5, 10, 20
+# and 30% density (M=4000, n=500, c=2, one BLAS thread). The share was set
+# where scipy.sparse's compiled kernels, about three times as fast per
+# entry, cross over with dense products.
+SPARSE_MAX_DENSITY = 0.25
+
+# gram forms X^T X (n x n) only when n^2 is at most this many times the
+# entries X stores (M*n dense, nnz sparse), so it never outgrows X by more
+# than a constant factor. Timed over logreg_train's 500 steps at c = 2 on a
+# 2-core host, the Gram form ran 1.3-2.1x faster on dense X at n = M (M =
+# 200, 500, 1000) but 0.62-1.14x at n = 2M; on a SparseCorpus at M = 8000
+# with 100 entries per instance it ran 5.4-8.7x faster at n^2 / nnz = 1-5,
+# 2.4x at 10 and 1.5x at 20, so there the ratio bounds its memory more than
+# its time. Per stored entry a sparse pass costs several times a dense one.
+GRAM_MAX_RATIO_DENSE = 1
+GRAM_MAX_RATIO_CSC = 4
 
 
 class SparseCorpus:
@@ -238,6 +258,14 @@ def as_corpus(a):
 def stored_entries(a) -> np.ndarray:
     """The entries a holds: a sparse corpus's stored values, or a itself."""
     return a.data if isinstance(a, SparseCorpus) else a
+
+
+def gram(X):
+    """X.T @ X for the corpus X (n x n), or None where n^2 passes
+    GRAM_MAX_RATIO_CSC (a SparseCorpus) or GRAM_MAX_RATIO_DENSE times the
+    entries X stores."""
+    ratio = GRAM_MAX_RATIO_CSC if isinstance(X, SparseCorpus) else GRAM_MAX_RATIO_DENSE
+    return X.T @ X if X.shape[1] ** 2 <= ratio * stored_entries(X).size else None
 
 
 def first_bad_entry(a):

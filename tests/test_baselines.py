@@ -18,7 +18,9 @@ from mrtl.baselines import (
     nmf_fit,
     nmf_predict_labels,
 )
+from mrtl.data import compact_corpus
 from mrtl.engine import InvalidConfigError
+from mrtl.linalg import SparseCorpus
 from conftest import blas_threads_env, logreg_train_primal, one_hot
 
 
@@ -296,3 +298,21 @@ def test_logreg_tall_corpus_never_forms_the_gram_matrix():
     finally:
         tracemalloc.stop()
     assert peak <= 2 * X.nbytes
+
+
+def test_logreg_tall_sparse_corpus_never_forms_the_gram_matrix():
+    # n^2 = 9e6 passes 4 times the ~6000 stored entries, so X^T X, 72 MB
+    # here, is not formed; the bound is the dense test's, twice X's dense
+    # size, which the n x c coefficient arrays stay within
+    rng = np.random.default_rng(11)
+    dense = rng.random((20, 3000)) * (rng.random((20, 3000)) < 0.1)
+    X = compact_corpus(dense)
+    assert isinstance(X, SparseCorpus)
+    Y = one_hot(rng.integers(1, 3, size=3000), 2)
+    tracemalloc.start()
+    try:
+        logreg_train(X, Y, steps=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * dense.nbytes

@@ -221,6 +221,14 @@ def assert_products_are_current(stack, shared):
         assert np.array_equal(getattr(stack, name), getattr(stack, U) @ block), name
 
 
+def test_init_factors_returns_a_stack_whose_products_are_current():
+    # the shared products included, formed from shared's blocks
+    rng = np.random.default_rng(48)
+    data, v_init = carried_problem(rng)
+    stack, shared = init_factors(data, Hyperparams(k1=2, k2=5, lam=2.0), v_init)
+    assert_products_are_current(stack, shared)
+
+
 def test_carried_association_products_give_the_steps_that_form_their_own():
     # every step of a sweep on a stack that carries its U Theta products, as
     # fit steps its own, gives to the bit what the step gives on a fresh

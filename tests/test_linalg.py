@@ -12,10 +12,13 @@ import scipy.sparse as sp
 import mrtl.linalg
 from mrtl.data import normalize_input
 from mrtl.linalg import (
+    GRAM_MAX_RATIO_CSC,
+    GRAM_MAX_RATIO_DENSE,
     SparseCorpus,
     _column_reduce,
     as_corpus,
     frobenius_sq,
+    gram,
     normalize_columns_l1,
     normalize_rows_l1,
     safe_ratio_sqrt,
@@ -162,6 +165,24 @@ def test_sparse_corpus_products_equal_scipys(S, chunk, monkeypatch):
     assert np.array_equal(X.toarray(), S.toarray())
     assert np.array_equal(X[:, 1:n - 1], S[:, 1:n - 1].toarray())
     assert X.nnz == S.nnz and X.ndim == 2
+
+
+def test_gram_is_formed_up_to_its_ratio_of_the_stored_entries():
+    # n^2 = ratio * stored entries forms X^T X; one instance more does not.
+    # A dense corpus stores all M n entries, zeros too (ratio 1: n = M); a
+    # sparse one its nonzero values (ratio 4: n = 4 with 4 entries, the
+    # instance past it stores none)
+    assert (GRAM_MAX_RATIO_DENSE, GRAM_MAX_RATIO_CSC) == (1, 4)
+    dense = np.zeros((4, 5))
+    dense[:, :4] = np.eye(4) + 0.5
+    assert np.array_equal(gram(dense[:, :4]), dense[:, :4].T @ dense[:, :4])
+    assert gram(dense) is None
+    X = SparseCorpus.from_entries([0, 2, 1, 0], [0, 1, 2, 3], [1.0, 2.0, 3.0, 4.0],
+                                  (3, 4))
+    assert np.array_equal(gram(X), X.T @ X)
+    assert np.array_equal(gram(X), X.toarray().T @ X.toarray())
+    wide = SparseCorpus(X.data, X.indices, [*X.indptr, X.nnz], (3, 5))
+    assert gram(wide) is None
 
 
 @pytest.mark.parametrize("S", scipy_cases())

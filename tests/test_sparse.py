@@ -28,7 +28,6 @@ from mrtl.baselines import (
     nmf_predict_labels,
 )
 from mrtl.data import (
-    SPARSE_MAX_DENSITY,
     compact_corpus,
     load_corpus,
     normalize_input,
@@ -42,7 +41,12 @@ from mrtl.engine import (
     predict,
     run_iteration,
 )
-from mrtl.linalg import SparseCorpus, frobenius_sq, normalize_rows_l1
+from mrtl.linalg import (
+    SPARSE_MAX_DENSITY,
+    SparseCorpus,
+    frobenius_sq,
+    normalize_rows_l1,
+)
 
 BLOCKS = (
     "U_common", "U_target", "U_source", "V",
