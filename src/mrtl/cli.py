@@ -71,9 +71,11 @@ _NUMBERED = re.compile(r"(\w+)_[1-9][0-9]*\.txt")
 def _write_outputs(out: str, files) -> None:
     """Write each (name, text) of files into directory out, all or none:
     every file goes to name + ".tmp", and only after the last one are they
-    renamed into place, manifest.txt last. A failed write removes them.
-    Just before manifest.txt, a numbered file of a kind this run writes but
-    which it did not write, left by a run over more targets, is removed."""
+    renamed into place, manifest.txt last. A failed write removes them, as
+    does a directory at a path a rename or removal would take, found before
+    any rename. Just before manifest.txt, a numbered file of a kind this run
+    writes but which it did not write, left by a run over more targets, is
+    removed."""
     os.makedirs(out, exist_ok=True)
     names = []
     try:
@@ -82,18 +84,22 @@ def _write_outputs(out: str, files) -> None:
             with open(os.path.join(out, name + ".tmp"), "w", encoding="utf-8") as fh:
                 fh.write(text)
             del text  # freed before files builds the next one
+        kinds = {m[1] for m in map(_NUMBERED.fullmatch, names) if m}
+        stale = [old for old in os.listdir(out) if old not in names
+                 and (m := _NUMBERED.fullmatch(old)) and m[1] in kinds]
+        for name in (*names, *stale):
+            path = os.path.join(out, name)
+            if os.path.isdir(path) and not os.path.islink(path):
+                raise InvalidConfigError(f"cannot write {path}: it is a directory")
     except BaseException:
         for name in names:
             with contextlib.suppress(OSError):
                 os.remove(os.path.join(out, name + ".tmp"))
         raise
-    kinds = {m[1] for m in map(_NUMBERED.fullmatch, names) if m}
     for name in sorted(names, key=lambda name: name == "manifest.txt"):
         if name == "manifest.txt":
-            for old in os.listdir(out):
-                m = _NUMBERED.fullmatch(old)
-                if m and m[1] in kinds and old not in names:
-                    os.remove(os.path.join(out, old))
+            for old in stale:
+                os.remove(os.path.join(out, old))
         os.replace(os.path.join(out, name + ".tmp"), os.path.join(out, name))
 
 

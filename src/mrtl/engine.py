@@ -54,18 +54,19 @@ between targets, are taken per target. A U block's rows are independent:
 row i of its num and den reads row i of the M x c products (XV, XY, B_t,
 B_g, B_s) alone, so _pair_step takes a U step one block of rows
 (ROW_BLOCK_BYTES of the stacked U) at a time, and its temporaries stay in
-cache. XV and G change only with V; the stack rebuilds them right after V
-is normalized. The stack likewise carries the five association products
+cache. The stack carries XV, G and the five association products
 U_c Theta_c, U_t Theta_t, U_s Theta_s, U_c Theta^g_c and U_t Theta^g_s
-(P x M x c each). The step that changes a U or Theta block forms again, in
-place, exactly the products that block enters, so a sweep forms 15 of
-them; the steps and the objective add them up (B_t = U_c Theta_c +
-U_t Theta_t and so on, in the order of the table). run_iteration calls the
-public update_* steps by their module names, once per sweep each, then
-the L1 normalization (cluster matrices by column, V by row), then the
-shared step. fit draws its factors straight into its own stack, so beyond
-the P pairs and their carried products a step holds its M x c sums and
-one row block's arrays.
+(P x M x c each). Each public step leaves every carried product current,
+forming again in place exactly the products of the blocks it changes (15
+association products a sweep), except that update_v leaves XV and G to
+normalize_all, which follows it. The steps and the objective add the
+products up (B_t = U_c Theta_c + U_t Theta_t and so on, in the order of
+the table). run_iteration is the public steps alone, by their module
+names, once each: update_u_target, update_u_source, update_u_common,
+update_pair_associations, update_v, normalize_all (cluster matrices by
+column, V by row), update_shared_associations. fit draws its factors
+straight into its own stack, so beyond the P pairs and their carried
+products a step holds its M x c sums and one row block's arrays.
 
 The objective is factored the same way: a term is
 w * (||X||^2 - 2 <X W, B> + <B^T B, W^T W>), where ||X||^2 is computed once
@@ -310,13 +311,13 @@ class _Stack(tuple):
     """The P pairs' TargetFactors, in pair order, as views into blocks that
     a sweep steps in place: the stack's attribute for each field in STACKED
     is one (P, rows, cols) array of every pair's block, V is the list of the
-    P n_p x c assignments (n_p differs between targets), XV (P x M x c) and
-    G (P x c x c) are each pair's X_t V and V^T V for its current V, and
-    data is the ProblemData whose corpora they were built from. The
-    attribute for each name in PRODUCTS is that product for every pair, of
-    the current blocks: a step renews those of the block it changes
-    (renew), and the shared ones are formed from the shared blocks a step
-    is given (use), whose arrays thetas holds."""
+    P n_p x c assignments (n_p differs between targets), and data is the
+    ProblemData whose corpora they were built from. XV and G (each pair's
+    X_t V and V^T V) and the attribute for each name in PRODUCTS (that
+    product for every pair) are the carried products, of the current
+    blocks: each step renews those of the blocks it changes (renew), but
+    update_v leaves XV and G to normalize_all; the shared ones are formed
+    from the shared blocks a step is given (use), whose arrays thetas holds."""
 
     def __new__(cls, data: ProblemData, stacked: dict, V: list):
         stack = super().__new__(cls, (
@@ -327,8 +328,7 @@ class _Stack(tuple):
                            G=np.empty((data.P, data.c, data.c)), thetas={},
                            **{name: np.empty((data.P, data.M, data.c))
                               for name in PRODUCTS})
-        stack.renew_v_products()
-        stack.renew(*STACKED)
+        stack.renew("V", *STACKED)
         return stack
 
     @classmethod
@@ -356,15 +356,12 @@ class _Stack(tuple):
         V = [np.array(f.V, dtype=np.float64, order="C") for f in factors]
         return cls(data, stacked, V)
 
-    def renew_v_products(self) -> None:
-        """Rebuild XV and G from the current V: what every step but those of
-        V and the source-only blocks reads of V."""
-        for p, V in enumerate(self.V):
-            self.XV[p], self.G[p] = self.data.targets[p] @ V, V.T @ V
-
     def renew(self, *names) -> None:
-        """Form again, in place, every product of a block in names; a shared
-        product only once use has formed it."""
+        """Form again, in place, each carried product of a block in names, XV
+        and G of "V"; a shared product only once use has formed it."""
+        if "V" in names:
+            for p, V in enumerate(self.V):
+                self.XV[p], self.G[p] = self.data.targets[p] @ V, V.T @ V
         for product, (U, theta) in PRODUCTS.items():
             if U in names or theta in names:
                 block = (self.thetas.get(product) if theta.startswith("shared.")
@@ -602,8 +599,8 @@ def update_u_common(data, stack: _Stack, shared: SharedFactors, hp) -> None:
 
 def update_v(data, stack: _Stack, shared: SharedFactors, hp) -> None:
     """Multiplicative step on each target's soft class assignment V: the
-    association products of every pair at once, then X_t^T R and V H one
-    target at a time, since n_p differs between targets."""
+    association products of every pair at once, then X_t^T R and V H per
+    target (n_p differs between targets). XV and G wait for normalize_all."""
     R, H = _terms("V", data, stack, shared, hp.lam)
     for p, V in enumerate(stack.V):
         np.multiply(V, safe_ratio_sqrt(data.targets[p].T @ R[p], V @ H[p]), out=V)
@@ -644,9 +641,9 @@ def update_shared_associations(data, stack: _Stack, shared: SharedFactors,
 
 def normalize_all(stack: _Stack) -> None:
     """L1-normalize every pair's cluster matrices by column and each V by
-    row, in place, and renew the products of the cluster matrices.
-    Association matrices are never normalized. Idempotent up to float
-    rounding.
+    row, in place, and renew every product of them, XV and G included, so
+    the stack is current again after update_v. Association matrices are
+    never normalized. Idempotent up to float rounding.
     """
     clusters = ("U_common", "U_target", "U_source")
     for name in clusters:
@@ -654,7 +651,7 @@ def normalize_all(stack: _Stack) -> None:
         normalize_columns_l1(U, out=U)
     for V in stack.V:
         normalize_rows_l1(V, out=V)
-    stack.renew(*clusters)
+    stack.renew(*clusters, "V")
 
 
 def run_iteration(data: ProblemData, factors, shared: SharedFactors,
@@ -682,7 +679,6 @@ def run_iteration(data: ProblemData, factors, shared: SharedFactors,
                  update_pair_associations, update_v):
         step(data, stack, shared, hp)
     normalize_all(stack)
-    stack.renew_v_products()
     return stack, update_shared_associations(data, stack, shared, hp)
 
 

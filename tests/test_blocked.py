@@ -229,26 +229,32 @@ def test_init_factors_returns_a_stack_whose_products_are_current():
     assert_products_are_current(stack, shared)
 
 
+def normalize(data, stack, shared, hp):
+    # normalize_all in the signature of the other public steps
+    normalize_all(stack)
+
+
+def shared_step(data, stack, shared, hp):
+    return update_shared_associations(data, stack, shared, hp)
+
+
+# the public steps of a sweep, in run_iteration's order
+SWEEP = (update_u_target, update_u_source, update_u_common,
+         update_pair_associations, update_v, normalize, shared_step)
+
+
 def test_carried_association_products_give_the_steps_that_form_their_own():
-    # every step of a sweep on a stack that carries its U Theta products, as
-    # fit steps its own, gives to the bit what the step gives on a fresh
-    # stack of the same pairs, which forms each product from the blocks as
-    # they are; after each step the carried products are the current ones
+    # every step of a sweep on a stack that carries its products, as fit
+    # steps its own, gives to the bit what the step gives on a fresh stack
+    # of the same pairs, which forms each product from the blocks as they
+    # are; after each step the carried products are the current ones, X_t V
+    # and V^T V too but after update_v, which leaves them to normalize_all
     rng = np.random.default_rng(47)
     data, v_init = carried_problem(rng)
     hp = Hyperparams(k1=2, k2=5, lam=2.0)
     stack, shared = init_factors(data, hp, v_init)
-
-    def shared_step(data, stack, shared, hp):
-        return update_shared_associations(data, stack, shared, hp)
-
-    def normalize(data, stack, shared, hp):
-        normalize_all(stack)
-        stack.renew_v_products()
-
     for _ in range(3):
-        for step in (update_u_target, update_u_source, update_u_common,
-                     update_pair_associations, update_v, normalize, shared_step):
+        for step in SWEEP:
             fresh = _Stack.of(data, stack)
             want = step(data, fresh, shared, hp) or shared
             got = step(data, stack, shared, hp) or shared
@@ -259,6 +265,30 @@ def test_carried_association_products_give_the_steps_that_form_their_own():
                 assert np.array_equal(a, getattr(want, name)), (step, name)
             shared = got
             assert_products_are_current(stack, shared)
+            if step is not update_v:
+                for X_t, V, XV, G in zip(data.targets, stack.V, stack.XV, stack.G):
+                    assert np.array_equal(XV, X_t @ V), (step, "XV")
+                    assert np.array_equal(G, V.T @ V), (step, "G")
+
+
+def test_the_public_steps_by_hand_are_run_iteration():
+    # the seven public steps, called one after another on one stack, give
+    # run_iteration's sweep to the bit: no step leaves a carried product
+    # for run_iteration to renew
+    rng = np.random.default_rng(47)
+    data, v_init = carried_problem(rng)
+    hp = Hyperparams(k1=2, k2=5, lam=2.0)
+    stack, shared = init_factors(data, hp, v_init)
+    ref, ref_shared = init_factors(data, hp, v_init)
+    for _ in range(3):
+        for step in SWEEP:
+            shared = step(data, stack, shared, hp) or shared
+        ref, ref_shared = run_iteration(data, ref, ref_shared, hp)
+        for f, want in zip(stack, ref):
+            for name, a in vars(f).items():
+                assert np.array_equal(a, getattr(want, name)), name
+        for name, a in vars(shared).items():
+            assert np.array_equal(a, getattr(ref_shared, name)), name
 
 
 def test_fit_equals_the_sweep_without_carried_products():

@@ -905,6 +905,27 @@ def test_failed_rerun_changes_nothing(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "unused").exists()
 
 
+@pytest.mark.parametrize("blocked", ["predictions_2.txt", "manifest.txt",
+                                     "predictions_3.txt"])
+def test_rerun_onto_a_directory_replaces_nothing(tmp_path, capsys, blocked):
+    # a directory where a rerun would rename one of its files, or remove a
+    # stale numbered one (predictions_3.txt of a two-target run), fails the
+    # run before any rename: every file of the last good run is kept as it
+    # was and no temporary file is left
+    src = synth(tmp_path / "data")
+    out = tmp_path / "run"
+    assert cli.main(train_args(src, out)) == 0
+    if (out / blocked).exists():
+        os.remove(out / blocked)
+    os.mkdir(out / blocked)
+    first = {name: read(out / name) for name in os.listdir(out) if name != blocked}
+    assert cli.main(train_args(src, out, ["--maxiter", "3"])) == 2
+    assert sorted(os.listdir(out)) == sorted([*first, blocked])
+    for name, text in first.items():
+        assert read(out / name) == text, name
+    assert f"{out / blocked}: it is a directory" in capsys.readouterr().err
+
+
 def test_smaller_rerun_leaves_no_stale_numbered_output(tmp_path):
     # a run removes the numbered files of the kinds it writes that it did not
     # write, and nothing else
