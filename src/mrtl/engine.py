@@ -47,7 +47,10 @@ every denominator is floored at linalg.EPSILON (1e-12). No pair reads
 another pair's factors within a sweep, so each step takes all P pairs at
 once on one stack (_Stack) of (P, rows, cols) blocks, with X_t V and V^T V
 stacked as (P, M, c) and (P, c, c): one batched matmul pass per term, the
-new block written into the stack in place. _terms reads only the stack. Of
+new block written into the stack in place. The stack also holds the
+shared associations, so a step reads only the stack and the Hyperparams;
+objective and run_iteration give it the SharedFactors they are given
+(_as_stack), forming again the products of each block that differs. Of
 V's step it forms, for every pair at once, R = B_t + lam B_g and
 H = B_t^T B_t + lam B_g^T B_g; only X_t^T R and V H, whose n_p differs
 between targets, are taken per target. A U block's rows are independent:
@@ -298,8 +301,8 @@ STACKED = ("U_common", "U_target", "U_source",
 
 
 # The association products a stack carries, each P x M x c: name -> (U block,
-# Theta block), the Theta a field in STACKED or "shared." + a SharedFactors
-# field, as _terms names blocks
+# Theta block), the Theta a field in STACKED or "shared." + a field of the
+# stack's SharedFactors, as _terms names blocks
 PRODUCTS = {"UcTc": ("U_common", "Theta_common"),
             "UtTt": ("U_target", "Theta_target"),
             "UsTs": ("U_source", "Theta_source"),
@@ -311,32 +314,33 @@ class _Stack(tuple):
     """The P pairs' TargetFactors, in pair order, as views into blocks that
     a sweep steps in place: the stack's attribute for each field in STACKED
     is one (P, rows, cols) array of every pair's block, V is the list of the
-    P n_p x c assignments (n_p differs between targets), and data is the
-    ProblemData whose corpora they were built from. XV and G (each pair's
-    X_t V and V^T V) and the attribute for each name in PRODUCTS (that
-    product for every pair) are the carried products, of the current
-    blocks: each step renews those of the blocks it changes (renew), but
-    update_v leaves XV and G to normalize_all; the shared ones are formed
-    from the shared blocks a step is given (use), whose arrays thetas holds."""
+    P n_p x c assignments (n_p differs between targets), shared is the
+    SharedFactors the stack was last given, and data is the ProblemData
+    whose corpora they were built from. XV and G (each pair's X_t V and
+    V^T V) and the attribute for each name in PRODUCTS (that product for
+    every pair) are the carried products, of the current blocks: each step
+    renews those of the blocks it changes (renew), but update_v leaves XV
+    and G to normalize_all."""
 
-    def __new__(cls, data: ProblemData, stacked: dict, V: list):
+    def __new__(cls, data: ProblemData, stacked: dict, V: list, shared: SharedFactors):
         stack = super().__new__(cls, (
             TargetFactors(V=v, **{name: a[p] for name, a in stacked.items()})
             for p, v in enumerate(V)))
-        vars(stack).update(stacked, V=V, data=data,
+        vars(stack).update(stacked, V=V, data=data, shared=shared,
                            XV=np.empty((data.P, data.M, data.c)),
-                           G=np.empty((data.P, data.c, data.c)), thetas={},
+                           G=np.empty((data.P, data.c, data.c)),
                            **{name: np.empty((data.P, data.M, data.c))
                               for name in PRODUCTS})
         stack.renew("V", *STACKED)
         return stack
 
     @classmethod
-    def of(cls, data: ProblemData, factors) -> "_Stack":
+    def of(cls, data: ProblemData, factors, shared: SharedFactors) -> "_Stack":
         """A fresh stack of copies of factors, an iterable of exactly the P
-        pairs' TargetFactors, taken once. Every block's shape must agree with
-        data (M, c and each target's n_p) and with pair 1's cluster counts;
-        InvalidConfigError names the first block that does not."""
+        pairs' TargetFactors, taken once, holding shared. Every block's shape,
+        shared's included, must agree with data (M, c and each target's n_p)
+        and with pair 1's cluster counts; InvalidConfigError names the first
+        block that does not."""
         factors = list(factors)
         if len(factors) != data.P:
             raise InvalidConfigError(
@@ -351,33 +355,24 @@ class _Stack(tuple):
                     "Theta_source": (ks, data.c)}
             for name, shape in want.items():
                 _check_shape(f"pair {p + 1}'s {name}", getattr(f, name), shape)
+        _check_shape("shared Theta_common", shared.Theta_common, (k1, data.c))
+        _check_shape("shared Theta_specific", shared.Theta_specific, (ks, data.c))
         stacked = {name: np.stack([getattr(f, name) for f in factors], dtype=np.float64)
                    for name in STACKED}
         V = [np.array(f.V, dtype=np.float64, order="C") for f in factors]
-        return cls(data, stacked, V)
+        return cls(data, stacked, V, shared)
 
     def renew(self, *names) -> None:
         """Form again, in place, each carried product of a block in names, XV
-        and G of "V"; a shared product only once use has formed it."""
+        and G of "V"."""
         if "V" in names:
             for p, V in enumerate(self.V):
                 self.XV[p], self.G[p] = self.data.targets[p] @ V, V.T @ V
         for product, (U, theta) in PRODUCTS.items():
             if U in names or theta in names:
-                block = (self.thetas.get(product) if theta.startswith("shared.")
-                         else getattr(self, theta))
-                if block is not None:
-                    np.matmul(getattr(self, U), block, out=getattr(self, product))
-
-    def use(self, shared: SharedFactors) -> None:
-        """Form the shared products from shared's blocks, each one not
-        already formed from that very array."""
-        for product, (_, theta) in PRODUCTS.items():
-            if theta.startswith("shared."):
-                block = getattr(shared, theta.removeprefix("shared."))
-                if self.thetas.get(product) is not block:
-                    self.thetas[product] = block
-                    self.renew(theta)
+                owner = self.shared if theta.startswith("shared.") else self
+                block = getattr(owner, theta.removeprefix("shared."))
+                np.matmul(getattr(self, U), block, out=getattr(self, product))
 
     def __reduce__(self):
         # a copy or a pickle is the plain list of the pairs' TargetFactors
@@ -395,13 +390,18 @@ class SharedFactors:
 
 def _as_stack(data: ProblemData, factors, shared: SharedFactors) -> _Stack:
     """The way into objective and run_iteration: factors itself if it is a
-    stack built for data, else _Stack.of(data, factors), a checked copy.
-    shared's blocks must agree with the stack's cluster counts and with c."""
-    stack = (factors if isinstance(factors, _Stack) and factors.data is data
-             else _Stack.of(data, factors))
-    k1, ks = stack.U_common.shape[-1], stack.U_target.shape[-1]
-    _check_shape("shared Theta_common", shared.Theta_common, (k1, data.c))
-    _check_shape("shared Theta_specific", shared.Theta_specific, (ks, data.c))
+    stack built for data, else _Stack.of(data, factors, shared), a checked
+    copy. shared's blocks must agree with the stack's cluster counts and
+    with c. A stack built for data is given shared, and the products of
+    each shared block that is not the very array it held are formed again."""
+    if not (isinstance(factors, _Stack) and factors.data is data):
+        return _Stack.of(data, factors, shared)
+    stack = factors
+    for name, block in vars(shared).items():
+        _check_shape(f"shared {name}", block, getattr(stack.shared, name).shape)
+    held, stack.shared = stack.shared, shared
+    stack.renew(*("shared." + name for name, block in vars(shared).items()
+                  if block is not getattr(held, name)))
     return stack
 
 
@@ -428,8 +428,8 @@ def init_factors(data: ProblemData, hp: Hyperparams, v_init) -> tuple:
     row-normalized. The draw order is fixed, so identical (data shapes,
     hp.seed, v_init) give bitwise identical factors. Returns (factors,
     shared), factors a fresh stack: the pairs' TargetFactors, in pair
-    order, which run_iteration steps in place (see _Stack), with every
-    product formed, the shared ones from shared's blocks.
+    order, which run_iteration steps in place (see _Stack), holding shared,
+    with every product formed.
     """
     check_clusters_fit(hp.k2, data.M)
     if len(v_init) != data.P:
@@ -461,9 +461,7 @@ def init_factors(data: ProblemData, hp: Hyperparams, v_init) -> tuple:
         Theta_common=stacked["Theta_common"][0].copy(),
         Theta_specific=stacked["Theta_target"][0].copy(),
     )
-    stack = _Stack(data, stacked, [normalize_rows_l1(v) for v in v_init])
-    stack.use(shared)
-    return stack, shared
+    return _Stack(data, stacked, [normalize_rows_l1(v) for v in v_init], shared), shared
 
 
 def objective(data: ProblemData, factors, shared: SharedFactors,
@@ -472,14 +470,13 @@ def objective(data: ProblemData, factors, shared: SharedFactors,
     the target, source and lam-weighted shared terms. Each is taken in
     factored form unless cancellation would cost it its accuracy (see
     residual_sq). factors is a stack built for data, whose X_t V, V^T V and
-    association products are read (the shared ones formed afresh unless
-    they were formed from shared's blocks), or any other iterable of the P
-    pairs, copied into a fresh stack as run_iteration copies one. B_t, B_s
-    and B_g and the inner products of each term are formed for every pair
-    at once; only the residual fallback is taken pair by pair.
+    association products are read once it holds shared (_as_stack), or any
+    other iterable of the P pairs, copied into a fresh stack as
+    run_iteration copies one. B_t, B_s and B_g and the inner products of
+    each term are formed for every pair at once; only the residual fallback
+    is taken pair by pair.
     """
     stack = _as_stack(data, factors, shared)
-    stack.use(shared)
     B_t = stack.UcTc + stack.UtTt
     B_s = stack.UcTc + stack.UsTs
     B_g = stack.UcSc + stack.UtSs
@@ -497,25 +494,23 @@ def objective(data: ProblemData, factors, shared: SharedFactors,
     return total
 
 
-def _terms(name: str, data: ProblemData, stack: _Stack, shared: SharedFactors,
-           lam: float) -> tuple:
+def _terms(name: str, stack: _Stack, lam: float) -> tuple:
     """Block name's step numerator and denominator for every pair of the
     stack, each a list of terms (L, R) standing for the sum of the products
     L @ R: the block's row of the module docstring's folded table. name is a
     field in STACKED or "shared." + a SharedFactors field; lam weights the
-    shared term. The association products are the stack's (the shared ones
-    formed from shared's blocks first where they were not), and only the
-    sums the terms read are built. A U block's L are (P, M, c) and its R
-    (P, c, k), C-contiguous (linalg's layout), so row i of a sum reads row
-    i of each L alone. V's row is instead (R, H): R = B_t + lam B_g
+    shared term. Every block, product and corpus product is the stack's
+    (its shared associations included), and only the sums the terms read
+    are built. A U block's L are (P, M, c) and its R (P, c, k),
+    C-contiguous (linalg's layout), so row i of a sum reads row i of each L
+    alone. V's row is instead (R, H): R = B_t + lam B_g
     (P x M x c) and H = B_t^T B_t + lam B_g^T B_g (P x c x c), the right
     factors of its one numerator term X_t^T R and one denominator term V H,
     whose left factors differ in n_p between targets."""
-    stack.use(shared)
-    XV, G, XY, YY = stack.XV, stack.G, data.XY_s, data.YY_s
+    XV, G, XY, YY = stack.XV, stack.G, stack.data.XY_s, stack.data.YY_s
     Uc, Ut, Us = stack.U_common, stack.U_target, stack.U_source
     Tc, Tt, Ts = stack.Theta_common, stack.Theta_target, stack.Theta_source
-    Sc, Ss = shared.Theta_common, shared.Theta_specific
+    Sc, Ss = stack.shared.Theta_common, stack.shared.Theta_specific
     UcTc, UtTt, UsTs, UcSc, UtSs = (getattr(stack, product) for product in PRODUCTS)
     if name == "U_target":
         return ([(XV, (Tt + lam * Ss).mT.copy())],
@@ -565,11 +560,11 @@ def _rows_sum(terms, rows=slice(None)) -> np.ndarray:
 ROW_BLOCK_BYTES = 128 * 1024
 
 
-def _pair_step(name: str, data, stack: _Stack, shared: SharedFactors, hp) -> None:
+def _pair_step(name: str, stack: _Stack, hp) -> None:
     """The multiplicative step on block name of every pair, written into the
     stack: a U block one row block at a time, a Theta block in one piece;
     then the products of the new block."""
-    num, den = _terms(name, data, stack, shared, hp.lam)
+    num, den = _terms(name, stack, hp.lam)
     x = getattr(stack, name)
     P, M, k = x.shape
     pieces = (blocks(M, P * k, ROW_BLOCK_BYTES) if name.startswith("U_")
@@ -581,62 +576,61 @@ def _pair_step(name: str, data, stack: _Stack, shared: SharedFactors, hp) -> Non
     stack.renew(name)
 
 
-def update_u_target(data, stack: _Stack, shared: SharedFactors, hp) -> None:
+def update_u_target(stack: _Stack, hp) -> None:
     """Multiplicative step on every pair's target-specific clusters U_target."""
-    _pair_step("U_target", data, stack, shared, hp)
+    _pair_step("U_target", stack, hp)
 
 
-def update_u_source(data, stack: _Stack, shared: SharedFactors, hp) -> None:
+def update_u_source(stack: _Stack, hp) -> None:
     """Multiplicative step on every pair's source-specific clusters U_source."""
-    _pair_step("U_source", data, stack, shared, hp)
+    _pair_step("U_source", stack, hp)
 
 
-def update_u_common(data, stack: _Stack, shared: SharedFactors, hp) -> None:
+def update_u_common(stack: _Stack, hp) -> None:
     """Multiplicative step on every pair's common clusters U_common, which
     pulls three gradients: the target and source fits and the shared one."""
-    _pair_step("U_common", data, stack, shared, hp)
+    _pair_step("U_common", stack, hp)
 
 
-def update_v(data, stack: _Stack, shared: SharedFactors, hp) -> None:
+def update_v(stack: _Stack, hp) -> None:
     """Multiplicative step on each target's soft class assignment V: the
     association products of every pair at once, then X_t^T R and V H per
     target (n_p differs between targets). XV and G wait for normalize_all."""
-    R, H = _terms("V", data, stack, shared, hp.lam)
+    R, H = _terms("V", stack, hp.lam)
     for p, V in enumerate(stack.V):
-        np.multiply(V, safe_ratio_sqrt(data.targets[p].T @ R[p], V @ H[p]), out=V)
+        np.multiply(V, safe_ratio_sqrt(stack.data.targets[p].T @ R[p], V @ H[p]), out=V)
 
 
-def update_pair_associations(data, stack: _Stack, shared: SharedFactors, hp) -> None:
+def update_pair_associations(stack: _Stack, hp) -> None:
     """Multiplicative steps on every pair's three association matrices.
 
     Theta_common first (it sees both corpora), then Theta_target and
     Theta_source, each against the factors updated so far.
     """
     for name in ("Theta_common", "Theta_target", "Theta_source"):
-        _pair_step(name, data, stack, shared, hp)
+        _pair_step(name, stack, hp)
 
 
-def update_shared_associations(data, stack: _Stack, shared: SharedFactors,
-                               hp) -> SharedFactors:
+def update_shared_associations(stack: _Stack, hp) -> SharedFactors:
     """Multiplicative steps on the two association matrices shared by all pairs.
 
     Numerators and denominators are summed over the pairs of the stack, in
     pair order, before the ratio is taken (the denominator floor applies to
-    the summed value), and the stack forms the products of each new block.
-    The specific block is updated against the fresh common block. Returns
-    the new SharedFactors; shared is not modified.
+    the summed value). Each new block is a new array: the stack is given a
+    new SharedFactors holding it and forms its products, so a SharedFactors
+    handed out before is never modified. The specific block is updated
+    against the fresh common block. Returns the stack's new SharedFactors.
     """
     for field in ("Theta_common", "Theta_specific"):
         # lam weighs the one term that holds the block, so it cancels from
         # the ratio; unit weight keeps the rule defined at lam = 0
-        num, den = (_rows_sum(terms)
-                    for terms in _terms("shared." + field, data, stack, shared, 1.0))
+        num, den = (_rows_sum(terms) for terms in _terms("shared." + field, stack, 1.0))
         step = safe_ratio_sqrt(sum(num[1:], num[0]), sum(den[1:], den[0]))
         # the new block is written into the step factor
-        shared = replace(shared, **{field: np.multiply(getattr(shared, field), step,
-                                                       out=step)})
-        stack.use(shared)
-    return shared
+        block = np.multiply(getattr(stack.shared, field), step, out=step)
+        stack.shared = replace(stack.shared, **{field: block})
+        stack.renew("shared." + field)
+    return stack.shared
 
 
 def normalize_all(stack: _Stack) -> None:
@@ -677,9 +671,9 @@ def run_iteration(data: ProblemData, factors, shared: SharedFactors,
     # installed on mrtl.engine sees it
     for step in (update_u_target, update_u_source, update_u_common,
                  update_pair_associations, update_v):
-        step(data, stack, shared, hp)
+        step(stack, hp)
     normalize_all(stack)
-    return stack, update_shared_associations(data, stack, shared, hp)
+    return stack, update_shared_associations(stack, hp)
 
 
 def fit(data: ProblemData, hp: Hyperparams, v_init, on_iteration=None) -> tuple:

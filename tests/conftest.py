@@ -154,10 +154,10 @@ def num_den(name: str, data: ProblemData, p: int, f: TargetFactors,
             shared: SharedFactors, lam: float) -> tuple:
     """Pair p's numerator and denominator of the step on block name, from
     the engine's folded table: engine._terms over a one-pair stack of a copy
-    of f, summed over all rows, and for V its X_t^T R and V H."""
+    of f holding shared, summed over all rows, and for V its X_t^T R and V H."""
     solo = replace(data, targets=(data.targets[p],))
-    stack = _Stack.of(solo, [f])
-    terms = engine._terms(name, solo, stack, shared, lam)
+    stack = _Stack.of(solo, [f], shared)
+    terms = engine._terms(name, stack, lam)
     if name == "V":
         R, H = terms
         return solo.targets[0].T @ R[0], stack.V[0] @ H[0]
@@ -167,9 +167,10 @@ def num_den(name: str, data: ProblemData, p: int, f: TargetFactors,
 def stepped(step, data: ProblemData, factors, shared: SharedFactors,
             hp: Hyperparams) -> _Stack:
     """The pairs after one in-place step, taken on a fresh stack of copies of
-    factors, so that factors keeps the values a result is compared with."""
-    stack = _Stack.of(data, factors)
-    step(data, stack, shared, hp)
+    factors holding shared, so that factors keeps the values a result is
+    compared with."""
+    stack = _Stack.of(data, factors, shared)
+    step(stack, hp)
     return stack
 
 

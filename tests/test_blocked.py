@@ -214,57 +214,55 @@ def test_carried_v_products_give_the_sweep_that_builds_its_own():
             objective(data, list(ref_factors), ref_shared, hp)
 
 
-def assert_products_are_current(stack, shared):
+def assert_products_are_current(stack):
+    # the shared products of the shared blocks the stack holds
     for name, (U, theta) in PRODUCTS.items():
-        block = (getattr(shared, theta.removeprefix("shared."))
+        block = (getattr(stack.shared, theta.removeprefix("shared."))
                  if theta.startswith("shared.") else getattr(stack, theta))
         assert np.array_equal(getattr(stack, name), getattr(stack, U) @ block), name
 
 
 def test_init_factors_returns_a_stack_whose_products_are_current():
-    # the shared products included, formed from shared's blocks
+    # the shared products included, formed from the shared blocks it returns
     rng = np.random.default_rng(48)
     data, v_init = carried_problem(rng)
     stack, shared = init_factors(data, Hyperparams(k1=2, k2=5, lam=2.0), v_init)
-    assert_products_are_current(stack, shared)
+    assert stack.shared is shared
+    assert_products_are_current(stack)
 
 
-def normalize(data, stack, shared, hp):
+def normalize(stack, hp):
     # normalize_all in the signature of the other public steps
     normalize_all(stack)
 
 
-def shared_step(data, stack, shared, hp):
-    return update_shared_associations(data, stack, shared, hp)
-
-
 # the public steps of a sweep, in run_iteration's order
 SWEEP = (update_u_target, update_u_source, update_u_common,
-         update_pair_associations, update_v, normalize, shared_step)
+         update_pair_associations, update_v, normalize, update_shared_associations)
 
 
 def test_carried_association_products_give_the_steps_that_form_their_own():
     # every step of a sweep on a stack that carries its products, as fit
     # steps its own, gives to the bit what the step gives on a fresh stack
-    # of the same pairs, which forms each product from the blocks as they
-    # are; after each step the carried products are the current ones, X_t V
-    # and V^T V too but after update_v, which leaves them to normalize_all
+    # of the same pairs and shared blocks, which forms each product from
+    # the blocks as they are; after each step the carried products are the
+    # current ones, X_t V and V^T V too but after update_v, which leaves
+    # them to normalize_all
     rng = np.random.default_rng(47)
     data, v_init = carried_problem(rng)
     hp = Hyperparams(k1=2, k2=5, lam=2.0)
-    stack, shared = init_factors(data, hp, v_init)
+    stack, _ = init_factors(data, hp, v_init)
     for _ in range(3):
         for step in SWEEP:
-            fresh = _Stack.of(data, stack)
-            want = step(data, fresh, shared, hp) or shared
-            got = step(data, stack, shared, hp) or shared
+            fresh = _Stack.of(data, stack, stack.shared)
+            step(fresh, hp)
+            step(stack, hp)
             for f, ref in zip(stack, fresh):
                 for name, a in vars(f).items():
                     assert np.array_equal(a, getattr(ref, name)), (step, name)
-            for name, a in vars(got).items():
-                assert np.array_equal(a, getattr(want, name)), (step, name)
-            shared = got
-            assert_products_are_current(stack, shared)
+            for name, a in vars(stack.shared).items():
+                assert np.array_equal(a, getattr(fresh.shared, name)), (step, name)
+            assert_products_are_current(stack)
             if step is not update_v:
                 for X_t, V, XV, G in zip(data.targets, stack.V, stack.XV, stack.G):
                     assert np.array_equal(XV, X_t @ V), (step, "XV")
@@ -278,16 +276,16 @@ def test_the_public_steps_by_hand_are_run_iteration():
     rng = np.random.default_rng(47)
     data, v_init = carried_problem(rng)
     hp = Hyperparams(k1=2, k2=5, lam=2.0)
-    stack, shared = init_factors(data, hp, v_init)
+    stack, _ = init_factors(data, hp, v_init)
     ref, ref_shared = init_factors(data, hp, v_init)
     for _ in range(3):
         for step in SWEEP:
-            shared = step(data, stack, shared, hp) or shared
+            step(stack, hp)
         ref, ref_shared = run_iteration(data, ref, ref_shared, hp)
         for f, want in zip(stack, ref):
             for name, a in vars(f).items():
                 assert np.array_equal(a, getattr(want, name)), name
-        for name, a in vars(shared).items():
+        for name, a in vars(stack.shared).items():
             assert np.array_equal(a, getattr(ref_shared, name)), name
 
 

@@ -367,7 +367,10 @@ def test_run_iteration_returns_the_stack_it_stepped(kind):
     for record in trace:
         factors, shared = run_iteration(data, factors, shared, hp)
         assert factors is stack
-        assert all(a is arrays[name] for name, a in vars(stack).items())
+        # every attribute but shared, which holds the new SharedFactors
+        assert stack.shared is shared
+        assert all(a is arrays[name] for name, a in vars(stack).items()
+                   if name != "shared")
         assert all(a is b for a, b in zip(stack.V, V))
         assert all(f is g for f, g in zip(stack, pairs))
         assert objective(data, factors, shared, hp) == record.objective
@@ -450,6 +453,28 @@ def test_stack_built_for_other_data_is_checked_and_copied(entry, n_t, message):
     assert result_bytes(entry(other, stack, shared, hp)) == want
     assert all(np.array_equal(a, b)
                for a, b in zip((a for f in stack for a in vars(f).values()), before))
+
+
+@pytest.mark.parametrize("entry", [objective, run_iteration],
+                         ids=["objective", "run_iteration"])
+@pytest.mark.parametrize("moved", [False, True], ids=["init", "swept"])
+def test_stack_given_other_shared_blocks_renews_their_products(entry, moved):
+    # a stack holds the shared associations it was last given; given
+    # others, the products of each block that is not the very array it held
+    # are formed again, so the call is the one on a fresh copy of the pairs,
+    # first with only Theta_common new and then with both blocks new
+    rng = np.random.default_rng(21)
+    data, v_init = random_problem(rng, M=10, n_t=(5, 4))
+    hp = Hyperparams(k1=2, k2=5, lam=1.0)
+    stack, shared = init_factors(data, hp, v_init)
+    if moved:
+        stack, shared = run_iteration(data, stack, shared, hp)
+    for new in (["Theta_common"], ["Theta_common", "Theta_specific"]):
+        held = stack.shared
+        given = replace(held, **{name: rng.random(getattr(held, name).shape) + 0.05
+                                 for name in new})
+        want = result_bytes(entry(data, list(stack), given, hp))
+        assert result_bytes(entry(data, stack, given, hp)) == want
 
 
 @pytest.mark.parametrize("P, M", [(4, 2000), (3, 4000)])

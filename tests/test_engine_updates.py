@@ -291,10 +291,10 @@ def test_update_v_scalar_sqrt3():
 def test_normalize_all_idempotent():
     rng = np.random.default_rng(13)
     data, v_init = random_problem(rng)
-    factors, _ = random_state(rng, data, tiny_hp())
-    once = _Stack.of(data, factors)
+    factors, shared = random_state(rng, data, tiny_hp())
+    once = _Stack.of(data, factors, shared)
     normalize_all(once)
-    twice = _Stack.of(data, once)
+    twice = _Stack.of(data, once, shared)
     normalize_all(twice)
     assert max_change(twice[0], once[0]) <= 1e-15
 
@@ -311,7 +311,8 @@ def test_normalize_all_hand_and_degenerate_row():
     )
     data = ProblemData(X_s=np.ones((2, 1)), Y_s=np.array([[1.0, 0.0]]),
                        targets=(np.ones((2, 2)),))
-    stack = _Stack.of(data, [f])
+    shared = SharedFactors(Theta_common=np.ones((1, 2)), Theta_specific=np.ones((1, 2)))
+    stack = _Stack.of(data, [f], shared)
     normalize_all(stack)
     out = stack[0]
     assert np.array_equal(out.U_common, [[0.5], [0.5]])
@@ -353,7 +354,7 @@ def test_update_pair_associations_scalar_times_two():
 def test_update_shared_fixed_point_single_pair():
     rng = np.random.default_rng(15)
     data, factors, shared = exact_problem(rng, n_t=(5,))
-    new = update_shared_associations(data, _Stack.of(data, factors), shared, tiny_hp())
+    new = update_shared_associations(_Stack.of(data, factors, shared), tiny_hp())
     assert np.max(np.abs(new.Theta_common - shared.Theta_common)) <= 1e-12
     assert np.max(np.abs(new.Theta_specific - shared.Theta_specific)) <= 1e-12
 
@@ -368,8 +369,8 @@ def test_update_shared_two_identical_targets_match_single():
         targets=(data1.targets[0], data1.targets[0].copy()),
     )
     factors2 = [factors1[0], factors1[0]]
-    single = update_shared_associations(data1, _Stack.of(data1, factors1), shared, hp)
-    double = update_shared_associations(data2, _Stack.of(data2, factors2), shared, hp)
+    single = update_shared_associations(_Stack.of(data1, factors1, shared), hp)
+    double = update_shared_associations(_Stack.of(data2, factors2, shared), hp)
     # doubled sums cancel exactly in the ratio
     assert np.array_equal(single.Theta_common, double.Theta_common)
     assert np.array_equal(single.Theta_specific, double.Theta_specific)
