@@ -48,10 +48,11 @@ another pair's factors within a sweep, so each step takes all P pairs at
 once on one stack (_Stack) of (P, rows, cols) blocks, with X_t V and V^T V
 stacked as (P, M, c) and (P, c, c): one batched matmul pass per term, the
 new block written into the stack in place. The stack also holds the
-shared associations, so a step reads only the stack and the Hyperparams;
-objective and run_iteration give it the SharedFactors they are given
-(_as_stack), forming again the products of each block that differs. Of
-V's step it forms, for every pair at once, R = B_t + lam B_g and
+shared associations, so a step reads only the stack and the Hyperparams.
+objective and run_iteration take a stack as it is only with its data and
+the SharedFactors it holds, else a checked copy (_as_stack), and every
+block they hand out is read-only, so no product goes stale. Of V's step
+it forms, for every pair at once, R = B_t + lam B_g and
 H = B_t^T B_t + lam B_g^T B_g; only X_t^T R and V H, whose n_p differs
 between targets, are taken per target. A U block's rows are independent:
 row i of its num and den reads row i of the M x c products (XV, XY, B_t,
@@ -123,9 +124,9 @@ def check_finite_nonnegative(value, name: str, field: str | None = None) -> None
 
 
 def check_count(value, name: str, least: int = 1) -> None:
-    """Refuse value, the setting name, unless it is a Python or numpy integer
-    of at least least: the one rule for every count, class count and seed."""
-    if not isinstance(value, (int, np.integer)) or value < least:
+    """Refuse value, the setting name, unless it is a Python or numpy integer,
+    not a bool, of at least least: the one rule for every count and seed."""
+    if type(value) is bool or not isinstance(value, (int, np.integer)) or value < least:
         raise InvalidConfigError(
             f"{name} must be an integer of at least {least}, got {value!r}", name)
 
@@ -289,6 +290,12 @@ class TargetFactors:
     Theta_source: np.ndarray
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """a, made to refuse writes."""
+    a.flags.writeable = False
+    return a
+
+
 def _check_shape(what: str, a, shape: tuple) -> None:
     """InvalidConfigError naming what unless a has shape shape."""
     if np.shape(a) != shape:
@@ -311,12 +318,12 @@ PRODUCTS = {"UcTc": ("U_common", "Theta_common"),
 
 
 class _Stack(tuple):
-    """The P pairs' TargetFactors, in pair order, as views into blocks that
-    a sweep steps in place: the stack's attribute for each field in STACKED
-    is one (P, rows, cols) array of every pair's block, V is the list of the
-    P n_p x c assignments (n_p differs between targets), shared is the
-    SharedFactors the stack was last given, and data is the ProblemData
-    whose corpora they were built from. XV and G (each pair's X_t V and
+    """The P pairs' TargetFactors, in pair order, as read-only views into
+    blocks that a sweep steps in place: the stack's attribute for each field
+    in STACKED is one (P, rows, cols) array of every pair's block, V is the
+    list of the P n_p x c assignments (n_p differs between targets), shared
+    the SharedFactors it holds, and data is the ProblemData whose corpora
+    they were built from. XV and G (each pair's X_t V and
     V^T V) and the attribute for each name in PRODUCTS (that product for
     every pair) are the carried products, of the current blocks: each step
     renews those of the blocks it changes (renew), but update_v leaves XV
@@ -324,7 +331,8 @@ class _Stack(tuple):
 
     def __new__(cls, data: ProblemData, stacked: dict, V: list, shared: SharedFactors):
         stack = super().__new__(cls, (
-            TargetFactors(V=v, **{name: a[p] for name, a in stacked.items()})
+            TargetFactors(V=_read_only(v.view()),
+                          **{name: _read_only(a[p]) for name, a in stacked.items()})
             for p, v in enumerate(V)))
         vars(stack).update(stacked, V=V, data=data, shared=shared,
                            XV=np.empty((data.P, data.M, data.c)),
@@ -390,19 +398,12 @@ class SharedFactors:
 
 def _as_stack(data: ProblemData, factors, shared: SharedFactors) -> _Stack:
     """The way into objective and run_iteration: factors itself if it is a
-    stack built for data, else _Stack.of(data, factors, shared), a checked
-    copy. shared's blocks must agree with the stack's cluster counts and
-    with c. A stack built for data is given shared, and the products of
-    each shared block that is not the very array it held are formed again."""
-    if not (isinstance(factors, _Stack) and factors.data is data):
-        return _Stack.of(data, factors, shared)
-    stack = factors
-    for name, block in vars(shared).items():
-        _check_shape(f"shared {name}", block, getattr(stack.shared, name).shape)
-    held, stack.shared = stack.shared, shared
-    stack.renew(*("shared." + name for name, block in vars(shared).items()
-                  if block is not getattr(held, name)))
-    return stack
+    stack built for data that holds shared, else _Stack.of(data, factors,
+    shared), a checked copy holding shared."""
+    if (isinstance(factors, _Stack) and factors.data is data
+            and factors.shared is shared):
+        return factors
+    return _Stack.of(data, factors, shared)
 
 
 @dataclass(frozen=True)
@@ -427,9 +428,9 @@ def init_factors(data: ProblemData, hp: Hyperparams, v_init) -> tuple:
     n_p x c matrix per target, e.g. classifier probabilities) and
     row-normalized. The draw order is fixed, so identical (data shapes,
     hp.seed, v_init) give bitwise identical factors. Returns (factors,
-    shared), factors a fresh stack: the pairs' TargetFactors, in pair
-    order, which run_iteration steps in place (see _Stack), holding shared,
-    with every product formed.
+    shared), shared's blocks read-only, and factors a fresh stack holding
+    it, with every product formed: the pairs' TargetFactors, read-only
+    views in pair order, which run_iteration steps in place (see _Stack).
     """
     check_clusters_fit(hp.k2, data.M)
     if len(v_init) != data.P:
@@ -458,8 +459,8 @@ def init_factors(data: ProblemData, hp: Hyperparams, v_init) -> tuple:
             normalize_columns_l1(first, out=first)
         stacked[name][1:] = first
     shared = SharedFactors(
-        Theta_common=stacked["Theta_common"][0].copy(),
-        Theta_specific=stacked["Theta_target"][0].copy(),
+        Theta_common=_read_only(stacked["Theta_common"][0].copy()),
+        Theta_specific=_read_only(stacked["Theta_target"][0].copy()),
     )
     return _Stack(data, stacked, [normalize_rows_l1(v) for v in v_init], shared), shared
 
@@ -469,12 +470,12 @@ def objective(data: ProblemData, factors, shared: SharedFactors,
     """Joint squared reconstruction error over all pairs: the sum over p of
     the target, source and lam-weighted shared terms. Each is taken in
     factored form unless cancellation would cost it its accuracy (see
-    residual_sq). factors is a stack built for data, whose X_t V, V^T V and
-    association products are read once it holds shared (_as_stack), or any
-    other iterable of the P pairs, copied into a fresh stack as
-    run_iteration copies one. B_t, B_s and B_g and the inner products of
-    each term are formed for every pair at once; only the residual fallback
-    is taken pair by pair.
+    residual_sq). factors is a stack built for data and holding shared,
+    whose X_t V, V^T V and association products are read as they stand, or
+    any other iterable of the P pairs, copied into a fresh stack as
+    run_iteration copies one (_as_stack). B_t, B_s and B_g and the inner
+    products of each term are formed for every pair at once; only the
+    residual fallback is taken pair by pair.
     """
     stack = _as_stack(data, factors, shared)
     B_t = stack.UcTc + stack.UtTt
@@ -616,10 +617,10 @@ def update_shared_associations(stack: _Stack, hp) -> SharedFactors:
 
     Numerators and denominators are summed over the pairs of the stack, in
     pair order, before the ratio is taken (the denominator floor applies to
-    the summed value). Each new block is a new array: the stack is given a
-    new SharedFactors holding it and forms its products, so a SharedFactors
-    handed out before is never modified. The specific block is updated
-    against the fresh common block. Returns the stack's new SharedFactors.
+    the summed value). Each new block is a new, read-only array: the stack
+    is given a new SharedFactors holding it and forms its products, so a
+    SharedFactors handed out before is never modified. The specific block
+    is updated against the fresh common block. Returns stack.shared.
     """
     for field in ("Theta_common", "Theta_specific"):
         # lam weighs the one term that holds the block, so it cancels from
@@ -628,7 +629,7 @@ def update_shared_associations(stack: _Stack, hp) -> SharedFactors:
         step = safe_ratio_sqrt(sum(num[1:], num[0]), sum(den[1:], den[0]))
         # the new block is written into the step factor
         block = np.multiply(getattr(stack.shared, field), step, out=step)
-        stack.shared = replace(stack.shared, **{field: block})
+        stack.shared = replace(stack.shared, **{field: _read_only(block)})
         stack.renew("shared." + field)
     return stack.shared
 
@@ -652,13 +653,13 @@ def run_iteration(data: ProblemData, factors, shared: SharedFactors,
                   hp: Hyperparams) -> tuple:
     """One full sweep over all factors; the loop body of fit.
 
-    factors is the P pairs' factors in pair order: a stack built for data,
-    as init_factors returns one, which the sweep steps in place, or any
-    other iterable of exactly P TargetFactors, a stack built for another
-    problem included, taken once and copied into a fresh stack, so never
-    modified (_as_stack, which checks the shapes). Returns (the stack
-    it stepped, the new SharedFactors), so factors, shared =
-    run_iteration(...) chains on one stack.
+    factors is the P pairs' factors in pair order: a stack built for data
+    and holding shared, as init_factors returns one, which the sweep steps
+    in place, or any other iterable of exactly P TargetFactors, any other
+    stack included, taken once and copied into a fresh stack, so never
+    modified (_as_stack, which checks the shapes). Returns (the stack it
+    stepped, the new SharedFactors), so factors, shared = run_iteration(...)
+    chains on one stack.
 
     Each step takes every pair at once: U_target, U_source, U_common, the
     pair associations, V, then normalization, then the shared associations.
@@ -685,14 +686,13 @@ def fit(data: ProblemData, hp: Hyperparams, v_init, on_iteration=None) -> tuple:
     hp.convergence_tol when that is positive. One TraceRecord is appended
     per completed iteration, with the objective measured after the shared
     update; then, when given, on_iteration(record, factors) is called with
-    that record and the pairs' TargetFactors, live views of fit's stack
-    that the listener must not modify. Raises NumericalDivergenceError
-    naming the iteration if any factor entry becomes non-finite, before
-    that iteration's record or call. Identical inputs and seed reproduce
-    the run exactly. The factors are drawn straight into fit's own stack,
-    which every sweep steps in place and which fit returns: a tuple of each
-    pair's TargetFactors, views into it, whose copy or pickle is a plain
-    list.
+    that record and the pairs' TargetFactors. Raises
+    NumericalDivergenceError naming the iteration if any factor entry
+    becomes non-finite, before that iteration's record or call. Identical
+    inputs and seed reproduce the run exactly. The factors are drawn
+    straight into fit's own stack, which every sweep steps in place and
+    which fit returns: a tuple of each pair's TargetFactors, read-only
+    views into it, whose copy or pickle is a plain list.
     """
     stack, shared = init_factors(data, hp, v_init)
     trace = []

@@ -480,8 +480,10 @@ INTEGER_SETTINGS = [
     ("logreg_train", "steps", 1),
     ("serialize_corpus", "c", 1),
 ]
+# True is an int to Python, but no count: it used to build and then end in a
+# numpy TypeError or a corpus header the parser refuses
 INTEGER_CASES = [(*setting, value) for setting in INTEGER_SETTINGS
-                 for value in (setting[2] - 1, 2.5)]
+                 for value in (setting[2] - 1, 2.5, True)]
 
 
 @pytest.mark.parametrize("owner, name, least, value", INTEGER_CASES,

@@ -455,26 +455,68 @@ def test_stack_built_for_other_data_is_checked_and_copied(entry, n_t, message):
                for a, b in zip((a for f in stack for a in vars(f).values()), before))
 
 
+def stack_bytes(stack):
+    """The bytes of a stack's pair blocks and of its shared blocks."""
+    return [a.tobytes() for f in stack for a in vars(f).values()] + [
+        a.tobytes() for a in vars(stack.shared).values()]
+
+
 @pytest.mark.parametrize("entry", [objective, run_iteration],
                          ids=["objective", "run_iteration"])
 @pytest.mark.parametrize("moved", [False, True], ids=["init", "swept"])
-def test_stack_given_other_shared_blocks_renews_their_products(entry, moved):
-    # a stack holds the shared associations it was last given; given
-    # others, the products of each block that is not the very array it held
-    # are formed again, so the call is the one on a fresh copy of the pairs,
-    # first with only Theta_common new and then with both blocks new
+def test_stack_given_other_shared_blocks_is_checked_and_copied(entry, moved):
+    # a stack is taken as it is only with the SharedFactors it holds; given
+    # others, first with only Theta_common new and then with both blocks
+    # new, the call is the one on a fresh copy of the pairs, and the stack
+    # keeps its blocks, its shared associations and its products
     rng = np.random.default_rng(21)
     data, v_init = random_problem(rng, M=10, n_t=(5, 4))
     hp = Hyperparams(k1=2, k2=5, lam=1.0)
     stack, shared = init_factors(data, hp, v_init)
     if moved:
         stack, shared = run_iteration(data, stack, shared, hp)
+    held = objective(data, list(stack), shared, hp)
     for new in (["Theta_common"], ["Theta_common", "Theta_specific"]):
-        held = stack.shared
-        given = replace(held, **{name: rng.random(getattr(held, name).shape) + 0.05
-                                 for name in new})
+        given = replace(shared, **{name: rng.random(getattr(shared, name).shape) + 0.05
+                                   for name in new})
+        before = stack_bytes(stack)
         want = result_bytes(entry(data, list(stack), given, hp))
-        assert result_bytes(entry(data, stack, given, hp)) == want
+        out = entry(data, stack, given, hp)
+        assert result_bytes(out) == want
+        if entry is run_iteration:
+            assert out[0] is not stack
+        assert stack.shared is shared and stack_bytes(stack) == before
+        assert objective(data, stack, shared, hp) == held
+
+
+def test_every_block_handed_out_refuses_writes():
+    # the stack reads its carried products as they stand, so a block changed
+    # in place left them stale: after fit, Theta_common of pair 1 set to 0.5
+    # read 0.8584 on the stack and 1.2981 on a copy of its pairs, and a
+    # shared block of init_factors set so read 3.585 against 4.223
+    data, v_init = random_problem(np.random.default_rng(21), M=10, n_t=(5, 4))
+    hp = Hyperparams(k1=2, k2=5, lam=1.0, maxiter=3)
+    factors, shared, _ = fit(data, hp, v_init)
+    first, first_shared = init_factors(data, hp, v_init)
+    for stack, held in ((factors, shared), (first, first_shared)):
+        want = objective(data, list(stack), held, hp)
+        for block in [a for f in stack for a in vars(f).values()] + list(
+                vars(held).values()):
+            with pytest.raises(ValueError, match="read-only"):
+                block[...] = 0.5
+        assert objective(data, stack, held, hp) == want
+    # a shallow copy is the list of the very read-only pairs; a deep copy or
+    # a pickle is a list of writable arrays of its own
+    shallow = copy.copy(factors)
+    assert type(shallow) is list and len(shallow) == data.P
+    assert all(f is g for f, g in zip(shallow, factors))
+    before = stack_bytes(factors)
+    for copied in (copy.deepcopy(factors), pickle.loads(pickle.dumps(factors))):
+        assert type(copied) is list and len(copied) == data.P
+        for f in copied:
+            for a in vars(f).values():
+                a[...] = 0.5
+    assert stack_bytes(factors) == before
 
 
 @pytest.mark.parametrize("P, M", [(4, 2000), (3, 4000)])
