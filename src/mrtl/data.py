@@ -491,10 +491,10 @@ class SynthSpec:
         Hyperparams(k1=self.k1, k2=self.k2, seed=self.seed)
         check_clusters_fit(self.k2, self.M)
         check_finite_nonnegative(self.noise, "noise")
-        if not 0.0 <= self.domain_shift <= 1.0:
+        shift = self.domain_shift
+        if isinstance(shift, (bool, np.bool_)) or not 0.0 <= shift <= 1.0:
             raise InvalidConfigError(
-                f"domain_shift must lie in [0, 1], got {self.domain_shift}",
-                "domain_shift")
+                f"domain_shift must lie in [0, 1], got {shift}", "domain_shift")
 
 
 # fraction of every class signature carried by the common clusters. Near

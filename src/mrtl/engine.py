@@ -47,8 +47,9 @@ every denominator is floored at linalg.EPSILON (1e-12). No pair reads
 another pair's factors within a sweep, so each step takes all P pairs at
 once on one stack (_Stack) of (P, rows, cols) blocks, with X_t V and V^T V
 stacked as (P, M, c) and (P, c, c): one batched matmul pass per term, the
-new block written into the stack in place. The stack also holds the
-shared associations, so a step reads only the stack and the Hyperparams.
+new block written into the stack in place. The shared associations are
+(1, rows, c) stack blocks tied across the pairs, which matmul broadcasts
+and whose step sums over the pairs, so a step reads only the stack and lam.
 objective and run_iteration take a stack as it is only with its data and
 the SharedFactors it holds, else a checked copy (_as_stack), and every
 block they hand out is read-only, so no product goes stale. Of V's step
@@ -88,7 +89,7 @@ product layout), each may be dense or a SparseCorpus; the code is the same.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import numpy.random  # numpy loads it on first use; every fit draws from it
@@ -116,9 +117,9 @@ class InvalidConfigError(ValueError):
 
 
 def check_finite_nonnegative(value, name: str, field: str | None = None) -> None:
-    """Refuse value, which the message calls name, unless 0 <= value < inf;
-    field is its setting when that is not name."""
-    if not 0 <= value < np.inf:
+    """Refuse value, which the message calls name, unless 0 <= value < inf
+    and it is not a bool; field is its setting when that is not name."""
+    if isinstance(value, (bool, np.bool_)) or not 0 <= value < np.inf:
         raise InvalidConfigError(
             f"{name} must be finite and nonnegative, got {value}", field or name)
 
@@ -190,9 +191,9 @@ class Hyperparams:
     k1 common and k2 total feature clusters per pair (k1 == k2 is allowed and
     leaves no domain-specific clusters), lam weights the shared-association
     term, and convergence_tol stops early on relative objective change when
-    positive; lam and convergence_tol must be finite. The rules are checked
-    when an instance is built, dataclasses.replace included, so every
-    Hyperparams in existence is valid.
+    positive; lam and convergence_tol must be finite and no bool. The rules
+    are checked when an instance is built, dataclasses.replace included, so
+    every Hyperparams in existence is valid.
     """
 
     k1: int = 10
@@ -306,34 +307,39 @@ def _check_shape(what: str, a, shape: tuple) -> None:
 STACKED = ("U_common", "U_target", "U_source",
            "Theta_common", "Theta_target", "Theta_source")
 
+# the blocks tied across pairs that a _Stack holds, each (1, rows, c): stack
+# attribute -> its SharedFactors field
+TIED = {"Theta_g_common": "Theta_common", "Theta_g_specific": "Theta_specific"}
 
-# The association products a stack carries, each P x M x c: name -> (U block,
-# Theta block), the Theta a field in STACKED or "shared." + a field of the
-# stack's SharedFactors, as _terms names blocks
+# the association products a stack carries, each P x M x c: name -> (U, Theta)
 PRODUCTS = {"UcTc": ("U_common", "Theta_common"),
             "UtTt": ("U_target", "Theta_target"),
             "UsTs": ("U_source", "Theta_source"),
-            "UcSc": ("U_common", "shared.Theta_common"),
-            "UtSs": ("U_target", "shared.Theta_specific")}
+            "UcSc": ("U_common", "Theta_g_common"),
+            "UtSs": ("U_target", "Theta_g_specific")}
 
 
 class _Stack(tuple):
     """The P pairs' TargetFactors, in pair order, as read-only views into
-    blocks that a sweep steps in place: the stack's attribute for each field
-    in STACKED is one (P, rows, cols) array of every pair's block, V is the
-    list of the P n_p x c assignments (n_p differs between targets), shared
-    the SharedFactors it holds, and data is the ProblemData whose corpora
-    they were built from. XV and G (each pair's X_t V and
-    V^T V) and the attribute for each name in PRODUCTS (that product for
-    every pair) are the carried products, of the current blocks: each step
-    renews those of the blocks it changes (renew), but update_v leaves XV
-    and G to normalize_all."""
+    blocks that a sweep steps in place, and shared, the SharedFactors of
+    read-only views of the TIED blocks. The stack's attribute for each name
+    in STACKED and TIED is one (P, rows, cols) array of every pair's block,
+    or (1, rows, cols) for a block tied across the pairs, which matmul
+    broadcasts; V is the list of the P n_p x c assignments (n_p differs
+    between targets) and data the ProblemData whose corpora they were built
+    from. XV and G (each pair's X_t V and V^T V) and the attribute for each
+    name in PRODUCTS (that product for every pair) are the carried products,
+    of the current blocks: each step renews those of the blocks it changes
+    (renew), but update_v leaves XV and G to normalize_all."""
 
-    def __new__(cls, data: ProblemData, stacked: dict, V: list, shared: SharedFactors):
+    def __new__(cls, data: ProblemData, stacked: dict, V: list):
         stack = super().__new__(cls, (
             TargetFactors(V=_read_only(v.view()),
-                          **{name: _read_only(a[p]) for name, a in stacked.items()})
+                          **{name: _read_only(a[p % len(a)])
+                             for name, a in stacked.items() if name in STACKED})
             for p, v in enumerate(V)))
+        shared = SharedFactors(**{field: _read_only(stacked[name][0])
+                                  for name, field in TIED.items()})
         vars(stack).update(stacked, V=V, data=data, shared=shared,
                            XV=np.empty((data.P, data.M, data.c)),
                            G=np.empty((data.P, data.c, data.c)),
@@ -345,7 +351,7 @@ class _Stack(tuple):
     @classmethod
     def of(cls, data: ProblemData, factors, shared: SharedFactors) -> "_Stack":
         """A fresh stack of copies of factors, an iterable of exactly the P
-        pairs' TargetFactors, taken once, holding shared. Every block's shape,
+        pairs' TargetFactors, taken once, and of shared's blocks. Each shape,
         shared's included, must agree with data (M, c and each target's n_p)
         and with pair 1's cluster counts; InvalidConfigError names the first
         block that does not."""
@@ -367,8 +373,10 @@ class _Stack(tuple):
         _check_shape("shared Theta_specific", shared.Theta_specific, (ks, data.c))
         stacked = {name: np.stack([getattr(f, name) for f in factors], dtype=np.float64)
                    for name in STACKED}
+        for name, field in TIED.items():
+            stacked[name] = np.stack([getattr(shared, field)], dtype=np.float64)
         V = [np.array(f.V, dtype=np.float64, order="C") for f in factors]
-        return cls(data, stacked, V, shared)
+        return cls(data, stacked, V)
 
     def renew(self, *names) -> None:
         """Form again, in place, each carried product of a block in names, XV
@@ -378,9 +386,8 @@ class _Stack(tuple):
                 self.XV[p], self.G[p] = self.data.targets[p] @ V, V.T @ V
         for product, (U, theta) in PRODUCTS.items():
             if U in names or theta in names:
-                owner = self.shared if theta.startswith("shared.") else self
-                block = getattr(owner, theta.removeprefix("shared."))
-                np.matmul(getattr(self, U), block, out=getattr(self, product))
+                np.matmul(getattr(self, U), getattr(self, theta),
+                          out=getattr(self, product))
 
     def __reduce__(self):
         # a copy or a pickle is the plain list of the pairs' TargetFactors
@@ -390,7 +397,8 @@ class _Stack(tuple):
 @dataclass(frozen=True)
 class SharedFactors:
     """Association matrices shared by every pair: common (k1 x c) and
-    specific ((k2-k1) x c) cluster blocks."""
+    specific ((k2-k1) x c) cluster blocks; the engine's are read-only views
+    of a stack's TIED blocks."""
 
     Theta_common: np.ndarray
     Theta_specific: np.ndarray
@@ -399,7 +407,7 @@ class SharedFactors:
 def _as_stack(data: ProblemData, factors, shared: SharedFactors) -> _Stack:
     """The way into objective and run_iteration: factors itself if it is a
     stack built for data that holds shared, else _Stack.of(data, factors,
-    shared), a checked copy holding shared."""
+    shared), a checked copy of both."""
     if (isinstance(factors, _Stack) and factors.data is data
             and factors.shared is shared):
         return factors
@@ -428,8 +436,8 @@ def init_factors(data: ProblemData, hp: Hyperparams, v_init) -> tuple:
     n_p x c matrix per target, e.g. classifier probabilities) and
     row-normalized. The draw order is fixed, so identical (data shapes,
     hp.seed, v_init) give bitwise identical factors. Returns (factors,
-    shared), shared's blocks read-only, and factors a fresh stack holding
-    it, with every product formed: the pairs' TargetFactors, read-only
+    factors.shared): a fresh stack with every product formed, the pairs'
+    TargetFactors, and the SharedFactors of its tied blocks, all read-only
     views in pair order, which run_iteration steps in place (see _Stack).
     """
     check_clusters_fit(hp.k2, data.M)
@@ -458,11 +466,10 @@ def init_factors(data: ProblemData, hp: Hyperparams, v_init) -> tuple:
         if name.startswith("U_"):
             normalize_columns_l1(first, out=first)
         stacked[name][1:] = first
-    shared = SharedFactors(
-        Theta_common=_read_only(stacked["Theta_common"][0].copy()),
-        Theta_specific=_read_only(stacked["Theta_target"][0].copy()),
-    )
-    return _Stack(data, stacked, [normalize_rows_l1(v) for v in v_init], shared), shared
+    stacked["Theta_g_common"] = stacked["Theta_common"][:1].copy()
+    stacked["Theta_g_specific"] = stacked["Theta_target"][:1].copy()
+    stack = _Stack(data, stacked, [normalize_rows_l1(v) for v in v_init])
+    return stack, stack.shared
 
 
 def objective(data: ProblemData, factors, shared: SharedFactors,
@@ -499,10 +506,9 @@ def _terms(name: str, stack: _Stack, lam: float) -> tuple:
     """Block name's step numerator and denominator for every pair of the
     stack, each a list of terms (L, R) standing for the sum of the products
     L @ R: the block's row of the module docstring's folded table. name is a
-    field in STACKED or "shared." + a SharedFactors field; lam weights the
-    shared term. Every block, product and corpus product is the stack's
-    (its shared associations included), and only the sums the terms read
-    are built. A U block's L are (P, M, c) and its R (P, c, k),
+    name in STACKED or TIED, or "V"; lam weights the shared term. Every
+    block, product and corpus product is the stack's, and only the sums the
+    terms read are built. A U block's L are (P, M, c) and its R (P, c, k),
     C-contiguous (linalg's layout), so row i of a sum reads row i of each L
     alone. V's row is instead (R, H): R = B_t + lam B_g
     (P x M x c) and H = B_t^T B_t + lam B_g^T B_g (P x c x c), the right
@@ -511,7 +517,7 @@ def _terms(name: str, stack: _Stack, lam: float) -> tuple:
     XV, G, XY, YY = stack.XV, stack.G, stack.data.XY_s, stack.data.YY_s
     Uc, Ut, Us = stack.U_common, stack.U_target, stack.U_source
     Tc, Tt, Ts = stack.Theta_common, stack.Theta_target, stack.Theta_source
-    Sc, Ss = stack.shared.Theta_common, stack.shared.Theta_specific
+    Sc, Ss = stack.Theta_g_common, stack.Theta_g_specific
     UcTc, UtTt, UsTs, UcSc, UtSs = (getattr(stack, product) for product in PRODUCTS)
     if name == "U_target":
         return ([(XV, (Tt + lam * Ss).mT.copy())],
@@ -532,9 +538,9 @@ def _terms(name: str, stack: _Stack, lam: float) -> tuple:
     if name == "Theta_common":
         return ([(Uc.mT, XV + XY)],
                 [(Uc.mT, (UcTc + UtTt) @ G + (UcTc + UsTs) @ YY)])
-    if name == "shared.Theta_common":
+    if name == "Theta_g_common":
         return [(Uc.mT, lam * XV)], [(Uc.mT, (UcSc + UtSs) @ (lam * G))]
-    if name == "shared.Theta_specific":
+    if name == "Theta_g_specific":
         return [(Ut.mT, lam * XV)], [(Ut.mT, (UcSc + UtSs) @ (lam * G))]
     raise ValueError(f"no factor block named {name!r}")
 
@@ -561,17 +567,22 @@ def _rows_sum(terms, rows=slice(None)) -> np.ndarray:
 ROW_BLOCK_BYTES = 128 * 1024
 
 
-def _pair_step(name: str, stack: _Stack, hp) -> None:
+def _pair_step(name: str, stack: _Stack, lam: float) -> None:
     """The multiplicative step on block name of every pair, written into the
     stack: a U block one row block at a time, a Theta block in one piece;
-    then the products of the new block."""
-    num, den = _terms(name, stack, hp.lam)
+    then the products of the new block. A block tied across the pairs takes
+    one step, on its numerator and denominator summed over the pairs in
+    pair order (the denominator floor applies to the sum)."""
+    num, den = _terms(name, stack, lam)
     x = getattr(stack, name)
-    P, M, k = x.shape
-    pieces = (blocks(M, P * k, ROW_BLOCK_BYTES) if name.startswith("U_")
+    _, M, k = x.shape
+    pieces = (blocks(M, len(stack) * k, ROW_BLOCK_BYTES) if name.startswith("U_")
               else [slice(None)])
     for rows in pieces:
-        step = safe_ratio_sqrt(_rows_sum(num, rows), _rows_sum(den, rows))
+        sums = _rows_sum(num, rows), _rows_sum(den, rows)
+        if len(x) < len(stack):
+            sums = (a.sum(axis=0, keepdims=True) for a in sums)
+        step = safe_ratio_sqrt(*sums)
         block = x[..., rows, :]
         np.multiply(block, step, out=block)
     stack.renew(name)
@@ -579,18 +590,18 @@ def _pair_step(name: str, stack: _Stack, hp) -> None:
 
 def update_u_target(stack: _Stack, hp) -> None:
     """Multiplicative step on every pair's target-specific clusters U_target."""
-    _pair_step("U_target", stack, hp)
+    _pair_step("U_target", stack, hp.lam)
 
 
 def update_u_source(stack: _Stack, hp) -> None:
     """Multiplicative step on every pair's source-specific clusters U_source."""
-    _pair_step("U_source", stack, hp)
+    _pair_step("U_source", stack, hp.lam)
 
 
 def update_u_common(stack: _Stack, hp) -> None:
     """Multiplicative step on every pair's common clusters U_common, which
     pulls three gradients: the target and source fits and the shared one."""
-    _pair_step("U_common", stack, hp)
+    _pair_step("U_common", stack, hp.lam)
 
 
 def update_v(stack: _Stack, hp) -> None:
@@ -609,28 +620,18 @@ def update_pair_associations(stack: _Stack, hp) -> None:
     Theta_source, each against the factors updated so far.
     """
     for name in ("Theta_common", "Theta_target", "Theta_source"):
-        _pair_step(name, stack, hp)
+        _pair_step(name, stack, hp.lam)
 
 
 def update_shared_associations(stack: _Stack, hp) -> SharedFactors:
-    """Multiplicative steps on the two association matrices shared by all pairs.
-
-    Numerators and denominators are summed over the pairs of the stack, in
-    pair order, before the ratio is taken (the denominator floor applies to
-    the summed value). Each new block is a new, read-only array: the stack
-    is given a new SharedFactors holding it and forms its products, so a
-    SharedFactors handed out before is never modified. The specific block
-    is updated against the fresh common block. Returns stack.shared.
-    """
-    for field in ("Theta_common", "Theta_specific"):
+    """Multiplicative steps on the two association matrices shared by all
+    pairs, the stack's TIED blocks, the specific one against the fresh
+    common one. Each is stepped in place: stack.shared, which it returns,
+    is the same SharedFactors of read-only views every sweep."""
+    for name in TIED:
         # lam weighs the one term that holds the block, so it cancels from
         # the ratio; unit weight keeps the rule defined at lam = 0
-        num, den = (_rows_sum(terms) for terms in _terms("shared." + field, stack, 1.0))
-        step = safe_ratio_sqrt(sum(num[1:], num[0]), sum(den[1:], den[0]))
-        # the new block is written into the step factor
-        block = np.multiply(getattr(stack.shared, field), step, out=step)
-        stack.shared = replace(stack.shared, **{field: _read_only(block)})
-        stack.renew("shared." + field)
+        _pair_step(name, stack, 1.0)
     return stack.shared
 
 
@@ -657,9 +658,9 @@ def run_iteration(data: ProblemData, factors, shared: SharedFactors,
     and holding shared, as init_factors returns one, which the sweep steps
     in place, or any other iterable of exactly P TargetFactors, any other
     stack included, taken once and copied into a fresh stack, so never
-    modified (_as_stack, which checks the shapes). Returns (the stack it
-    stepped, the new SharedFactors), so factors, shared = run_iteration(...)
-    chains on one stack.
+    modified (_as_stack, which checks the shapes). Returns the stack it
+    stepped and its SharedFactors, both the same objects every sweep, so
+    factors, shared = run_iteration(...) chains on one stack.
 
     Each step takes every pair at once: U_target, U_source, U_common, the
     pair associations, V, then normalization, then the shared associations.
@@ -689,10 +690,10 @@ def fit(data: ProblemData, hp: Hyperparams, v_init, on_iteration=None) -> tuple:
     that record and the pairs' TargetFactors. Raises
     NumericalDivergenceError naming the iteration if any factor entry
     becomes non-finite, before that iteration's record or call. Identical
-    inputs and seed reproduce the run exactly. The factors are drawn
-    straight into fit's own stack, which every sweep steps in place and
-    which fit returns: a tuple of each pair's TargetFactors, read-only
-    views into it, whose copy or pickle is a plain list.
+    inputs and seed reproduce the run exactly. Every sweep steps fit's own
+    stack in place, and fit returns it, a tuple of each pair's
+    TargetFactors, with its SharedFactors: read-only views into it (a copy
+    or pickle of the tuple is a plain list).
     """
     stack, shared = init_factors(data, hp, v_init)
     trace = []
@@ -700,10 +701,9 @@ def fit(data: ProblemData, hp: Hyperparams, v_init, on_iteration=None) -> tuple:
     for iteration in range(1, hp.maxiter + 1):
         # a step that overflows is reported once, by the check below
         with np.errstate(over="ignore", invalid="ignore"):
-            _, shared = run_iteration(data, stack, shared, hp)
+            run_iteration(data, stack, shared, hp)
             obj = objective(data, stack, shared, hp)
-        arrays = (*(getattr(stack, name) for name in STACKED), *stack.V,
-                  *vars(shared).values())
+        arrays = (*(getattr(stack, name) for name in (*STACKED, *TIED)), *stack.V)
         if not (np.isfinite(obj) and all(np.isfinite(a).all() for a in arrays)):
             raise NumericalDivergenceError(iteration)
         trace.append(TraceRecord(iteration=iteration, objective=obj))

@@ -60,7 +60,7 @@ def refuse_to_allocate(monkeypatch, shape) -> None:
 # Pair p's objective, once. Each row
 # (w, X, ||X||^2, ((U_a, Theta_a), (U_b, Theta_b)), W) stands for
 # w * ||X - U_a Theta_a W^T - U_b Theta_b W^T||^2; factor blocks are named by
-# their TargetFactors field, "shared." + their SharedFactors field, or "Y_s".
+# their TargetFactors field, their stack name in engine.TIED, or "Y_s".
 def _terms(data: ProblemData, p: int, lam: float) -> tuple:
     X_t, xx_t = data.targets[p], data.sq_norms[p + 1]
     return (
@@ -69,7 +69,7 @@ def _terms(data: ProblemData, p: int, lam: float) -> tuple:
         (1.0, data.X_s, data.sq_norms[0],
          (("U_common", "Theta_common"), ("U_source", "Theta_source")), "Y_s"),
         (lam, X_t, xx_t,
-         (("U_common", "shared.Theta_common"), ("U_target", "shared.Theta_specific")),
+         (("U_common", "Theta_g_common"), ("U_target", "Theta_g_specific")),
          "V"),
     )
 
@@ -78,8 +78,7 @@ def _blocks(data: ProblemData, f: TargetFactors, shared: SharedFactors) -> dict:
     return {
         **vars(f),
         "Y_s": data.Y_s,
-        "shared.Theta_common": shared.Theta_common,
-        "shared.Theta_specific": shared.Theta_specific,
+        **{name: getattr(shared, field) for name, field in engine.TIED.items()},
     }
 
 

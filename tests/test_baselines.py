@@ -179,9 +179,11 @@ def test_logreg_rejects_degenerate_input():
 
 @pytest.mark.parametrize("name, value", [
     ("l2", np.nan), ("l2", np.inf), ("l2", -1.0),
+    ("l2", True), ("l2", False), ("l2", np.True_),
 ])
 def test_logreg_rejects_non_finite_or_out_of_range_settings(name, value):
-    # l2 = nan used to return all-zero weights, l2 = inf a numpy warning
+    # l2 = nan used to return all-zero weights, l2 = inf a numpy warning,
+    # and a bool was taken as 0 or 1
     rng = np.random.default_rng(10)
     X = rng.random((5, 6))
     Y = one_hot(rng.integers(1, 3, size=6), 2)

@@ -7,6 +7,7 @@ the objective's residual fallback runs over column blocks. Each must give what
 the one-piece form gives, to the bit where the one-piece form is the kernel.
 """
 
+import copy
 import tracemalloc
 
 import numpy as np
@@ -25,6 +26,8 @@ from mrtl.data import compact_corpus, normalize_input
 from mrtl.engine import (
     PRODUCTS,
     ROW_BLOCK_BYTES,
+    STACKED,
+    TIED,
     Hyperparams,
     ProblemData,
     SharedFactors,
@@ -215,11 +218,13 @@ def test_carried_v_products_give_the_sweep_that_builds_its_own():
 
 
 def assert_products_are_current(stack):
-    # the shared products of the shared blocks the stack holds
+    # every pair's product of the blocks the stack holds; a product of two
+    # tied blocks is the same for every pair
     for name, (U, theta) in PRODUCTS.items():
-        block = (getattr(stack.shared, theta.removeprefix("shared."))
-                 if theta.startswith("shared.") else getattr(stack, theta))
-        assert np.array_equal(getattr(stack, name), getattr(stack, U) @ block), name
+        product = getattr(stack, name)
+        assert product.shape == (len(stack), stack.data.M, stack.data.c), name
+        assert np.array_equal(product, np.broadcast_to(
+            getattr(stack, U) @ getattr(stack, theta), product.shape)), name
 
 
 def test_init_factors_returns_a_stack_whose_products_are_current():
@@ -302,6 +307,39 @@ def test_fit_equals_the_sweep_without_carried_products():
     for f, ref in zip(got, factors):
         for name, a in vars(f).items():
             assert np.array_equal(a, getattr(ref, name)), name
+    for name, a in vars(got_shared).items():
+        assert np.array_equal(a, getattr(shared, name)), name
+
+
+def test_a_block_of_one_row_is_tied_across_the_pairs():
+    # a (1, M, k2 - k1) U_target is one block for every pair by its shape
+    # alone: its step is the step on the numerators and denominators of all
+    # pairs summed, and sweeps keep it one block that every pair's view shows
+    rng = np.random.default_rng(49)
+    data, v_init = carried_problem(rng)
+    hp = Hyperparams(k1=2, k2=5, lam=2.0)
+    stack, _ = init_factors(data, hp, v_init)
+    stacked = {name: getattr(stack, name).copy() for name in (*STACKED, *TIED)}
+    stacked["U_target"] = stacked["U_target"][:1].copy()
+    tied = _Stack(data, stacked, [V.copy() for V in stack.V])
+    pairs, shared = copy.deepcopy(tied), copy.deepcopy(tied.shared)
+    num, den = (sum(terms) for terms in zip(*(
+        num_den_per_term("U_target", data, p, f, shared, hp.lam)
+        for p, f in enumerate(pairs))))
+    update_u_target(tied, hp)
+    assert tied.U_target.shape == (1, data.M, 3)
+    want = pairs[0].U_target * safe_ratio_sqrt(num, den)
+    assert np.allclose(tied.U_target[0], want, rtol=1e-12, atol=0.0)
+    assert_products_are_current(tied)
+    factors = tied
+    for _ in range(30):
+        factors, _ = run_iteration(data, factors, factors.shared, hp)
+        assert factors is tied and tied.U_target.shape == (1, data.M, 3)
+        for f in tied:
+            assert np.array_equal(f.U_target, tied.U_target[0])
+            assert np.shares_memory(f.U_target, tied.U_target)
+    assert_products_are_current(tied)
+    assert np.isfinite(objective(data, tied, tied.shared, hp))
 
 
 def sparse_exact_problem(rng, M, n_s, n_t, c=2, k1=2, ks=2, live=0.05):

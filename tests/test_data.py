@@ -502,3 +502,31 @@ def test_every_integer_setting_is_refused_in_one_wording(owner, name, least, val
         assert str(err.value) == (
             f"{name} must be an integer of at least {least}, got {value!r}")
         assert err.value.field == name
+
+
+# (owner, setting, the refusal's wording up to the value) for the float
+# settings of the solver and the synthetic spec, each refused when it is
+# built, dataclasses.replace included (logreg_train's l2 has its cases in
+# test_baselines)
+FLOAT_SETTINGS = [
+    ("Hyperparams", "lam", "lambda must be finite and nonnegative"),
+    ("Hyperparams", "convergence_tol", "convergence_tol must be finite and nonnegative"),
+    ("SynthSpec", "noise", "noise must be finite and nonnegative"),
+    ("SynthSpec", "domain_shift", "domain_shift must lie in [0, 1]"),
+]
+# a bool is a number to Python, but no setting: Hyperparams(lam=True) used
+# to build and fit as lam = 1, as SynthSpec(domain_shift=True) as a shift of 1
+FLOAT_CASES = [(*setting, value) for setting in FLOAT_SETTINGS
+               for value in (np.nan, np.inf, -1.0, True, False, np.True_)]
+
+
+@pytest.mark.parametrize("owner, name, message, value", FLOAT_CASES,
+                         ids=[f"{o}-{n}-{v!r}" for o, n, _, v in FLOAT_CASES])
+def test_every_float_setting_is_refused_in_its_wording(owner, name, message, value):
+    build = INTEGER_OWNERS[owner]
+    for call in (lambda: build(**{name: value}),
+                 lambda: replace(build(), **{name: value})):
+        with pytest.raises(InvalidConfigError) as err:
+            call()
+        assert str(err.value) == f"{message}, got {value}"
+        assert err.value.field == name

@@ -367,10 +367,9 @@ def test_run_iteration_returns_the_stack_it_stepped(kind):
     for record in trace:
         factors, shared = run_iteration(data, factors, shared, hp)
         assert factors is stack
-        # every attribute but shared, which holds the new SharedFactors
-        assert stack.shared is shared
-        assert all(a is arrays[name] for name, a in vars(stack).items()
-                   if name != "shared")
+        # the shared associations too: the same SharedFactors every sweep
+        assert shared is stack.shared is arrays["shared"]
+        assert all(a is arrays[name] for name, a in vars(stack).items())
         assert all(a is b for a, b in zip(stack.V, V))
         assert all(f is g for f, g in zip(stack, pairs))
         assert objective(data, factors, shared, hp) == record.objective

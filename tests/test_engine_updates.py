@@ -16,6 +16,7 @@ from conftest import (
 )
 
 from mrtl.engine import (
+    TIED,
     Hyperparams,
     ProblemData,
     SharedFactors,
@@ -32,7 +33,7 @@ from mrtl.engine import (
     update_u_target,
     update_v,
 )
-from mrtl.linalg import EPSILON, frobenius_sq
+from mrtl.linalg import EPSILON, frobenius_sq, safe_ratio_sqrt
 
 
 def scalar_problem(x_t, x_s):
@@ -376,6 +377,24 @@ def test_update_shared_two_identical_targets_match_single():
     assert np.array_equal(single.Theta_specific, double.Theta_specific)
 
 
+@pytest.mark.parametrize("P", [1, 2, 5])
+def test_tied_step_sums_the_pairs_in_pair_order(P):
+    # a tied block's numerator and denominator are added up pair after
+    # pair from pair 1, the order every output's bits rest on; the specific
+    # block steps against the new common one
+    rng = np.random.default_rng(24)
+    hp = tiny_hp(lam=2.0)
+    data, _ = random_problem(rng, M=9, n_t=(5, 4, 6, 3, 7)[:P])
+    factors, shared = random_state(rng, data, hp)
+    got = update_shared_associations(_Stack.of(data, factors, shared), hp)
+    for name, field in TIED.items():
+        num, den = zip(*(num_den(name, data, p, f, shared, 1.0)
+                         for p, f in enumerate(factors)))
+        step = safe_ratio_sqrt(sum(num[1:], num[0]), sum(den[1:], den[0]))
+        shared = replace(shared, **{field: getattr(shared, field) * step})
+        assert np.array_equal(getattr(got, field), getattr(shared, field)), field
+
+
 # closure and full-iteration properties
 
 
@@ -462,7 +481,7 @@ def test_gradient_matches_finite_differences():
     for lam in (2.0, 0.0)
     for block in ("U_common", "U_target", "U_source", "V",
                   "Theta_common", "Theta_target", "Theta_source",
-                  "shared.Theta_common", "shared.Theta_specific")
+                  "Theta_g_common", "Theta_g_specific")
 ])
 def test_kernel_gradient_matches_finite_differences(block, lam):
     # the update kernel's 2 * (den - num) is the objective's gradient; a
@@ -471,8 +490,8 @@ def test_kernel_gradient_matches_finite_differences(block, lam):
     data, v_init = random_problem(rng, M=5, n_s=4, n_t=(3, 4), c=2)
     hp = Hyperparams(k1=1, k2=3, lam=lam)
     factors, shared = random_state(rng, data, hp)
-    if block.startswith("shared."):
-        field = block.removeprefix("shared.")
+    if block in TIED:
+        field = TIED[block]
         x = getattr(shared, field)
         analytic = sum(
             2.0 * (den - num)

@@ -51,7 +51,7 @@ from mrtl.linalg import (
 BLOCKS = (
     "U_common", "U_target", "U_source", "V",
     "Theta_common", "Theta_target", "Theta_source",
-    "shared.Theta_common", "shared.Theta_specific",
+    "Theta_g_common", "Theta_g_specific",
 )
 RTOL = 1e-12
 
